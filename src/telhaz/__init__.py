@@ -40,7 +40,6 @@ from .special import (
     bessel_i1,
     bessel_i1e,
     bessel_i1e_over_x,
-    normal_quantile,
 )
 from .telegraph import (
     TelegraphParams,
@@ -94,7 +93,6 @@ __all__ = [
     "load",
     "load_hazard_config",
     "mgf",
-    "normal_quantile",
     "parse_hazard_config",
     "sample_path",
     "sample_w",

@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, presets
-from .estimation import BandConfig, Sample, confidence_band, defensibility_test, kde_cdf, kde_density
+from .estimation import BandConfig, confidence_band, defensibility_test
 from .hazard import HazardSpec, load_hazard_config
 from .perturbed import PerturbedModel
 from .telegraph import TelegraphParams, integrate_path, sample_path, w_density
@@ -150,9 +150,7 @@ def cmd_estimate(args) -> int:
     dataset = _resolve_dataset(args.data)
     config = BandConfig(h=args.bandwidth, alpha=args.alpha, grid_size=args.grid_size)
     band = confidence_band(dataset.sample, config)
-    f = kde_density(dataset.sample, args.bandwidth, band.grid)
-    F = kde_cdf(dataset.sample, args.bandwidth, band.grid)
-    rows = zip(band.grid, f, F, band.rate, band.lower, band.upper)
+    rows = zip(band.grid, band.density, band.cdf, band.rate, band.lower, band.upper)
     with _open_output(args.output) as out:
         _write_csv(out, ("t", "f_hat", "F_hat", "r_hat", "lower", "upper"), rows)
     return 0
@@ -260,13 +258,11 @@ def _reproduce_app(outdir: Path, preset: dict) -> int:
     config = BandConfig(h=preset["h"], alpha=preset["alpha"])
     report = defensibility_test(dataset.sample, config, preset["baseline"], preset["c"])
     band = report.band
-    f = kde_density(dataset.sample, preset["h"], band.grid)
-    F = kde_cdf(dataset.sample, preset["h"], band.grid)
     with open(outdir / "estimate.csv", "w", encoding="utf-8", newline="") as fh:
         _write_csv(
             fh,
             ("t", "f_hat", "F_hat", "r_hat", "lower", "upper"),
-            zip(band.grid, f, F, band.rate, band.lower, band.upper),
+            zip(band.grid, band.density, band.cdf, band.rate, band.lower, band.upper),
         )
     with open(outdir / "defensibility.csv", "w", encoding="utf-8", newline="") as fh:
         _write_csv(
@@ -304,6 +300,19 @@ def cmd_reproduce(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
+def _count(minimum: int):
+    """argparse type for a count flag: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
     p.add_argument("--c", type=float, default=1.0, help="noise amplitude (> 0)")
     p.add_argument("--lam", type=float, default=1.0, help="switching rate (> 0)")
@@ -328,8 +337,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-w", help="sample paths of the integrated noise")
     _add_noise_flags(p)
     p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--paths", type=int, default=2)
-    p.add_argument("--grid-size", type=int, default=201)
+    p.add_argument("--paths", type=_count(0), default=2)
+    p.add_argument("--grid-size", type=_count(1), default=201)
     p.add_argument("--seed", type=int, default=1)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate_w)
@@ -338,8 +347,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hazard", required=True, help="hazard config file or preset:NAME")
     _add_noise_flags(p)
     p.add_argument("--horizon", type=float, default=1.0)
-    p.add_argument("--paths", type=int, default=2)
-    p.add_argument("--grid-size", type=int, default=201)
+    p.add_argument("--paths", type=_count(0), default=2)
+    p.add_argument("--grid-size", type=_count(1), default=201)
     p.add_argument("--seed", type=int, default=1)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate_x)
@@ -349,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hazard", default=None, help="required when --process x")
     _add_noise_flags(p)
     p.add_argument("--t", type=float, default=1.0)
-    p.add_argument("--points", type=int, default=401)
+    p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_density)
 
@@ -357,7 +366,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hazard", required=True)
     _add_noise_flags(p)
     p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--points", type=int, default=401)
+    p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_moments)
 
@@ -365,7 +374,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--hazard", required=True)
     _add_noise_flags(p)
     p.add_argument("--t-max", type=float, default=2.0)
-    p.add_argument("--points", type=int, default=401)
+    p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_band)
 
@@ -373,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="data file or preset:NAME")
     p.add_argument("--bandwidth", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--grid-size", type=int, default=512)
+    p.add_argument("--grid-size", type=_count(1), default=512)
     _add_output_flag(p)
     p.set_defaults(func=cmd_estimate)
 
@@ -383,7 +392,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=float, required=True)
     p.add_argument("--alpha", type=float, default=0.025)
     p.add_argument("--c", type=float, required=True)
-    p.add_argument("--grid-size", type=int, default=512)
+    p.add_argument("--grid-size", type=_count(1), default=512)
     p.add_argument("--format", choices=("csv", "report"), default="report")
     _add_output_flag(p)
     p.set_defaults(func=cmd_defensibility)

@@ -13,9 +13,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.special import ndtri
 
 from .hazard import HazardSpec, validate_dominance
-from .special import normal_quantile
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
@@ -195,7 +195,7 @@ def confidence_band(
     f = kde_density(sample, config.h, grid, kernel)
     F = kde_cdf(sample, config.h, grid, kernel)
     usable = (f >= _TAIL_EPS) & (F <= 1.0 - _TAIL_EPS)
-    z = normal_quantile(config.alpha)
+    z = -float(ndtri(config.alpha))
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(usable, f / (1.0 - F), np.nan)
         half = np.where(

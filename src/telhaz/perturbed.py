@@ -169,8 +169,6 @@ class PerturbedModel:
             return 0.0
         if x >= band.b:
             return 1.0
-        if t == 0.0:
-            return 0.0 if x < 0.0 else 1.0
         ct = self.noise.c * t
         # X <= x  <=>  W <= log(survival(t) / (1 - x)); clamp the threshold
         # into [-ct, ct] to absorb roundoff at the band endpoints.

@@ -134,28 +134,3 @@ def bessel_i1e_over_x(x):
         lambda a: _asymptotic_scaled(a, 1) / a,
     )
     return float(out) if scalar else out
-
-
-_SQRT2 = math.sqrt(2.0)
-_INV_SQRT_2PI = 1.0 / math.sqrt(2.0 * math.pi)
-
-
-def normal_quantile(alpha: float) -> float:
-    """Upper-tail standard normal quantile: the z with P{Z > z} = alpha.
-
-    Rational first guess polished by Newton steps on the erfc-based tail,
-    giving errors far below 1e-9 for alpha in (0, 0.5].
-    """
-    if not (isinstance(alpha, (int, float)) and 0.0 < alpha <= 0.5):
-        raise ValueError(f"alpha must lie in (0, 0.5], got {alpha!r}")
-    if alpha == 0.5:
-        return 0.0
-    t = math.sqrt(-2.0 * math.log(alpha))
-    z = t - (2.515517 + t * (0.802853 + t * 0.010328)) / (
-        1.0 + t * (1.432788 + t * (0.189269 + t * 0.001308))
-    )
-    for _ in range(3):
-        tail = 0.5 * math.erfc(z / _SQRT2)
-        pdf = _INV_SQRT_2PI * math.exp(-0.5 * z * z)
-        z += (tail - alpha) / pdf
-    return z

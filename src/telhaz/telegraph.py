@@ -4,8 +4,8 @@ The velocity flips between +c and -c at the jump times of a Poisson process
 with rate ``lam``; the starting sign is a fair coin flip. Its running
 integral W(t) is piecewise linear, confined to [-ct, ct], and carries an
 atom of mass exp(-lam*t)/2 at each endpoint plus a smooth Bessel-type
-density in between. Everything here is either an exact event-driven
-simulation or a closed form; no time discretization is used anywhere.
+density in between. Everything here is either an exact simulation or a
+closed form; no time discretization or quadrature is used anywhere.
 """
 
 from __future__ import annotations
@@ -14,9 +14,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.special import betainc, gammaln, xlogy
 
 from .special import bessel_i0e, bessel_i1e_over_x
+
+# Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
+_POISSON_TAIL = 1e-16
 
 
 @dataclass(frozen=True)
@@ -104,33 +107,24 @@ def integrate_path(path: TelegraphPath, params: TelegraphParams, t: float) -> fl
 def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.ndarray:
     """Vectorized draw of W(t) for ``n_paths`` independent trajectories.
 
-    Uses the conditional-uniform construction: given the Poisson count of
-    switches on [0, t], the switch epochs are sorted iid uniforms. This is
-    distributionally identical to integrating :func:`sample_path` output
-    (the tests cross-check the two samplers) but runs as pure array code.
+    Given N ~ Poisson(lam t) switches, the N + 1 segment lengths are t times
+    a flat Dirichlet vector, so the time spent on the starting side is t B
+    with B ~ Beta(ceil((N+1)/2), floor((N+1)/2)) and W(t) = +-ct (2B - 1);
+    B = 1 when N = 0. This is distributionally identical to integrating
+    :func:`sample_path` output (the tests cross-check the two samplers) and
+    needs O(n_paths) memory whatever ``lam * t``.
     """
     if not (math.isfinite(t) and t > 0.0):
         raise ValueError(f"t must be finite and > 0, got {t!r}")
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths!r}")
     rng = np.random.default_rng(seed)
-    if n_paths == 0:
-        return np.empty(0)
     counts = rng.poisson(params.lam * t, size=n_paths)
-    width = int(counts.max())
     signs = np.where(rng.random(n_paths) < 0.5, 1.0, -1.0)
-    if width == 0:
-        return params.c * t * signs
-    raw = rng.uniform(0.0, t, size=(n_paths, width))
-    index = np.arange(width)[None, :]
-    epochs = np.where(index < counts[:, None], raw, t)
-    epochs.sort(axis=1)
-    bounds = np.concatenate(
-        [np.zeros((n_paths, 1)), epochs, np.full((n_paths, 1), t)], axis=1
-    )
-    segments = np.diff(bounds, axis=1)
-    alternating = (-1.0) ** np.arange(segments.shape[1])[None, :]
-    return params.c * signs * np.sum(segments * alternating, axis=1)
+    b = np.ones(n_paths)
+    switched = counts > 0
+    b[switched] = rng.beta((counts[switched] + 2) // 2, (counts[switched] + 1) // 2)
+    return params.c * t * signs * (2.0 * b - 1.0)
 
 
 def w_atom_prob(params: TelegraphParams, t: float) -> float:
@@ -164,24 +158,46 @@ def w_density(params: TelegraphParams, t: float, x):
     return float(out) if arr.ndim == 0 else out
 
 
-def w_cdf(params: TelegraphParams, t: float, w: float) -> float:
-    """P{W(t) <= w}: endpoint atoms plus the integrated interior density."""
+def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
+    """Counts n and Poisson(mean) weights, leaving out at most 1e-16 of the mass.
+
+    The window mean -+ (10 sqrt(mean) + 40) misses less than 1e-21 of the mass
+    (Bernstein's tail bound); each side is then cut where its tail mass
+    reaches half the budget, which keeps O(sqrt(mean)) terms.
+    """
+    reach = 10.0 * math.sqrt(mean) + 40.0
+    n = np.arange(max(0, math.floor(mean - reach)), math.ceil(mean + reach) + 1)
+    weights = np.exp(xlogy(n, mean) - mean - gammaln(n + 1.0))
+    below = np.cumsum(weights)
+    above = np.cumsum(weights[::-1])[::-1]
+    keep = (below > 0.5 * _POISSON_TAIL) & (above > 0.5 * _POISSON_TAIL)
+    return n[keep], weights[keep]
+
+
+def w_cdf(params: TelegraphParams, t: float, w):
+    """P{W(t) <= w} as a Poisson mixture of incomplete-beta laws.
+
+    With N switches, W(t) = +-ct (2B - 1) and B ~ Beta(a, b), a = ceil((N+1)/2),
+    b = floor((N+1)/2) (see :func:`sample_w`), so with y = (w/ct + 1)/2
+
+        P{W(t) <= w | N} = [I_y(a, b) + I_y(b, a)] / 2,
+
+    which is 1/2 on [-ct, ct) when N = 0: the lower endpoint atom. Accepts a
+    scalar or an array of ``w``.
+    """
     if t < 0.0 or not math.isfinite(t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
-    if t == 0.0:
-        return 0.0 if w < 0.0 else 1.0
+    arr = np.asarray(w, dtype=float)
     ct = params.c * t
-    if w < -ct:
-        return 0.0
-    if w >= ct:
-        return 1.0
-    atom = w_atom_prob(params, t)
-    if w == -ct:
-        return atom
-    interior, _ = quad(
-        lambda y: w_density(params, t, y), -ct, w, epsabs=1e-11, epsrel=1e-11, limit=200
-    )
-    return min(1.0, atom + interior)
+    mix = np.zeros_like(arr)
+    if t > 0.0:
+        y = np.clip(0.5 * (arr / ct + 1.0), 0.0, 1.0)
+        counts, weights = _poisson_terms(params.lam * t)
+        for n, p in zip(counts.tolist(), weights.tolist()):
+            a, b = (n + 2) // 2, (n + 1) // 2
+            mix += p * (0.5 * (betainc(a, b, y) + betainc(b, a, y)) if n else 0.5)
+    out = np.where(arr >= ct, 1.0, np.where(arr < -ct, 0.0, np.minimum(mix, 1.0)))
+    return float(out) if arr.ndim == 0 else out
 
 
 def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):

@@ -10,7 +10,7 @@ import time
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from conftest import ks_critical
 from telhaz.datasets import builtin
@@ -25,7 +25,6 @@ from telhaz.presets import (
     model_fig2,
     model_fig3,
 )
-from telhaz.special import normal_quantile
 from telhaz.telegraph import TelegraphParams, mgf, sample_w, w_atom_prob, w_density
 
 
@@ -226,7 +225,7 @@ def test_criterion_10_kernel_constants():
         epsabs=1e-12,
     )
     l2_ok = abs(EPANECHNIKOV.l2_constant - numeric) < 1e-5
-    z = normal_quantile(0.025)
+    z = -float(special.ndtri(0.025))
     z_ok = abs(z - 1.959964) < 1e-6
     _report(
         "10 kernel and quantile constants",
@@ -273,7 +272,7 @@ def test_criterion_12_path_law_agreement():
     dens = model.density(xs, t)
     atom = model.atom_prob(t)
     cdf_grid = atom + np.concatenate([[0.0], integrate.cumulative_trapezoid(dens, xs)])
-    # anchor the dense grid to the quadrature-based CDF before using it
+    # anchor the dense grid to the exact Poisson-Beta CDF before using it
     anchors = np.linspace(band.a + 0.1 * band.width, band.b - 0.1 * band.width, 5)
     anchor_gap = max(
         abs(float(np.interp(a, xs, cdf_grid)) - model.cdf(float(a), t)) for a in anchors

@@ -1,9 +1,14 @@
 import csv
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import telhaz
 from telhaz.cli import main
 from telhaz.presets import model_fig3
 
@@ -165,6 +170,39 @@ class TestValidationErrors:
 
     def test_argparse_error_exit_two(self, capsys):
         assert main(["simulate-w", "--paths", "not-an-int"]) == 2
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate-w", "--paths", "-1"),
+            ("simulate-w", "--grid-size", "0"),
+            ("simulate-x", "--hazard", "preset:polynomial_c1", "--paths", "-1"),
+            ("simulate-x", "--hazard", "preset:polynomial_c1", "--grid-size", "0"),
+            ("density", "--points", "0"),
+            ("density", "--points", "-3"),
+            ("moments", "--hazard", "preset:polynomial_c1", "--points", "0"),
+            ("band", "--hazard", "preset:polynomial_c1", "--points", "0"),
+            ("estimate", "--data", "preset:melanoma_46", "--bandwidth", "6", "--grid-size", "0"),
+        ],
+    )
+    def test_count_flag_rejected_by_name(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: must be >= " in err
+
+
+def test_cli_import_leaves_out_scipy_integrate():
+    # scipy.integrate costs ~0.4 s per CLI process and nothing at run time needs it
+    src = str(Path(telhaz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": path}
+    probe = "import sys, telhaz.cli; print('scipy.integrate' in sys.modules)"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout.strip() == "False"
 
 
 class TestHazardFileAndConfig:

@@ -193,29 +193,46 @@ class TestAtomAndDensity:
         assert w_cdf(p, 0.0, -0.1) == 0.0
         assert w_cdf(p, 0.0, 0.0) == 1.0
 
+    @pytest.mark.parametrize(
+        "c,lam,t",
+        [(1.0, 1.0, 1.0), (2.0, 5.0, 0.25), (0.5, 15.0, 2.0), (1.0, 30.0, 10.0), (0.3, 100.0, 3.0)],
+    )
+    def test_cdf_matches_density_quadrature(self, c, lam, t):
+        # oracle: lower atom plus adaptive quadrature of the Bessel density, cell by cell
+        p = TelegraphParams(c=c, lam=lam)
+        xs = np.linspace(-c * t, c * t, 41)[:-1]
+        cells = [
+            integrate.quad(
+                lambda x: w_density(p, t, x), lo, hi, epsabs=1e-14, epsrel=1e-13, limit=200
+            )[0]
+            for lo, hi in zip(xs[:-1], xs[1:])
+        ]
+        oracle = w_atom_prob(p, t) + np.concatenate([[0.0], np.cumsum(cells)])
+        assert np.max(np.abs(w_cdf(p, t, xs) - oracle)) <= 1e-12
+        scalar = w_cdf(p, t, float(xs[7]))
+        assert type(scalar) is float
+        assert scalar == pytest.approx(oracle[7], abs=1e-12)
+
     def test_empirical_cdf_matches_closed_form(self):
-        # KS distance between 1e5 exact samples and the atom+density law
-        p = TelegraphParams(c=1.0, lam=1.0)
-        t = 1.0
+        # KS distance between 1e5 exact samples and the exact law, up to lam*t = 1000
         n = 100_000
-        sample = np.sort(sample_w(p, t, n, seed=321))
-        xs = np.linspace(-t, t, 16385)[1:-1]
-        dens = w_density(p, t, xs)
-        atom = w_atom_prob(p, t)
-        cdf_interior = atom + np.concatenate(
-            [[0.0], integrate.cumulative_trapezoid(dens, xs)]
-        )
-        # exact CDF at the sample points, honoring the two endpoint atoms
-        cdf_at = np.where(
-            sample <= -t, atom, np.where(sample >= t, 1.0, np.interp(sample, xs, cdf_interior))
-        )
-        # left limits differ from the CDF only at the endpoint atoms
-        left = np.where(
-            sample <= -t, 0.0, np.where(sample >= t, 1.0 - atom, cdf_at)
-        )
         i = np.arange(1, n + 1)
-        distance = max(np.max(i / n - cdf_at), np.max(left - (i - 1) / n))
-        assert distance < ks_critical(n, alpha=0.01)
+        for c, lam, t in [(1.0, 1.0, 1.0), (1.0, 300.0, 1.0), (0.5, 100.0, 10.0)]:
+            p = TelegraphParams(c=c, lam=lam)
+            ct = c * t
+            sample = np.sort(sample_w(p, t, n, seed=321))
+            xs = np.linspace(-ct, ct, 16385)[1:-1]
+            cdf_interior = w_cdf(p, t, xs)
+            atom = w_atom_prob(p, t)
+            # exact CDF at the sample points, honoring the two endpoint atoms
+            inside = np.interp(sample, xs, cdf_interior)
+            cdf_at = np.where(sample <= -ct, atom, np.where(sample >= ct, 1.0, inside))
+            # left limits differ from the CDF only at the endpoint atoms
+            left = np.where(
+                sample <= -ct, 0.0, np.where(sample >= ct, 1.0 - atom, cdf_at)
+            )
+            distance = max(np.max(i / n - cdf_at), np.max(left - (i - 1) / n))
+            assert distance < ks_critical(n, alpha=0.01), (c, lam, t, distance)
 
     def test_every_sample_within_bound(self):
         p = TelegraphParams(c=1.7, lam=4.0)
