@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import csv
+import functools
 import math
 import sys
 import traceback
@@ -28,16 +29,15 @@ from .telegraph import TelegraphParams, integrate_path, sample_path, w_density
 
 
 def _fmt(value) -> str:
+    if isinstance(value, str):
+        return value
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    v = float(value)
-    if math.isinf(v):
-        return "inf" if v > 0 else "-inf"
-    return repr(v)
+    return repr(float(value))
 
 
 @contextlib.contextmanager
-def _open_output(path: str | None):
+def _open_output(path: str | Path | None):
     if path is None or path == "-":
         yield sys.stdout
     else:
@@ -45,11 +45,12 @@ def _open_output(path: str | None):
             yield fh
 
 
-def _write_csv(stream, header, rows) -> None:
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(header)
-    for row in rows:
-        writer.writerow([_fmt(v) for v in row])
+def _write_csv(path: str | Path | None, rows) -> None:
+    """Write ``rows``, header first, to ``path`` (stdout for None or "-")."""
+    with _open_output(path) as out:
+        writer = csv.writer(out, lineterminator="\n")
+        for row in rows:
+            writer.writerow([_fmt(v) for v in row])
 
 
 def _resolve_hazard(spec: str) -> HazardSpec:
@@ -77,19 +78,64 @@ def _model_from_args(args) -> PerturbedModel:
     return PerturbedModel(_resolve_hazard(args.hazard), TelegraphParams(c=args.c, lam=args.lam))
 
 
+# -- tables -------------------------------------------------------------------
+# Each builder returns or yields the rows of one table, header first; a
+# subcommand and the reproduce target that emits the same table share it.
+
+
+def _w_rows(params: TelegraphParams, horizon: float, grid, paths: int, seed: int):
+    yield "path_id", "t", "w"
+    for pid in range(paths):
+        path = sample_path(params, horizon, seed + pid)
+        for t, w in zip(grid, integrate_path(path, params, grid)):
+            yield pid, t, w
+
+
+def _x_rows(model: PerturbedModel, horizon: float, grid, paths: int, seed: int):
+    yield "path_id", "t", "x"
+    for pid in range(paths):
+        for t, x in model.sample_path_values(horizon, grid, seed + pid):
+            yield pid, t, x
+
+
+def _band_rows(model: PerturbedModel, grid) -> list:
+    bands = [model.band(float(t)) for t in grid]
+    return [("t", "a", "b", "width"), *((b.t, b.a, b.b, b.width) for b in bands)]
+
+
+def _x_density(model: PerturbedModel, t: float, points: int):
+    """``points`` interior x values of X(t)'s band and the density there."""
+    band = model.band(t)
+    xs = np.linspace(band.a, band.b, points + 2)[1:-1]
+    return xs, model.density(xs, t)
+
+
+def _moment_rows(model: PerturbedModel, grid) -> list:
+    return [("t", "mean", "variance"), *zip(grid, model.mean(grid), model.variance(grid))]
+
+
+def _estimate_rows(band) -> list:
+    return [
+        ("t", "f_hat", "F_hat", "r_hat", "lower", "upper"),
+        *zip(band.grid, band.density, band.cdf, band.rate, band.lower, band.upper),
+    ]
+
+
+def _defensibility_rows(report) -> list:
+    band = report.band
+    return [
+        ("t", "r_hat", "lower", "upper", "baseline", "margin"),
+        *zip(band.grid, band.rate, band.lower, band.upper, report.baseline_rate, report.margin),
+    ]
+
+
 # -- subcommands --------------------------------------------------------------
 
 
 def cmd_simulate_w(args) -> int:
     params = TelegraphParams(c=args.c, lam=args.lam)
     grid = np.linspace(0.0, args.horizon, args.grid_size)
-    rows = []
-    for pid in range(args.paths):
-        path = sample_path(params, args.horizon, args.seed + pid)
-        for t in grid:
-            rows.append((pid, t, integrate_path(path, params, float(t))))
-    with _open_output(args.output) as out:
-        _write_csv(out, ("path_id", "t", "w"), rows)
+    _write_csv(args.output, _w_rows(params, args.horizon, grid, args.paths, args.seed))
     return 0
 
 
@@ -97,12 +143,7 @@ def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
     horizon = min(args.horizon, model.hazard.support_end * (1.0 - 1e-12))
     grid = np.linspace(0.0, horizon, args.grid_size)
-    rows = []
-    for pid in range(args.paths):
-        for t, x in model.sample_path_values(horizon, grid, args.seed + pid):
-            rows.append((pid, t, x))
-    with _open_output(args.output) as out:
-        _write_csv(out, ("path_id", "t", "x"), rows)
+    _write_csv(args.output, _x_rows(model, horizon, grid, args.paths, args.seed))
     return 0
 
 
@@ -116,51 +157,28 @@ def cmd_density(args) -> int:
         if args.hazard is None:
             raise ValueError("--hazard is required for the x-process density")
         model = PerturbedModel(_resolve_hazard(args.hazard), params)
-        band = model.band(args.t)
-        xs = np.linspace(band.a, band.b, args.points + 2)[1:-1]
-        f = model.density(xs, args.t)
-    with _open_output(args.output) as out:
-        _write_csv(out, ("x", "density"), zip(xs, f))
+        xs, f = _x_density(model, args.t, args.points)
+    _write_csv(args.output, [("x", "density"), *zip(xs, f)])
     return 0
 
 
 def cmd_moments(args) -> int:
-    model = _model_from_args(args)
     grid = np.linspace(0.0, args.t_max, args.points)
-    means = model.mean(grid)
-    variances = model.variance(grid)
-    with _open_output(args.output) as out:
-        _write_csv(out, ("t", "mean", "variance"), zip(grid, means, variances))
+    _write_csv(args.output, _moment_rows(_model_from_args(args), grid))
     return 0
 
 
 def cmd_band(args) -> int:
-    model = _model_from_args(args)
     grid = np.linspace(0.0, args.t_max, args.points)
-    rows = [
-        (b.t, b.a, b.b, b.width)
-        for b in (model.band(float(t)) for t in grid)
-    ]
-    with _open_output(args.output) as out:
-        _write_csv(out, ("t", "a", "b", "width"), rows)
+    _write_csv(args.output, _band_rows(_model_from_args(args), grid))
     return 0
 
 
 def cmd_estimate(args) -> int:
     dataset = _resolve_dataset(args.data)
     config = BandConfig(h=args.bandwidth, alpha=args.alpha, grid_size=args.grid_size)
-    band = confidence_band(dataset.sample, config)
-    rows = zip(band.grid, band.density, band.cdf, band.rate, band.lower, band.upper)
-    with _open_output(args.output) as out:
-        _write_csv(out, ("t", "f_hat", "F_hat", "r_hat", "lower", "upper"), rows)
+    _write_csv(args.output, _estimate_rows(confidence_band(dataset.sample, config)))
     return 0
-
-
-def _defensibility_rows(report):
-    band = report.band
-    return zip(
-        band.grid, band.rate, band.lower, band.upper, report.baseline_rate, report.margin
-    )
 
 
 def _write_defensibility_report(stream, report, dataset_name: str, args) -> None:
@@ -179,98 +197,63 @@ def cmd_defensibility(args) -> int:
     baseline = _resolve_hazard(args.hazard)
     config = BandConfig(h=args.bandwidth, alpha=args.alpha, grid_size=args.grid_size)
     report = defensibility_test(dataset.sample, config, baseline, args.c)
-    with _open_output(args.output) as out:
-        if args.format == "csv":
-            _write_csv(
-                out,
-                ("t", "r_hat", "lower", "upper", "baseline", "margin"),
-                _defensibility_rows(report),
-            )
-        else:
+    if args.format == "csv":
+        _write_csv(args.output, _defensibility_rows(report))
+    else:
+        with _open_output(args.output) as out:
             _write_defensibility_report(out, report, dataset.name, args)
     return 0 if report.holds else 3
 
 
 # -- reproduce ----------------------------------------------------------------
+# Every target takes the output directory and --seed (only fig1 draws random
+# numbers) and returns an exit code, or None when it has no verdict.
 
 
 def _reproduce_fig1(outdir: Path, seed: int) -> None:
     model = presets.model_fig1()
-    grid = np.linspace(0.0, presets.FIG1_HORIZON, 201)
-    cums = model.hazard.cumulative(grid)
-    w_rows, x_rows = [], []
-    for pid in range(2):
-        path = sample_path(model.noise, presets.FIG1_HORIZON, seed + pid)
-        w = np.array([integrate_path(path, model.noise, float(t)) for t in grid])
-        x = -np.expm1(-(cums + w))
-        w_rows.extend((pid, t, wv) for t, wv in zip(grid, w))
-        x_rows.extend((pid, t, xv) for t, xv in zip(grid, x))
-    with open(outdir / "w_paths.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, ("path_id", "t", "w"), w_rows)
-    with open(outdir / "x_paths.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, ("path_id", "t", "x"), x_rows)
-    with open(outdir / "f_curve.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, ("t", "cdf"), zip(grid, model.hazard.cdf(grid)))
+    horizon = presets.FIG1_HORIZON
+    grid = np.linspace(0.0, horizon, 201)
+    _write_csv(outdir / "w_paths.csv", _w_rows(model.noise, horizon, grid, 2, seed))
+    _write_csv(outdir / "x_paths.csv", _x_rows(model, horizon, grid, 2, seed))
+    _write_csv(outdir / "f_curve.csv", [("t", "cdf"), *zip(grid, model.hazard.cdf(grid))])
 
 
-def _reproduce_fig2(outdir: Path) -> None:
-    summary = []
+def _reproduce_fig2(outdir: Path, seed: int) -> None:
+    summary = [("case", "nu", "terminal_width")]
     for case in ("a", "b", "c"):
         model = presets.model_fig2(case)
         grid = np.linspace(0.0, presets.FIG2_HORIZONS[case], 401)
-        rows = [(b.t, b.a, b.b, b.width) for b in (model.band(float(t)) for t in grid)]
-        with open(outdir / f"band_{case}.csv", "w", encoding="utf-8", newline="") as fh:
-            _write_csv(fh, ("t", "a", "b", "width"), rows)
+        _write_csv(outdir / f"band_{case}.csv", _band_rows(model, grid))
         summary.append((case, model.total_excess_hazard, model.terminal_band_width()))
-    with open(outdir / "summary.csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(("case", "nu", "terminal_width"))
-        for case, nu, width in summary:
-            writer.writerow((case, _fmt(nu), _fmt(width)))
+    _write_csv(outdir / "summary.csv", summary)
 
 
-def _reproduce_fig3(outdir: Path) -> None:
+def _reproduce_fig3(outdir: Path, seed: int) -> None:
     model = presets.model_fig3()
-    density_rows, atom_rows = [], []
+    density_rows = [("t", "x", "density")]
+    atom_rows = [("t", "a", "b", "atom_prob")]
     for t in presets.FIG3_TIMES:
+        density_rows.extend((t, x, f) for x, f in zip(*_x_density(model, t, 401)))
         band = model.band(t)
-        xs = np.linspace(band.a, band.b, 403)[1:-1]
-        f = model.density(xs, t)
-        density_rows.extend((t, x, fv) for x, fv in zip(xs, f))
         atom_rows.append((t, band.a, band.b, model.atom_prob(t)))
-    with open(outdir / "density.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, ("t", "x", "density"), density_rows)
-    with open(outdir / "atoms.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(fh, ("t", "a", "b", "atom_prob"), atom_rows)
+    _write_csv(outdir / "density.csv", density_rows)
+    _write_csv(outdir / "atoms.csv", atom_rows)
 
 
-def _reproduce_fig4(outdir: Path) -> None:
-    model = presets.model_fig3()
+def _reproduce_fig4(outdir: Path, seed: int) -> None:
     grid = np.linspace(0.0, presets.FIG4_HORIZON, 401)
-    with open(outdir / "moments.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(
-            fh, ("t", "mean", "variance"), zip(grid, model.mean(grid), model.variance(grid))
-        )
+    _write_csv(outdir / "moments.csv", _moment_rows(presets.model_fig3(), grid))
 
 
-def _reproduce_app(outdir: Path, preset: dict) -> int:
+def _reproduce_app(outdir: Path, seed: int, preset: dict) -> int:
     dataset = datasets.builtin(preset["dataset"])
     config = BandConfig(h=preset["h"], alpha=preset["alpha"])
     report = defensibility_test(dataset.sample, config, preset["baseline"], preset["c"])
-    band = report.band
-    with open(outdir / "estimate.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(
-            fh,
-            ("t", "f_hat", "F_hat", "r_hat", "lower", "upper"),
-            zip(band.grid, band.density, band.cdf, band.rate, band.lower, band.upper),
-        )
-    with open(outdir / "defensibility.csv", "w", encoding="utf-8", newline="") as fh:
-        _write_csv(
-            fh,
-            ("t", "r_hat", "lower", "upper", "baseline", "margin"),
-            _defensibility_rows(report),
-        )
-    with open(outdir / "report.txt", "w", encoding="utf-8") as fh:
+    _write_csv(outdir / "estimate.csv", _estimate_rows(report.band))
+    _write_csv(outdir / "defensibility.csv", _defensibility_rows(report))
+    # not the --format report block: the published report.txt has its own layout
+    with _open_output(outdir / "report.txt") as fh:
         fh.write(f"dataset = {dataset.name}\n")
         fh.write(f"h = {_fmt(preset['h'])}, alpha = {_fmt(preset['alpha'])}\n")
         fh.write(f"c = {_fmt(preset['c'])}\n")
@@ -279,22 +262,20 @@ def _reproduce_app(outdir: Path, preset: dict) -> int:
     return 0 if report.holds else 3
 
 
+_REPRODUCE = {
+    "fig1": _reproduce_fig1,
+    "fig2": _reproduce_fig2,
+    "fig3": _reproduce_fig3,
+    "fig4": _reproduce_fig4,
+    "app1": functools.partial(_reproduce_app, preset=presets.APP1),
+    "app2": functools.partial(_reproduce_app, preset=presets.APP2),
+}
+
+
 def cmd_reproduce(args) -> int:
     outdir = Path(args.output_dir or f"{args.target}_tables")
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.target == "fig1":
-        _reproduce_fig1(outdir, args.seed)
-    elif args.target == "fig2":
-        _reproduce_fig2(outdir)
-    elif args.target == "fig3":
-        _reproduce_fig3(outdir)
-    elif args.target == "fig4":
-        _reproduce_fig4(outdir)
-    elif args.target == "app1":
-        return _reproduce_app(outdir, presets.APP1)
-    elif args.target == "app2":
-        return _reproduce_app(outdir, presets.APP2)
-    return 0
+    return _REPRODUCE[args.target](outdir, args.seed) or 0
 
 
 # -- parser -------------------------------------------------------------------
@@ -310,6 +291,20 @@ def _count(minimum: int):
         return value
 
     parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    return parse
+
+
+def _time(allow_zero: bool):
+    """argparse type for a time flag: a finite float, > 0 or, with ``allow_zero``, >= 0."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
+            bound = ">= 0" if allow_zero else "> 0"
+            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
+        return value
+
+    parse.__name__ = "float"  # argparse reports a ValueError as "invalid float value"
     return parse
 
 
@@ -336,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("simulate-w", help="sample paths of the integrated noise")
     _add_noise_flags(p)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_time(allow_zero=False), default=1.0)
     p.add_argument("--paths", type=_count(0), default=2)
     p.add_argument("--grid-size", type=_count(1), default=201)
     p.add_argument("--seed", type=int, default=1)
@@ -346,7 +341,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-x", help="sample paths of the perturbed CDF process")
     p.add_argument("--hazard", required=True, help="hazard config file or preset:NAME")
     _add_noise_flags(p)
-    p.add_argument("--horizon", type=float, default=1.0)
+    p.add_argument("--horizon", type=_time(allow_zero=False), default=1.0)
     p.add_argument("--paths", type=_count(0), default=2)
     p.add_argument("--grid-size", type=_count(1), default=201)
     p.add_argument("--seed", type=int, default=1)
@@ -357,7 +352,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", choices=("w", "x"), default="w")
     p.add_argument("--hazard", default=None, help="required when --process x")
     _add_noise_flags(p)
-    p.add_argument("--t", type=float, default=1.0)
+    p.add_argument("--t", type=_time(allow_zero=False), default=1.0)
     p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_density)
@@ -365,7 +360,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="mean and variance of X(t) on a grid")
     p.add_argument("--hazard", required=True)
     _add_noise_flags(p)
-    p.add_argument("--t-max", type=float, default=2.0)
+    p.add_argument("--t-max", type=_time(allow_zero=True), default=2.0)
     p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_moments)
@@ -373,7 +368,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("band", help="almost-sure band of X(t) on a grid")
     p.add_argument("--hazard", required=True)
     _add_noise_flags(p)
-    p.add_argument("--t-max", type=float, default=2.0)
+    p.add_argument("--t-max", type=_time(allow_zero=True), default=2.0)
     p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_band)
@@ -398,7 +393,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_defensibility)
 
     p = sub.add_parser("reproduce", help="emit all tables for a named figure or case study")
-    p.add_argument("target", choices=("fig1", "fig2", "fig3", "fig4", "app1", "app2"))
+    p.add_argument("target", choices=tuple(_REPRODUCE))
     p.add_argument("--output-dir", default=None)
     p.add_argument("--seed", type=int, default=1)
     p.set_defaults(func=cmd_reproduce)

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable
 
 import numpy as np
@@ -154,7 +155,7 @@ class PiecewiseLinearHazard(HazardSpec):
             if not math.isfinite(end) and slope < 0.0:
                 raise ValueError("last segment must have slope >= 0 on an infinite support")
 
-    @property
+    @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         starts = np.array([s for s, _, _ in self.segments])
         slopes = np.array([m for _, m, _ in self.segments])

@@ -209,9 +209,6 @@ class PerturbedModel:
             raise ValueError("time_grid must not exceed the horizon")
         self.hazard._check_time(grid)
         path = sample_path(self.noise, horizon, seed)
-        cums = self.hazard.cumulative(grid)
-        values = [
-            -math.expm1(-(cum + integrate_path(path, self.noise, float(tt))))
-            for tt, cum in zip(grid, np.atleast_1d(cums))
-        ]
-        return list(zip(grid.tolist(), values))
+        w = integrate_path(path, self.noise, grid)
+        values = -np.expm1(-(self.hazard.cumulative(grid) + w))
+        return list(zip(grid.tolist(), values.tolist()))

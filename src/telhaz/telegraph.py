@@ -87,21 +87,23 @@ def sample_path(params: TelegraphParams, horizon: float, seed: int) -> Telegraph
     return TelegraphPath(sign, tuple(events), float(horizon))
 
 
-def integrate_path(path: TelegraphPath, params: TelegraphParams, t: float) -> float:
-    """Exact integral of the velocity along ``path`` up to time ``t``."""
-    if not 0.0 <= t <= path.horizon:
+def integrate_path(path: TelegraphPath, params: TelegraphParams, t):
+    """Exact integral of the velocity along ``path`` up to time ``t``.
+
+    Accepts a scalar or an array of times in [0, horizon]. The signed segment
+    lengths are summed left to right, so every value equals the one a walk
+    over the events up to ``t`` gives, to the last bit.
+    """
+    arr = np.asarray(t, dtype=float)
+    if not np.all((arr >= 0.0) & (arr <= path.horizon)):
         raise ValueError(f"t must lie in [0, {path.horizon}], got {t!r}")
-    sign = path.initial_sign
-    total = 0.0
-    previous = 0.0
-    for event in path.event_times:
-        if event >= t:
-            break
-        total += sign * (event - previous)
-        previous = event
-        sign = -sign
-    total += sign * (t - previous)
-    return params.c * total
+    starts = np.array((0.0, *path.event_times))
+    signs = np.where(np.arange(starts.size) % 2, -1.0, 1.0) * path.initial_sign
+    # integral up to each segment start, then the partial segment up to t
+    reached = np.concatenate(([0.0], np.cumsum(signs[:-1] * np.diff(starts))))
+    k = np.searchsorted(starts[1:], arr, side="left")
+    out = params.c * (reached[k] + signs[k] * (arr - starts[k]))
+    return float(out) if arr.ndim == 0 else out
 
 
 def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.ndarray:

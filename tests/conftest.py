@@ -2,7 +2,8 @@
 
 The Monte Carlo sampler here is deliberately written against the library's
 vectorized one: it walks exponential inter-arrival gaps path by path, so the
-two constructions can cross-validate each other.
+two constructions can cross-validate each other. The path integral is the
+same kind of walk, over one realized path's switch times.
 """
 
 from __future__ import annotations
@@ -30,6 +31,23 @@ def brute_force_w(c: float, lam: float, t: float, n_paths: int, seed: int) -> np
             sign = -sign
         out[i] = c * total
     return out
+
+
+def walk_integral(path, params, t: float) -> float:
+    """W(t) along ``path`` by walking its switch times one segment at a time (oracle)."""
+    if not 0.0 <= t <= path.horizon:
+        raise ValueError(f"t must lie in [0, {path.horizon}], got {t!r}")
+    sign = path.initial_sign
+    total = 0.0
+    previous = 0.0
+    for event in path.event_times:
+        if event >= t:
+            break
+        total += sign * (event - previous)
+        previous = event
+        sign = -sign
+    total += sign * (t - previous)
+    return params.c * total
 
 
 def ks_distance(sorted_sample: np.ndarray, cdf_at_sample: np.ndarray) -> float:

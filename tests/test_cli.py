@@ -1,4 +1,6 @@
 import csv
+import hashlib
+import json
 import math
 import os
 import subprocess
@@ -11,6 +13,9 @@ import pytest
 import telhaz
 from telhaz.cli import main
 from telhaz.presets import model_fig3
+
+
+RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reproduce_sha256.json"
 
 
 def run(capsys, *argv):
@@ -191,6 +196,35 @@ class TestValidationErrors:
         assert out == ""
         assert f"argument {argv[-2]}: must be >= " in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("simulate-w", "--horizon", "0"),
+            ("simulate-w", "--horizon", "inf"),
+            ("simulate-x", "--hazard", "preset:polynomial_c1", "--horizon", "-1"),
+            ("simulate-x", "--hazard", "preset:polynomial_c1", "--horizon", "nan"),
+            ("density", "--t", "0"),
+            ("density", "--process", "x", "--hazard", "preset:polynomial_c1", "--t", "-0.5"),
+            ("density", "--t", "inf"),
+            ("moments", "--hazard", "preset:polynomial_c1", "--t-max", "-1"),
+            ("moments", "--hazard", "preset:polynomial_c1", "--t-max", "inf"),
+            ("band", "--hazard", "preset:polynomial_c1", "--t-max", "-0.001"),
+            ("band", "--hazard", "preset:polynomial_c1", "--t-max", "nan"),
+        ],
+    )
+    def test_time_flag_rejected_by_name(self, capsys, argv):
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert f"argument {argv[-2]}: must be finite and " in err
+
+    @pytest.mark.parametrize("command", ["moments", "band"])
+    def test_t_max_zero_accepted(self, capsys, command):
+        code, out, _ = run(capsys, command, "--hazard", "preset:polynomial_c1",
+                           "--t-max", "0", "--points", "3")
+        assert code == 0
+        assert out.splitlines()[1].startswith("0.0,")
+
 
 def test_cli_import_leaves_out_scipy_integrate():
     # scipy.integrate costs ~0.4 s per CLI process and nothing at run time needs it
@@ -297,3 +331,12 @@ class TestReproduce:
         assert rows[0] == ["t", "mean", "variance"]
         final_mean = float(rows[-1][1])
         assert final_mean == pytest.approx(1.0, abs=1e-3)
+
+
+@pytest.mark.parametrize("target", ["fig1", "fig2", "fig3", "fig4", "app1", "app2"])
+def test_reproduce_matches_recorded_sha256(capsys, tmp_path, target):
+    # the recorded hashes are the byte-identity contract of every reproduce table
+    expected = json.loads(RECORDED_SHA256.read_text())[target]
+    assert run(capsys, "reproduce", target, "--output-dir", str(tmp_path))[0] == 0
+    got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
+    assert got == expected

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from conftest import brute_force_w, ks_distance, ks_critical
+from conftest import brute_force_w, ks_distance, ks_critical, walk_integral
 from telhaz.telegraph import (
     TelegraphParams,
     TelegraphPath,
@@ -127,6 +127,28 @@ class TestIntegration:
             integrate_path(path, p, 1.5)
         with pytest.raises(ValueError):
             integrate_path(path, p, -0.1)
+        with pytest.raises(ValueError):
+            integrate_path(path, p, np.array([0.0, 0.5, 1.5]))
+
+    @pytest.mark.parametrize("lam_t", [1.0, 15.0, 300.0, 1000.0])
+    def test_array_matches_walk_exactly(self, lam_t):
+        p = TelegraphParams(c=1.5, lam=lam_t / 2.0)
+        path = sample_path(p, 2.0, seed=int(lam_t))
+        # switch times and their float neighbours are where a search can pick
+        # the wrong segment
+        events = np.array(path.event_times)
+        grid = np.sort(np.concatenate([
+            np.linspace(0.0, 2.0, 257),
+            events,
+            np.nextafter(events, 0.0),
+            np.minimum(np.nextafter(events, 3.0), 2.0),
+        ]))
+        expected = np.array([walk_integral(path, p, float(t)) for t in grid])
+        assert np.array_equal(integrate_path(path, p, grid), expected)
+        for t in (0.0, float(events[0]) if events.size else 1.0, 2.0):
+            value = integrate_path(path, p, t)
+            assert type(value) is float
+            assert value == walk_integral(path, p, t)
 
     @given(
         st.lists(st.floats(min_value=1e-6, max_value=0.999), min_size=0, max_size=12, unique=True),
