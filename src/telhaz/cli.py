@@ -5,7 +5,8 @@ Outputs are plain data (no plotting); columns are documented in
 byte-for-byte deterministic given their flags.
 
 Exit codes: 0 success, 2 invalid input, 3 defensibility test failed
-(so shell pipelines can branch on the verdict), 1 internal error.
+(so shell pipelines can branch on the verdict), 1 internal error or an
+output pipe closed by its reader (``telhaz ... | head``).
 """
 
 from __future__ import annotations
@@ -14,7 +15,9 @@ import argparse
 import contextlib
 import csv
 import functools
+import itertools
 import math
+import os
 import sys
 import traceback
 from pathlib import Path
@@ -28,14 +31,6 @@ from .perturbed import PerturbedModel
 from .telegraph import TelegraphParams, integrate_path, sample_path, w_density
 
 
-def _fmt(value) -> str:
-    if isinstance(value, str):
-        return value
-    if isinstance(value, (int, np.integer)):
-        return str(int(value))
-    return repr(float(value))
-
-
 @contextlib.contextmanager
 def _open_output(path: str | Path | None):
     if path is None or path == "-":
@@ -46,11 +41,9 @@ def _open_output(path: str | Path | None):
 
 
 def _write_csv(path: str | Path | None, rows) -> None:
-    """Write ``rows``, header first, to ``path`` (stdout for None or "-")."""
+    """Write ``rows`` of Python scalars, header first, to ``path`` (stdout for None or "-")."""
     with _open_output(path) as out:
-        writer = csv.writer(out, lineterminator="\n")
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+        csv.writer(out, lineterminator="\n").writerows(rows)
 
 
 def _resolve_hazard(spec: str) -> HazardSpec:
@@ -81,14 +74,22 @@ def _model_from_args(args) -> PerturbedModel:
 # -- tables -------------------------------------------------------------------
 # Each builder returns or yields the rows of one table, header first; a
 # subcommand and the reproduce target that emits the same table share it.
+# Numpy columns become Python scalars once, through .tolist(): csv writes a
+# float as its repr, but a numpy scalar through str(), which follows numpy's
+# global print options.
+
+
+def _table(header: tuple, *columns) -> list:
+    """``header``, then one row per index of the equal-length numpy ``columns``."""
+    return [header, *zip(*(column.tolist() for column in columns))]
 
 
 def _w_rows(params: TelegraphParams, horizon: float, grid, paths: int, seed: int):
     yield "path_id", "t", "w"
+    times = grid.tolist()
     for pid in range(paths):
         path = sample_path(params, horizon, seed + pid)
-        for t, w in zip(grid, integrate_path(path, params, grid)):
-            yield pid, t, w
+        yield from zip(itertools.repeat(pid), times, integrate_path(path, params, grid).tolist())
 
 
 def _x_rows(model: PerturbedModel, horizon: float, grid, paths: int, seed: int):
@@ -111,22 +112,19 @@ def _x_density(model: PerturbedModel, t: float, points: int):
 
 
 def _moment_rows(model: PerturbedModel, grid) -> list:
-    return [("t", "mean", "variance"), *zip(grid, model.mean(grid), model.variance(grid))]
+    return _table(("t", "mean", "variance"), grid, model.mean(grid), model.variance(grid))
 
 
 def _estimate_rows(band) -> list:
-    return [
-        ("t", "f_hat", "F_hat", "r_hat", "lower", "upper"),
-        *zip(band.grid, band.density, band.cdf, band.rate, band.lower, band.upper),
-    ]
+    header = "t", "f_hat", "F_hat", "r_hat", "lower", "upper"
+    return _table(header, band.grid, band.density, band.cdf, band.rate, band.lower, band.upper)
 
 
 def _defensibility_rows(report) -> list:
     band = report.band
-    return [
-        ("t", "r_hat", "lower", "upper", "baseline", "margin"),
-        *zip(band.grid, band.rate, band.lower, band.upper, report.baseline_rate, report.margin),
-    ]
+    header = "t", "r_hat", "lower", "upper", "baseline", "margin"
+    columns = band.grid, band.rate, band.lower, band.upper, report.baseline_rate, report.margin
+    return _table(header, *columns)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -158,7 +156,7 @@ def cmd_density(args) -> int:
             raise ValueError("--hazard is required for the x-process density")
         model = PerturbedModel(_resolve_hazard(args.hazard), params)
         xs, f = _x_density(model, args.t, args.points)
-    _write_csv(args.output, [("x", "density"), *zip(xs, f)])
+    _write_csv(args.output, _table(("x", "density"), xs, f))
     return 0
 
 
@@ -183,13 +181,13 @@ def cmd_estimate(args) -> int:
 
 def _write_defensibility_report(stream, report, dataset_name: str, args) -> None:
     stream.write(f"dataset = {dataset_name}\n")
-    stream.write(f"n = {report.band.grid.size} grid points, h = {_fmt(args.bandwidth)}, ")
-    stream.write(f"alpha = {_fmt(args.alpha)}\n")
-    stream.write(f"c = {_fmt(report.c)}\n")
+    stream.write(f"n = {report.band.grid.size} grid points, h = {args.bandwidth!r}, ")
+    stream.write(f"alpha = {args.alpha!r}\n")
+    stream.write(f"c = {report.c!r}\n")
     stream.write(f"holds = {str(report.holds).lower()}\n")
-    stream.write(f"max_admissible_c = {_fmt(report.max_admissible_c)}\n")
+    stream.write(f"max_admissible_c = {report.max_admissible_c!r}\n")
     if report.violating_t is not None:
-        stream.write(f"violating_t = {_fmt(report.violating_t)}\n")
+        stream.write(f"violating_t = {report.violating_t!r}\n")
 
 
 def cmd_defensibility(args) -> int:
@@ -216,7 +214,7 @@ def _reproduce_fig1(outdir: Path, seed: int) -> None:
     grid = np.linspace(0.0, horizon, 201)
     _write_csv(outdir / "w_paths.csv", _w_rows(model.noise, horizon, grid, 2, seed))
     _write_csv(outdir / "x_paths.csv", _x_rows(model, horizon, grid, 2, seed))
-    _write_csv(outdir / "f_curve.csv", [("t", "cdf"), *zip(grid, model.hazard.cdf(grid))])
+    _write_csv(outdir / "f_curve.csv", _table(("t", "cdf"), grid, model.hazard.cdf(grid)))
 
 
 def _reproduce_fig2(outdir: Path, seed: int) -> None:
@@ -234,7 +232,8 @@ def _reproduce_fig3(outdir: Path, seed: int) -> None:
     density_rows = [("t", "x", "density")]
     atom_rows = [("t", "a", "b", "atom_prob")]
     for t in presets.FIG3_TIMES:
-        density_rows.extend((t, x, f) for x, f in zip(*_x_density(model, t, 401)))
+        xs, f = _x_density(model, t, 401)
+        density_rows.extend(zip(itertools.repeat(t), xs.tolist(), f.tolist()))
         band = model.band(t)
         atom_rows.append((t, band.a, band.b, model.atom_prob(t)))
     _write_csv(outdir / "density.csv", density_rows)
@@ -255,10 +254,10 @@ def _reproduce_app(outdir: Path, seed: int, preset: dict) -> int:
     # not the --format report block: the published report.txt has its own layout
     with _open_output(outdir / "report.txt") as fh:
         fh.write(f"dataset = {dataset.name}\n")
-        fh.write(f"h = {_fmt(preset['h'])}, alpha = {_fmt(preset['alpha'])}\n")
-        fh.write(f"c = {_fmt(preset['c'])}\n")
+        fh.write(f"h = {preset['h']!r}, alpha = {preset['alpha']!r}\n")
+        fh.write(f"c = {preset['c']!r}\n")
         fh.write(f"holds = {str(report.holds).lower()}\n")
-        fh.write(f"max_admissible_c = {_fmt(report.max_admissible_c)}\n")
+        fh.write(f"max_admissible_c = {report.max_admissible_c!r}\n")
     return 0 if report.holds else 3
 
 
@@ -334,7 +333,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_time(allow_zero=False), default=1.0)
     p.add_argument("--paths", type=_count(0), default=2)
     p.add_argument("--grid-size", type=_count(1), default=201)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_count(0), default=1)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate_w)
 
@@ -344,7 +343,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--horizon", type=_time(allow_zero=False), default=1.0)
     p.add_argument("--paths", type=_count(0), default=2)
     p.add_argument("--grid-size", type=_count(1), default=201)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_count(0), default=1)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate_x)
 
@@ -395,31 +394,29 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="emit all tables for a named figure or case study")
     p.add_argument("target", choices=tuple(_REPRODUCE))
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--seed", type=int, default=1)
+    p.add_argument("--seed", type=_count(0), default=1)
     p.set_defaults(func=cmd_reproduce)
 
     return parser
 
 
 def _inject_config(argv: list[str]) -> list[str]:
-    """Expand ``--config FILE`` into flag tokens so explicit flags win."""
-    if "--config" not in argv:
+    """Expand ``--config FILE`` (or ``--config=FILE``) into flag tokens so explicit flags win."""
+    pre = argparse.ArgumentParser(prog="telhaz", add_help=False, allow_abbrev=False)
+    pre.add_argument("--config")
+    known, remaining = pre.parse_known_args(argv)
+    if known.config is None:
         return argv
-    i = argv.index("--config")
-    if i + 1 >= len(argv):
-        raise ValueError("--config requires a file path")
-    path = argv[i + 1]
     tokens: list[str] = []
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(known.config, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             line = raw.strip()
             if not line or line.startswith("#"):
                 continue
             if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value, got {raw!r}")
+                raise ValueError(f"{known.config}:{lineno}: expected key=value, got {raw!r}")
             key, _, value = line.partition("=")
             tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
-    remaining = argv[:i] + argv[i + 2:]
     # insert right after the subcommand so later explicit flags override
     return remaining[:1] + tokens + remaining[1:]
 
@@ -430,10 +427,11 @@ def main(argv: list[str] | None = None) -> int:
         argv = _inject_config(argv)
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except OSError as exc:
+    except BrokenPipeError:
+        # the reader left early: flush to devnull at exit (Python's signal docs, SIGPIPE)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except SystemExit as exc:  # argparse reports its own errors

@@ -157,11 +157,14 @@ class BandConfig:
         lo = float(sample.values[0])
         hi = float(sample.values[-2])
         if self.grid is not None:
-            if self.grid[0] <= lo or self.grid[-1] >= hi:
+            # increasing and interior at both ends puts every point inside; NaN fails both
+            grid = self.grid
+            if not (np.all(np.diff(grid) > 0.0) and lo < grid[0] and grid[-1] < hi):
                 raise ValueError(
-                    f"grid must lie strictly inside ({lo}, {hi}) for this sample"
+                    f"grid must be strictly increasing and lie strictly inside ({lo}, {hi}) "
+                    "for this sample"
                 )
-            return self.grid
+            return grid
         return np.linspace(lo, hi, self.grid_size + 2)[1:-1]
 
 

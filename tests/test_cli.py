@@ -16,6 +16,8 @@ from telhaz.presets import model_fig3
 
 
 RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reproduce_sha256.json"
+# stdout SHA-256 and exit code of one invocation per subcommand table and report
+RECORDED_CLI = json.loads(Path(__file__).with_name("cli_sha256.json").read_text())
 
 
 def run(capsys, *argv):
@@ -27,6 +29,13 @@ def run(capsys, *argv):
 def read_rows(path):
     with open(path, newline="") as fh:
         return list(csv.reader(fh))
+
+
+def src_env():
+    """The environment with this checkout's ``src`` first on PYTHONPATH, for subprocesses."""
+    src = str(Path(telhaz.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
 
 
 class TestSimulate:
@@ -188,6 +197,9 @@ class TestValidationErrors:
             ("moments", "--hazard", "preset:polynomial_c1", "--points", "0"),
             ("band", "--hazard", "preset:polynomial_c1", "--points", "0"),
             ("estimate", "--data", "preset:melanoma_46", "--bandwidth", "6", "--grid-size", "0"),
+            ("simulate-w", "--seed", "-1"),
+            ("simulate-x", "--hazard", "preset:polynomial_c1", "--seed", "-1"),
+            ("reproduce", "fig1", "--seed", "-1"),
         ],
     )
     def test_count_flag_rejected_by_name(self, capsys, argv):
@@ -228,12 +240,9 @@ class TestValidationErrors:
 
 def test_cli_import_leaves_out_scipy_integrate():
     # scipy.integrate costs ~0.4 s per CLI process and nothing at run time needs it
-    src = str(Path(telhaz.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    env = {**os.environ, "PYTHONPATH": path}
     probe = "import sys, telhaz.cli; print('scipy.integrate' in sys.modules)"
     result = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=120
+        [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
@@ -267,6 +276,18 @@ class TestHazardFileAndConfig:
         code, out, _ = run(capsys, "defensibility", "--config", str(cfg), "--c", "0.01")
         assert code == 3
         assert "holds = false" in out
+
+    def test_config_equals_spelling(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("t_max = 0.5\npoints = 3\n")
+        argv = ("band", "--hazard", "preset:polynomial_c1")
+        code1, out1, _ = run(capsys, *argv, "--config", str(cfg))
+        code2, out2, _ = run(capsys, *argv, f"--config={cfg}")
+        assert code1 == code2 == 0
+        assert out1 == out2
+        lines = out1.splitlines()
+        assert len(lines) == 1 + 3
+        assert lines[-1].startswith("0.5,")
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "defensibility", "--config", "/nonexistent/x.cfg")
@@ -340,3 +361,34 @@ def test_reproduce_matches_recorded_sha256(capsys, tmp_path, target):
     assert run(capsys, "reproduce", target, "--output-dir", str(tmp_path))[0] == 0
     got = {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in tmp_path.iterdir()}
     assert got == expected
+
+
+@pytest.mark.parametrize("name", sorted(RECORDED_CLI))
+def test_subcommand_matches_recorded_sha256(capsys, name):
+    expected = RECORDED_CLI[name]
+    code, out, _ = run(capsys, *expected["argv"])
+    assert code == expected["exit"]
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["sha256"]
+
+
+def test_output_ignores_numpy_print_options(capsys):
+    # csv writes a numpy scalar through str(), which follows numpy's print options
+    # (legacy="1.13" prints 0.1 + 0.2 as 0.3); Python's float repr is fixed
+    with np.printoptions(legacy="1.13"):
+        for name, expected in RECORDED_CLI.items():
+            code, out, _ = run(capsys, *expected["argv"])
+            assert code == expected["exit"], name
+            assert hashlib.sha256(out.encode("utf-8")).hexdigest() == expected["sha256"], name
+
+
+def test_closed_pipe_exits_quietly():
+    # a reader that stops early (``telhaz ... | head``) is not invalid input; the
+    # output is far larger than a pipe buffer, so the write hits the closed pipe
+    argv = [sys.executable, "-m", "telhaz.cli", "simulate-w", "--paths", "500"]
+    with subprocess.Popen(argv, env=src_env(), stdout=subprocess.PIPE,
+                          stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"path_id,t,w\n"
+        proc.stdout.close()
+        err = proc.stderr.read()
+        assert proc.wait(timeout=120) == 1
+    assert err == b""

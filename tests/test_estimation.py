@@ -198,6 +198,10 @@ class TestConfidenceBand:
             confidence_band(
                 melanoma, BandConfig(h=6.0, alpha=0.025, grid=np.array([50.0, 200.0]))
             )
+        # every point is checked, not just the two ends
+        for grid in ([20.0, 500.0, 100.0], [20.0, np.nan, 100.0]):
+            with pytest.raises(ValueError):
+                confidence_band(melanoma, BandConfig(h=6.0, alpha=0.025, grid=np.array(grid)))
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
