@@ -17,8 +17,7 @@ from .estimation import (
     confidence_band,
     defensibility_test,
     hazard_estimate,
-    kde_cdf,
-    kde_density,
+    kde,
 )
 from .hazard import (
     ConstantHazard,
@@ -34,13 +33,7 @@ from .hazard import (
     validate_dominance,
 )
 from .perturbed import PerturbedModel, SupportBand
-from .special import (
-    bessel_i0,
-    bessel_i0e,
-    bessel_i1,
-    bessel_i1e,
-    bessel_i1e_over_x,
-)
+from .special import bessel_i0e, bessel_i1e_over_x
 from .telegraph import (
     TelegraphParams,
     TelegraphPath,
@@ -76,10 +69,7 @@ __all__ = [
     "TelegraphParams",
     "TelegraphPath",
     "UpperTailError",
-    "bessel_i0",
     "bessel_i0e",
-    "bessel_i1",
-    "bessel_i1e",
     "bessel_i1e_over_x",
     "builtin",
     "builtin_names",
@@ -88,8 +78,7 @@ __all__ = [
     "defensibility_test",
     "hazard_estimate",
     "integrate_path",
-    "kde_cdf",
-    "kde_density",
+    "kde",
     "load",
     "load_hazard_config",
     "mgf",

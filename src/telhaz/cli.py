@@ -293,8 +293,8 @@ def _count(minimum: int):
     return parse
 
 
-def _time(allow_zero: bool):
-    """argparse type for a time flag: a finite float, > 0 or, with ``allow_zero``, >= 0."""
+def _positive(allow_zero: bool):
+    """argparse type for a float flag: finite and > 0 or, with ``allow_zero``, >= 0."""
 
     def parse(text: str) -> float:
         value = float(text)
@@ -308,29 +308,27 @@ def _time(allow_zero: bool):
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--c", type=float, default=1.0, help="noise amplitude (> 0)")
-    p.add_argument("--lam", type=float, default=1.0, help="switching rate (> 0)")
+    positive = _positive(allow_zero=False)
+    p.add_argument("--c", type=positive, default=1.0, help="noise amplitude (> 0)")
+    p.add_argument("--lam", type=positive, default=1.0, help="switching rate (> 0)")
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
     p.add_argument("--output", default=None, help="output file (default: stdout)")
-    p.add_argument(
-        "--config",
-        default=None,
-        help="key=value file supplying any flag of this subcommand",
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="telhaz",
-        description="Telegraph-noise-perturbed hazard models: simulation, laws, and data checks.",
+        description="Telegraph-noise-perturbed hazard models: simulation, laws, and data checks. "
+        "Any subcommand also takes --config FILE (spelled in full): key = value lines "
+        "that supply its flags; explicit flags win.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate-w", help="sample paths of the integrated noise")
     _add_noise_flags(p)
-    p.add_argument("--horizon", type=_time(allow_zero=False), default=1.0)
+    p.add_argument("--horizon", type=_positive(allow_zero=False), default=1.0)
     p.add_argument("--paths", type=_count(0), default=2)
     p.add_argument("--grid-size", type=_count(1), default=201)
     p.add_argument("--seed", type=_count(0), default=1)
@@ -340,7 +338,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("simulate-x", help="sample paths of the perturbed CDF process")
     p.add_argument("--hazard", required=True, help="hazard config file or preset:NAME")
     _add_noise_flags(p)
-    p.add_argument("--horizon", type=_time(allow_zero=False), default=1.0)
+    p.add_argument("--horizon", type=_positive(allow_zero=False), default=1.0)
     p.add_argument("--paths", type=_count(0), default=2)
     p.add_argument("--grid-size", type=_count(1), default=201)
     p.add_argument("--seed", type=_count(0), default=1)
@@ -351,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", choices=("w", "x"), default="w")
     p.add_argument("--hazard", default=None, help="required when --process x")
     _add_noise_flags(p)
-    p.add_argument("--t", type=_time(allow_zero=False), default=1.0)
+    p.add_argument("--t", type=_positive(allow_zero=False), default=1.0)
     p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_density)
@@ -359,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("moments", help="mean and variance of X(t) on a grid")
     p.add_argument("--hazard", required=True)
     _add_noise_flags(p)
-    p.add_argument("--t-max", type=_time(allow_zero=True), default=2.0)
+    p.add_argument("--t-max", type=_positive(allow_zero=True), default=2.0)
     p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_moments)
@@ -367,14 +365,14 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("band", help="almost-sure band of X(t) on a grid")
     p.add_argument("--hazard", required=True)
     _add_noise_flags(p)
-    p.add_argument("--t-max", type=_time(allow_zero=True), default=2.0)
+    p.add_argument("--t-max", type=_positive(allow_zero=True), default=2.0)
     p.add_argument("--points", type=_count(1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("estimate", help="kernel density/CDF/hazard with confidence band")
     p.add_argument("--data", required=True, help="data file or preset:NAME")
-    p.add_argument("--bandwidth", type=float, required=True)
+    p.add_argument("--bandwidth", type=_positive(allow_zero=False), required=True)
     p.add_argument("--alpha", type=float, default=0.025)
     p.add_argument("--grid-size", type=_count(1), default=512)
     _add_output_flag(p)
@@ -383,9 +381,9 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("defensibility", help="strip test of the model on a data set")
     p.add_argument("--data", required=True, help="data file or preset:NAME")
     p.add_argument("--hazard", required=True, help="baseline hazard config or preset:NAME")
-    p.add_argument("--bandwidth", type=float, required=True)
+    p.add_argument("--bandwidth", type=_positive(allow_zero=False), required=True)
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--c", type=float, required=True)
+    p.add_argument("--c", type=_positive(allow_zero=False), required=True)
     p.add_argument("--grid-size", type=_count(1), default=512)
     p.add_argument("--format", choices=("csv", "report"), default="report")
     _add_output_flag(p)

@@ -27,28 +27,10 @@ class UpperTailError(ValueError):
 
 @dataclass(frozen=True)
 class Kernel:
-    """A bounded even density with closed-form antiderivative and L2 norm."""
+    """Parabolic kernel on [-sqrt(5), sqrt(5)], variance-normalized (Epanechnikov)."""
 
-    name: str
-    l2_constant: float
-    support_radius: float
-
-    def density(self, u):
-        raise NotImplementedError
-
-    def cdf(self, u):
-        raise NotImplementedError
-
-
-class _Epanechnikov(Kernel):
-    """Parabolic kernel on [-sqrt(5), sqrt(5)], variance-normalized."""
-
-    def __init__(self):
-        super().__init__(
-            name="epanechnikov",
-            l2_constant=3.0 * _SQRT5 / 25.0,
-            support_radius=_SQRT5,
-        )
+    l2_constant = 3.0 * _SQRT5 / 25.0
+    support_radius = _SQRT5
 
     def density(self, u):
         u = np.asarray(u, dtype=float)
@@ -61,7 +43,7 @@ class _Epanechnikov(Kernel):
         return np.where(u < -_SQRT5, 0.0, np.where(u > _SQRT5, 1.0, core))
 
 
-EPANECHNIKOV: Kernel = _Epanechnikov()
+EPANECHNIKOV = Kernel()
 
 
 @dataclass(frozen=True)
@@ -97,28 +79,23 @@ def _check_bandwidth(h: float) -> float:
     return float(h)
 
 
-def kde_density(sample: Sample, h: float, t, kernel: Kernel = EPANECHNIKOV):
-    """(nh)^-1 sum k((t - T_i)/h); integrates to one over the real line."""
+def kde(sample: Sample, h: float, t):
+    """(f_hat, F_hat) at ``t``: (nh)^-1 sum k(u_i) and n^-1 sum K(u_i), u_i = (t - T_i)/h.
+
+    K is the kernel antiderivative, so f_hat integrates to one over the real
+    line. A scalar ``t`` gives two floats.
+    """
     h = _check_bandwidth(h)
     ta = np.asarray(t, dtype=float)
     u = (ta[..., None] - sample.values) / h
-    out = kernel.density(u).mean(axis=-1) / h
-    return float(out) if ta.ndim == 0 else out
+    f = EPANECHNIKOV.density(u).mean(axis=-1) / h
+    F = EPANECHNIKOV.cdf(u).mean(axis=-1)
+    return (float(f), float(F)) if ta.ndim == 0 else (f, F)
 
 
-def kde_cdf(sample: Sample, h: float, t, kernel: Kernel = EPANECHNIKOV):
-    """n^-1 sum K((t - T_i)/h) with K the kernel antiderivative."""
-    h = _check_bandwidth(h)
-    ta = np.asarray(t, dtype=float)
-    u = (ta[..., None] - sample.values) / h
-    out = kernel.cdf(u).mean(axis=-1)
-    return float(out) if ta.ndim == 0 else out
-
-
-def hazard_estimate(sample: Sample, h: float, t, kernel: Kernel = EPANECHNIKOV):
+def hazard_estimate(sample: Sample, h: float, t):
     """Estimated hazard f_hat / (1 - F_hat); refuses the unstable upper tail."""
-    f = kde_density(sample, h, t, kernel)
-    F = kde_cdf(sample, h, t, kernel)
+    f, F = kde(sample, h, t)
     if np.any(np.asarray(F) > 1.0 - _TAIL_EPS):
         raise UpperTailError(
             "estimated CDF is within 1e-12 of 1; the hazard ratio is unstable there"
@@ -190,20 +167,17 @@ class ConfidenceBand:
         return self.upper - self.rate
 
 
-def confidence_band(
-    sample: Sample, config: BandConfig, kernel: Kernel = EPANECHNIKOV
-) -> ConfidenceBand:
+def confidence_band(sample: Sample, config: BandConfig) -> ConfidenceBand:
     """Asymptotic band r_hat -+ sqrt(K/(n h f_hat)) r_hat z_alpha per grid point."""
     grid = config.resolve_grid(sample)
-    f = kde_density(sample, config.h, grid, kernel)
-    F = kde_cdf(sample, config.h, grid, kernel)
+    f, F = kde(sample, config.h, grid)
     usable = (f >= _TAIL_EPS) & (F <= 1.0 - _TAIL_EPS)
     z = -float(ndtri(config.alpha))
     with np.errstate(divide="ignore", invalid="ignore"):
         rate = np.where(usable, f / (1.0 - F), np.nan)
         half = np.where(
             usable,
-            np.sqrt(kernel.l2_constant / (sample.n * config.h * f)) * rate * z,
+            np.sqrt(EPANECHNIKOV.l2_constant / (sample.n * config.h * f)) * rate * z,
             np.nan,
         )
     return ConfidenceBand(
@@ -244,7 +218,6 @@ def defensibility_test(
     config: BandConfig,
     baseline: HazardSpec,
     c: float,
-    kernel: Kernel = EPANECHNIKOV,
 ) -> DefensibilityReport:
     """Check |r - r_hat| <= halfwidth - c over the grid; report the margin.
 
@@ -253,7 +226,7 @@ def defensibility_test(
     """
     if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
         raise ValueError(f"c must be finite and > 0, got {c!r}")
-    band = confidence_band(sample, config, kernel)
+    band = confidence_band(sample, config)
     dominance = validate_dominance(baseline, c, band.grid)
     if not dominance.ok:
         raise ValueError(

@@ -1,10 +1,9 @@
-"""Scalar special functions backing the closed-form densities.
+"""Scaled modified Bessel functions backing the closed-form densities.
 
-The modified Bessel functions I0 and I1 are evaluated from their ascending
+``exp(-x) I0(x)`` and ``exp(-x) I1(x) / x`` are evaluated from their ascending
 power series below a crossover argument, and from the exponentially scaled
-large-argument expansion above it. The scaled variants (``bessel_i0e`` and
-friends) never overflow and are what the density code combines with its own
-exponential prefactors.
+large-argument expansion above it. They never overflow, and the density code
+combines them with its own exponential prefactors.
 """
 
 from __future__ import annotations
@@ -77,46 +76,10 @@ def _dispatch(arr, small_fn, large_fn):
     return out
 
 
-def bessel_i0(x):
-    """Modified Bessel function of the first kind, order 0.
-
-    Accepts a scalar or array of nonnegative arguments. Relative error is
-    below 1e-12 over the working range; arguments past ~709 return ``inf``
-    because the true value exceeds double range (use :func:`bessel_i0e`).
-    """
-    arr, scalar = _prepare(x)
-    with np.errstate(over="ignore"):
-        out = _dispatch(arr, _i0_series, lambda a: np.exp(a) * _asymptotic_scaled(a, 0))
-    return float(out) if scalar else out
-
-
-def bessel_i1(x):
-    """Modified Bessel function of the first kind, order 1 (x >= 0)."""
-    arr, scalar = _prepare(x)
-    with np.errstate(over="ignore"):
-        out = _dispatch(
-            arr,
-            lambda a: 0.5 * a * _i1_sum(a),
-            lambda a: np.exp(a) * _asymptotic_scaled(a, 1),
-        )
-    return float(out) if scalar else out
-
-
 def bessel_i0e(x):
     """Exponentially scaled ``exp(-x) * I0(x)``; never overflows."""
     arr, scalar = _prepare(x)
     out = _dispatch(arr, lambda a: np.exp(-a) * _i0_series(a), lambda a: _asymptotic_scaled(a, 0))
-    return float(out) if scalar else out
-
-
-def bessel_i1e(x):
-    """Exponentially scaled ``exp(-x) * I1(x)``; never overflows."""
-    arr, scalar = _prepare(x)
-    out = _dispatch(
-        arr,
-        lambda a: 0.5 * a * np.exp(-a) * _i1_sum(a),
-        lambda a: _asymptotic_scaled(a, 1),
-    )
     return float(out) if scalar else out
 
 

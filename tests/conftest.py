@@ -3,7 +3,9 @@
 The Monte Carlo sampler here is deliberately written against the library's
 vectorized one: it walks exponential inter-arrival gaps path by path, so the
 two constructions can cross-validate each other. The path integral is the
-same kind of walk, over one realized path's switch times.
+same kind of walk, over one realized path's switch times. The kernel
+estimates are plain per-observation sums, the reference for any faster
+evaluator of the library's vectorized ``kde``.
 """
 
 from __future__ import annotations
@@ -48,6 +50,23 @@ def walk_integral(path, params, t: float) -> float:
         sign = -sign
     total += sign * (t - previous)
     return params.c * total
+
+
+def direct_kde(values, h: float, t: float) -> tuple[float, float]:
+    """f_hat and F_hat at ``t`` as per-observation Epanechnikov sums (oracle)."""
+    root5 = math.sqrt(5.0)
+    scale = 3.0 / (4.0 * root5)
+    k_terms = []
+    K_terms = []
+    for value in values:
+        u = (t - value) / h
+        if u >= root5:
+            K_terms.append(1.0)
+        elif u > -root5:
+            k_terms.append(scale * (1.0 - u * u / 5.0))
+            K_terms.append(0.5 + scale * (u - u**3 / 15.0))
+    n = len(values)
+    return math.fsum(k_terms) / (n * h), math.fsum(K_terms) / n
 
 
 def ks_distance(sorted_sample: np.ndarray, cdf_at_sample: np.ndarray) -> float:

@@ -222,6 +222,18 @@ class TestValidationErrors:
             ("moments", "--hazard", "preset:polynomial_c1", "--t-max", "inf"),
             ("band", "--hazard", "preset:polynomial_c1", "--t-max", "-0.001"),
             ("band", "--hazard", "preset:polynomial_c1", "--t-max", "nan"),
+            ("simulate-w", "--c", "nan"),
+            ("simulate-w", "--lam", "0"),
+            ("simulate-x", "--hazard", "preset:polynomial_c1", "--lam", "inf"),
+            ("density", "--c", "-2"),
+            ("moments", "--hazard", "preset:polynomial_c1", "--c", "0"),
+            ("band", "--hazard", "preset:polynomial_c1", "--lam", "nan"),
+            ("estimate", "--data", "preset:melanoma_46", "--bandwidth", "0"),
+            ("estimate", "--data", "preset:melanoma_46", "--bandwidth", "nan"),
+            ("defensibility", "--data", "preset:melanoma_46", "--hazard", "preset:app1_constant",
+             "--c", "0.0004", "--bandwidth", "inf"),
+            ("defensibility", "--data", "preset:melanoma_46", "--hazard", "preset:app1_constant",
+             "--bandwidth", "6", "--c", "nan"),
         ],
     )
     def test_time_flag_rejected_by_name(self, capsys, argv):
@@ -288,6 +300,20 @@ class TestHazardFileAndConfig:
         lines = out1.splitlines()
         assert len(lines) == 1 + 3
         assert lines[-1].startswith("0.5,")
+
+    def test_config_abbreviation_rejected(self, capsys, tmp_path):
+        # only the full spelling is read, so an abbreviation must not parse and drop the file
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("t_max = 0.5\npoints = 3\n")
+        code, out, err = run(capsys, "band", "--hazard", "preset:polynomial_c1", "--conf", str(cfg))
+        assert code == 2
+        assert out == ""
+        assert "unrecognized arguments: --conf" in err
+
+    def test_config_listed_in_help(self, capsys):
+        code, out, _ = run(capsys, "--help")
+        assert code == 0
+        assert "--config FILE" in " ".join(out.split())  # argparse rewraps to the terminal
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "defensibility", "--config", "/nonexistent/x.cfg")

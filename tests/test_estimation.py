@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import direct_kde
 from telhaz.datasets import builtin
 from telhaz.estimation import (
     EPANECHNIKOV,
@@ -15,8 +16,7 @@ from telhaz.estimation import (
     confidence_band,
     defensibility_test,
     hazard_estimate,
-    kde_cdf,
-    kde_density,
+    kde,
 )
 from telhaz.hazard import ConstantHazard
 from telhaz.presets import APP1, APP2
@@ -80,14 +80,14 @@ class TestSample:
 class TestKde:
     def test_single_location_spike(self):
         sample = Sample.from_values([5.0, 5.0, 5.0])
-        assert kde_density(sample, 1.0, 5.0) == pytest.approx(3.0 / (4.0 * SQRT5), rel=1e-14)
-        assert kde_cdf(sample, 1.0, 5.0) == pytest.approx(0.5, rel=1e-14)
+        assert kde(sample, 1.0, 5.0)[0] == pytest.approx(3.0 / (4.0 * SQRT5), rel=1e-14)
+        assert kde(sample, 1.0, 5.0)[1] == pytest.approx(0.5, rel=1e-14)
         assert hazard_estimate(sample, 1.0, 5.0) == pytest.approx(3.0 / (2.0 * SQRT5), rel=1e-13)
 
     def test_vanishes_outside_support(self, melanoma):
         beyond = float(melanoma.values[-1]) + 6.0 * SQRT5 + 1.0
-        assert kde_density(melanoma, 6.0, beyond) == 0.0
-        assert kde_cdf(melanoma, 6.0, beyond) == 1.0
+        assert kde(melanoma, 6.0, beyond)[0] == 0.0
+        assert kde(melanoma, 6.0, beyond)[1] == 1.0
 
     @staticmethod
     def _kinks(sample, h, lo, hi):
@@ -100,7 +100,7 @@ class TestKde:
         lo = float(melanoma.values[0]) - h * SQRT5
         hi = float(melanoma.values[-1]) + h * SQRT5
         total, _ = integrate.quad(
-            lambda t: kde_density(melanoma, h, t), lo, hi, limit=2000,
+            lambda t: kde(melanoma, h, t)[0], lo, hi, limit=2000,
             points=self._kinks(melanoma, h, lo, hi),
         )
         assert total == pytest.approx(1.0, abs=1e-8)
@@ -110,37 +110,54 @@ class TestKde:
         lo = float(melanoma.values[0]) - h * SQRT5
         for t in (20.0, 60.0, 150.0):
             numeric, _ = integrate.quad(
-                lambda u: kde_density(melanoma, h, u), lo, t,
+                lambda u: kde(melanoma, h, u)[0], lo, t,
                 epsabs=1e-12, epsrel=1e-12, limit=2000,
                 points=self._kinks(melanoma, h, lo, t),
             )
-            assert kde_cdf(melanoma, h, t) == pytest.approx(numeric, abs=1e-9)
+            assert kde(melanoma, h, t)[1] == pytest.approx(numeric, abs=1e-9)
 
     def test_cdf_nondecreasing(self, melanoma):
         ts = np.linspace(0.0, 260.0, 400)
-        values = kde_cdf(melanoma, 6.0, ts)
+        values = kde(melanoma, 6.0, ts)[1]
         assert np.all(np.diff(values) >= 0.0)
 
     def test_melanoma_density_shape(self, melanoma):
         # unimodal with its peak in [20, 60] and mass out past 200
         ts = np.linspace(5.0, 250.0, 1000)
-        f = kde_density(melanoma, 6.0, ts)
+        f = kde(melanoma, 6.0, ts)[0]
         peak = ts[int(np.argmax(f))]
         assert 20.0 <= peak <= 60.0
-        assert kde_density(melanoma, 6.0, 234.0) > 0.0
+        assert kde(melanoma, 6.0, 234.0)[0] > 0.0
 
     def test_bandwidth_validation(self, melanoma):
         with pytest.raises(ValueError):
-            kde_density(melanoma, 0.0, 10.0)
+            kde(melanoma, 0.0, 10.0)
         with pytest.raises(ValueError):
-            kde_cdf(melanoma, -1.0, 10.0)
+            kde(melanoma, -1.0, 10.0)
+
+    @pytest.mark.parametrize("name, h", [("melanoma_46", 6.0), ("service_86", 75.0), ("exp_1e4", 20.0)])
+    def test_matches_direct_sum(self, name, h):
+        if name == "exp_1e4":
+            sample = Sample.from_values(np.random.default_rng(5).exponential(80.0, size=10_000))
+        else:
+            sample = builtin(name).sample
+        grid = BandConfig(h=h, alpha=0.025, grid_size=32).resolve_grid(sample)
+        f, F = kde(sample, h, grid)
+        direct = np.array([direct_kde(sample.values.tolist(), h, t) for t in grid.tolist()])
+        np.testing.assert_allclose(f, direct[:, 0], rtol=1e-12, atol=0.0)
+        np.testing.assert_allclose(F, direct[:, 1], rtol=1e-12, atol=0.0)
+
+    def test_scalar_time_gives_two_floats(self, melanoma):
+        f, F = kde(melanoma, 6.0, 50.0)
+        assert type(f) is float and type(F) is float
+        assert (f, F) == tuple(float(v[0]) for v in kde(melanoma, 6.0, np.array([50.0])))
 
     @given(st.floats(min_value=0.1, max_value=300.0), st.floats(min_value=0.1, max_value=300.0))
     @settings(max_examples=50, deadline=None)
     def test_cdf_monotone_property(self, a, b):
         sample = builtin("melanoma_46").sample
         lo, hi = sorted((a, b))
-        assert kde_cdf(sample, 6.0, lo) <= kde_cdf(sample, 6.0, hi) + 1e-15
+        assert kde(sample, 6.0, lo)[1] <= kde(sample, 6.0, hi)[1] + 1e-15
 
 
 class TestHazardEstimate:
