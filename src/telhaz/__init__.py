@@ -22,15 +22,12 @@ from .estimation import (
 from .hazard import (
     ConstantHazard,
     CustomHazard,
-    DominanceCheck,
     HazardSpec,
     PiecewiseLinearHazard,
     PolynomialHazard,
-    default_dominance_grid,
     load_hazard_config,
     parse_hazard_config,
     time_horizon,
-    validate_dominance,
 )
 from .perturbed import PerturbedModel, SupportBand
 from .special import bessel_i0e, bessel_i1e_over_x
@@ -56,7 +53,6 @@ __all__ = [
     "ConstantHazard",
     "CustomHazard",
     "DefensibilityReport",
-    "DominanceCheck",
     "EPANECHNIKOV",
     "HazardSpec",
     "Kernel",
@@ -74,7 +70,6 @@ __all__ = [
     "builtin",
     "builtin_names",
     "confidence_band",
-    "default_dominance_grid",
     "defensibility_test",
     "hazard_estimate",
     "integrate_path",
@@ -88,7 +83,6 @@ __all__ = [
     "save",
     "scaled_mgf",
     "time_horizon",
-    "validate_dominance",
     "w_atom_prob",
     "w_cdf",
     "w_density",

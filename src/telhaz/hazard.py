@@ -17,21 +17,52 @@ import numpy as np
 
 
 class HazardSpec:
-    """Base interface: positive rate on [0, support_end) with exact R(t)."""
+    """Base interface: positive rate on [0, support_end) with exact R(t).
+
+    A family supplies ``_rate`` and ``_cumulative`` on a checked time array.
+    """
 
     support_end: float = math.inf
 
+    def __post_init__(self):
+        if not self.support_end > 0.0:  # NaN fails the comparison too
+            raise ValueError(f"support_end must be > 0 (inf by default), got {self.support_end!r}")
+
     def rate(self, t):
         """Instantaneous hazard r(t); scalar or array input."""
-        raise NotImplementedError
+        arr = self._check_time(t)
+        out = self._rate(arr)
+        return float(out) if arr.ndim == 0 else out
 
     def cumulative(self, t):
         """Exact cumulative hazard R(t) = integral of r over [0, t]."""
-        raise NotImplementedError
+        arr = self._check_time(t)
+        out = self._cumulative(arr)
+        return float(out) if arr.ndim == 0 else out
 
     def critical_points(self) -> tuple[float, ...]:
-        """Interior points where r may attain extrema (grid augmentation)."""
+        """Interior points where r may attain extrema."""
         return ()
+
+    def min_slack(self, c: float, lo: float, hi: float) -> tuple[float, float]:
+        """Infimum of r - c over (lo, hi] and the t where it is reached or approached.
+
+        Dominance r > c holds on the interval iff the slack is > 0. Exact for
+        the closed-form families; a custom pair is checked on a grid.
+        """
+        if not 0.0 <= lo < hi < self.support_end:
+            raise ValueError(
+                f"need 0 <= lo < hi < support_end = {self.support_end}, got ({lo!r}, {hi!r})"
+            )
+        pts, rates = self._slack_candidates(lo, hi)
+        i = int(np.argmin(rates))
+        return float(rates[i] - c), float(pts[i])
+
+    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        # r is monotone between critical points, so its infimum over (lo, hi]
+        # is reached at one of them or approached at lo
+        pts = np.array([lo, *(p for p in self.critical_points() if lo < p < hi), hi])
+        return pts, self._rate(pts)
 
     def cdf(self, t):
         """Lifetime distribution function 1 - exp(-R(t))."""
@@ -68,17 +99,14 @@ class ConstantHazard(HazardSpec):
     support_end: float = math.inf
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "rate0", _positive("rate0", self.rate0))
 
-    def rate(self, t):
-        arr = self._check_time(t)
-        out = np.full_like(arr, self.rate0)
-        return float(out) if arr.ndim == 0 else out
+    def _rate(self, arr):
+        return np.full_like(arr, self.rate0)
 
-    def cumulative(self, t):
-        arr = self._check_time(t)
-        out = self.rate0 * arr
-        return float(out) if arr.ndim == 0 else out
+    def _cumulative(self, arr):
+        return self.rate0 * arr
 
 
 @dataclass(frozen=True)
@@ -95,6 +123,7 @@ class PolynomialHazard(HazardSpec):
     support_end: float = math.inf
 
     def __post_init__(self):
+        super().__post_init__()
         object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
         object.__setattr__(self, "beta", _positive("beta", self.beta))
         if not (isinstance(self.c_ref, (int, float)) and math.isfinite(self.c_ref)
@@ -102,16 +131,12 @@ class PolynomialHazard(HazardSpec):
             raise ValueError(f"c_ref must be finite and >= 0, got {self.c_ref!r}")
         object.__setattr__(self, "c_ref", float(self.c_ref))
 
-    def rate(self, t):
-        arr = self._check_time(t)
-        out = self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
-        return float(out) if arr.ndim == 0 else out
+    def _rate(self, arr):
+        return self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
 
-    def cumulative(self, t):
-        arr = self._check_time(t)
+    def _cumulative(self, arr):
         poly = arr**4 / 4.0 - 2.0 * arr**3 / 3.0 + arr**2 / 2.0
-        out = self.alpha * poly + (self.c_ref + self.beta) * arr
-        return float(out) if arr.ndim == 0 else out
+        return self.alpha * poly + (self.c_ref + self.beta) * arr
 
     def critical_points(self) -> tuple[float, ...]:
         return (1.0 / 3.0, 1.0)
@@ -131,6 +156,7 @@ class PiecewiseLinearHazard(HazardSpec):
     support_end: float = math.inf
 
     def __post_init__(self):
+        super().__post_init__()
         segs = tuple(
             (float(s), float(m), float(q)) for s, m, q in self.segments
         )
@@ -173,25 +199,31 @@ class PiecewiseLinearHazard(HazardSpec):
         # [0, s_1], (s_1, s_2], ... which matches published baselines
         return np.clip(np.searchsorted(starts, arr, side="left") - 1, 0, None)
 
-    def rate(self, t):
-        arr = self._check_time(t)
+    def _rate(self, arr):
         starts, slopes, intercepts, _ = self._arrays
         idx = self._segment_index(arr, starts)
-        out = slopes[idx] * arr + intercepts[idx]
-        return float(out) if arr.ndim == 0 else out
+        return slopes[idx] * arr + intercepts[idx]
 
-    def cumulative(self, t):
-        arr = self._check_time(t)
+    def _cumulative(self, arr):
         starts, slopes, intercepts, offsets = self._arrays
         idx = self._segment_index(arr, starts)
         s0 = starts[idx]
-        out = offsets[idx] + 0.5 * slopes[idx] * (arr**2 - s0**2) + intercepts[idx] * (
+        return offsets[idx] + 0.5 * slopes[idx] * (arr**2 - s0**2) + intercepts[idx] * (
             arr - s0
         )
-        return float(out) if arr.ndim == 0 else out
 
     def critical_points(self) -> tuple[float, ...]:
         return tuple(s for s, _, _ in self.segments if s > 0.0)
+
+    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        # each piece's own line at both ends of its part of (lo, hi], so a
+        # drop just right of a breakpoint counts though r(breakpoint) does not
+        starts, slopes, intercepts, _ = self._arrays
+        left = np.maximum(starts, lo)
+        right = np.minimum(np.append(starts[1:], np.inf), hi)
+        keep = left < right
+        pts = np.concatenate([left[keep], right[keep]])
+        return pts, np.tile(slopes[keep], 2) * pts + np.tile(intercepts[keep], 2)
 
 
 @dataclass(frozen=True)
@@ -207,38 +239,21 @@ class CustomHazard(HazardSpec):
     support_end: float = math.inf
     interior_points: tuple[float, ...] = field(default=())
 
-    def rate(self, t):
-        arr = self._check_time(t)
-        out = np.asarray(self.rate_fn(arr), dtype=float)
-        return float(out) if arr.ndim == 0 else out
+    def _rate(self, arr):
+        return np.asarray(self.rate_fn(arr), dtype=float)
 
-    def cumulative(self, t):
-        arr = self._check_time(t)
-        out = np.asarray(self.cumulative_fn(arr), dtype=float)
-        return float(out) if arr.ndim == 0 else out
+    def _cumulative(self, arr):
+        return np.asarray(self.cumulative_fn(arr), dtype=float)
 
     def critical_points(self) -> tuple[float, ...]:
         return self.interior_points
 
-
-@dataclass(frozen=True)
-class DominanceCheck:
-    """Outcome of a grid check of r(t) > c; carries the first violation."""
-
-    ok: bool
-    violating_t: float | None = None
-
-
-def validate_dominance(spec: HazardSpec, c: float, grid) -> DominanceCheck:
-    """Check r(t) > c at every grid point, reporting the first failure."""
-    pts = np.asarray(grid, dtype=float)
-    if pts.size == 0:
-        raise ValueError("dominance grid must be non-empty")
-    rates = spec.rate(pts)
-    bad = np.nonzero(rates <= c)[0]
-    if bad.size:
-        return DominanceCheck(False, float(pts[bad[0]]))
-    return DominanceCheck(True, None)
+    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
+        # nothing is known about r between points: 2048 uniform points past lo
+        # plus the declared interior points, so a dip between them goes unseen
+        pts = np.linspace(lo, hi, 2049)[1:]
+        pts = np.union1d(pts, [p for p in self.interior_points if lo < p < hi])
+        return pts, self._rate(pts)
 
 
 def time_horizon(spec: HazardSpec, tail: float = 1e-6) -> float:
@@ -265,23 +280,6 @@ def time_horizon(spec: HazardSpec, tail: float = 1e-6) -> float:
         else:
             lo = mid
     return hi
-
-
-def default_dominance_grid(spec: HazardSpec, n: int = 2048) -> np.ndarray:
-    """Uniform grid over the effective support plus the variant's critical points.
-
-    Starts strictly after 0: the process laws never need r(0) itself, and
-    several published baselines touch r(0) = c or r(0) = 0 exactly.
-    """
-    if math.isfinite(spec.support_end):
-        horizon = spec.support_end * (1.0 - 1e-9)
-    else:
-        horizon = time_horizon(spec)
-    pts = np.linspace(horizon / n, horizon, n)
-    extra = [p for p in spec.critical_points() if 0.0 < p <= horizon]
-    if extra:
-        pts = np.unique(np.concatenate([pts, np.asarray(extra, dtype=float)]))
-    return pts
 
 
 def parse_hazard_config(text: str) -> HazardSpec:

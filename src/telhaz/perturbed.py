@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hazard import HazardSpec, default_dominance_grid, validate_dominance
+from .hazard import HazardSpec, time_horizon
 from .telegraph import (
     TelegraphParams,
     integrate_path,
@@ -54,24 +54,20 @@ class SupportBand:
 class PerturbedModel:
     """A baseline hazard paired with the alternating-noise parameters.
 
-    Construction verifies the dominance condition r > c on a dense grid
-    (uniform plus the hazard's own critical points); pass ``validate=False``
-    only when the caller has already established dominance.
+    Construction requires the dominance condition r > c on (0, horizon],
+    checked by :meth:`HazardSpec.min_slack`. The horizon is the hazard's
+    :func:`time_horizon`, or just short of a finite support end.
     """
 
     hazard: HazardSpec
     noise: TelegraphParams
-    validate: bool = True
 
     def __post_init__(self):
-        if self.validate:
-            grid = default_dominance_grid(self.hazard)
-            check = validate_dominance(self.hazard, self.noise.c, grid)
-            if not check.ok:
-                raise ValueError(
-                    f"dominance r(t) > c fails at t = {check.violating_t:.6g}"
-                    f" (c = {self.noise.c})"
-                )
+        end = self.hazard.support_end
+        horizon = end * (1.0 - 1e-9) if math.isfinite(end) else time_horizon(self.hazard)
+        slack, t = self.hazard.min_slack(self.noise.c, 0.0, horizon)
+        if not slack > 0.0:
+            raise ValueError(f"dominance r(t) > c fails at t = {t:.6g} (c = {self.noise.c})")
 
     # -- band geometry ------------------------------------------------------
 
@@ -158,23 +154,23 @@ class PerturbedModel:
         out = bracket * np.exp(z - lam * t) / (2.0 * c * one_minus)
         return float(out) if arr.ndim == 0 else out
 
-    def cdf(self, x: float, t: float) -> float:
+    def cdf(self, x, t: float):
         """P{X(t) <= x}, via the monotone map onto the integrated-noise law.
 
         Outside the closed band the value clamps to 0 below and 1 above.
+        Accepts a scalar or an array of ``x``.
         """
-        self.hazard._check_time(t)
-        band = self.band(t)
-        if x < band.a:
-            return 0.0
-        if x >= band.b:
-            return 1.0
+        band = self.band(t)  # also validates t
+        arr = np.asarray(x, dtype=float)
         ct = self.noise.c * t
         # X <= x  <=>  W <= log(survival(t) / (1 - x)); clamp the threshold
-        # into [-ct, ct] to absorb roundoff at the band endpoints.
-        w = -(self.hazard.cumulative(t) + math.log1p(-x))
-        w = min(max(w, -ct), ct)
-        return w_cdf(self.noise, t, w)
+        # into [-ct, ct] to absorb roundoff at the band endpoints. For x >= 1
+        # the log is -inf or NaN; the band clamp below overrides those.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            w = np.clip(-(self.hazard.cumulative(t) + np.log1p(-arr)), -ct, ct)
+        inside = w_cdf(self.noise, t, w)
+        out = np.where(arr < band.a, 0.0, np.where(arr >= band.b, 1.0, inside))
+        return float(out) if arr.ndim == 0 else out
 
     # -- moments --------------------------------------------------------------
 

@@ -182,6 +182,14 @@ class TestValidationErrors:
         assert code == 2
         assert "unknown hazard preset" in err
 
+    @pytest.mark.parametrize("value", ["0", "-5", "nan"])
+    def test_bad_support_end_named(self, capsys, tmp_path, value):
+        hazard_file = tmp_path / "hz.cfg"
+        hazard_file.write_text(f"kind = constant\nrate = 2\nsupport_end = {value}\n")
+        code, _, err = run(capsys, "band", "--hazard", str(hazard_file), "--c", "1")
+        assert code == 2
+        assert "support_end" in err
+
     def test_argparse_error_exit_two(self, capsys):
         assert main(["simulate-w", "--paths", "not-an-int"]) == 2
 
@@ -258,6 +266,16 @@ def test_cli_import_leaves_out_scipy_integrate():
     )
     assert result.returncode == 0, result.stderr
     assert result.stdout.strip() == "False"
+
+
+def test_export_list_resolves():
+    assert len(set(telhaz.__all__)) == len(telhaz.__all__)
+    assert [name for name in telhaz.__all__ if not hasattr(telhaz, name)] == []
+    probe = "from telhaz import *"
+    result = subprocess.run(
+        [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=120
+    )
+    assert result.returncode == 0, result.stderr
 
 
 class TestHazardFileAndConfig:

@@ -18,7 +18,7 @@ from telhaz.estimation import (
     hazard_estimate,
     kde,
 )
-from telhaz.hazard import ConstantHazard
+from telhaz.hazard import ConstantHazard, PiecewiseLinearHazard
 from telhaz.presets import APP1, APP2
 
 SQRT5 = math.sqrt(5.0)
@@ -278,6 +278,24 @@ class TestDefensibility:
         config = BandConfig(h=6.0, alpha=0.025)
         with pytest.raises(ValueError):
             defensibility_test(melanoma, config, ConstantHazard(0.0125), 0.02)
+
+    def test_dominance_checked_between_grid_points(self, melanoma):
+        # the app1 baseline with a V-shaped dip to 1.25e-4 between two band
+        # points; r = 0.0125 at every grid point, as for the passing app1 case
+        config = BandConfig(h=6.0, alpha=0.025)
+        grid = confidence_band(melanoma, config).grid
+        g0, g1 = grid[100:102]
+        a, m, b = g0 + 0.1 * (g1 - g0), 0.5 * (g0 + g1), g1 - 0.1 * (g1 - g0)
+        down, up = (1.25e-4 - 0.0125) / (m - a), (0.0125 - 1.25e-4) / (b - m)
+        dip = PiecewiseLinearHazard((
+            (0.0, 0.0, 0.0125),
+            (a, down, 0.0125 - down * a),
+            (m, up, 1.25e-4 - up * m),
+            (b, 0.0, 0.0125),
+        ))
+        assert np.all(dip.rate(grid) == 0.0125)
+        with pytest.raises(ValueError, match="r\\(t\\) > c"):
+            defensibility_test(melanoma, config, dip, APP1["c"])
 
     def test_margin_definition(self, melanoma):
         config = BandConfig(h=6.0, alpha=0.025)

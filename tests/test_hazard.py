@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from telhaz.hazard import (
@@ -9,10 +11,8 @@ from telhaz.hazard import (
     CustomHazard,
     PiecewiseLinearHazard,
     PolynomialHazard,
-    default_dominance_grid,
     parse_hazard_config,
     time_horizon,
-    validate_dominance,
 )
 from telhaz.presets import APP2_BASELINE, HAZARDS
 
@@ -112,9 +112,10 @@ class TestDistribution:
         ids=("constant", "polynomial", "exp-growth"),
     )
     def test_stochastic_order_bound(self, spec, c):
-        # r > c on the grid forces F(t) > 1 - exp(-c t) strictly for t > 0
-        grid = default_dominance_grid(spec, n=512)
-        assert validate_dominance(spec, c, grid).ok
+        # r > c forces F(t) > 1 - exp(-c t) strictly for t > 0
+        horizon = time_horizon(spec)
+        grid = np.linspace(horizon / 512, horizon, 512)
+        assert spec.min_slack(c, 0.0, horizon)[0] > 0.0
         cdf = spec.cdf(grid)
         bound = -np.expm1(-c * grid)
         assert np.all(cdf > bound)
@@ -122,28 +123,95 @@ class TestDistribution:
 
 class TestDominance:
     def test_accepts_and_reports(self):
-        grid = np.linspace(1.0, 100.0, 64)
-        assert validate_dominance(ConstantHazard(0.0125), 0.0004, grid).ok
-        check = validate_dominance(ConstantHazard(0.0125), 0.02, grid)
-        assert not check.ok
-        assert check.violating_t == grid[0]
+        assert ConstantHazard(0.0125).min_slack(0.0004, 1.0, 100.0)[0] > 0.0
+        slack, t = ConstantHazard(0.0125).min_slack(0.02, 1.0, 100.0)
+        assert slack == pytest.approx(0.0125 - 0.02)
+        assert t == 1.0
 
     def test_polynomial_boundary_amplitude(self):
         # min of the rate is c_ref + beta, so c = c_ref still passes
         spec = PolynomialHazard(15.0, 0.001, 1.0)
-        grid = default_dominance_grid(spec)
-        assert validate_dominance(spec, 1.0, grid).ok
-        assert not validate_dominance(spec, 1.001, grid).ok
-
-    def test_empty_grid_rejected(self):
-        with pytest.raises(ValueError):
-            validate_dominance(ConstantHazard(1.0), 0.5, [])
+        assert spec.min_slack(1.0, 0.0, 3.0)[0] > 0.0
+        assert not spec.min_slack(1.001, 0.0, 3.0)[0] > 0.0
+        # the interior minimum is reached exactly at the stationary point t = 1
+        assert spec.min_slack(1.0, 0.5, 3.0) == (spec.rate(1.0) - 1.0, 1.0)
 
     def test_default_grid_contains_critical_points(self):
-        spec = PolynomialHazard(15.0, 0.001, 1.0)
-        grid = default_dominance_grid(spec)
-        assert 1.0 / 3.0 in grid and 1.0 in grid
-        assert grid[0] > 0.0
+        # a custom rate with a dip at a declared point off the uniform grid;
+        # the grid leaves out lo itself, where r may touch c
+        spec = CustomHazard(
+            rate_fn=lambda t: 1.0 + 100.0 * np.abs(np.asarray(t) - 0.3001),
+            cumulative_fn=lambda t: np.asarray(t),  # unused here
+            interior_points=(0.3001,),
+        )
+        assert spec.min_slack(0.5, 0.0, 1.0) == (0.5, 0.3001)
+        assert spec.min_slack(0.5, 0.3001, 1.0)[1] > 0.3001
+
+    @pytest.mark.parametrize(
+        "name,c",
+        [("polynomial_c1", 1.0), ("polynomial_c2", 2.0), ("app1_constant", 0.0004),
+         ("app2_piecewise", 0.00025)],
+    )
+    def test_exact_against_dense_grid(self, name, c):
+        spec = HAZARDS[name]
+        horizon = time_horizon(spec)
+        points = np.linspace(0.0, horizon, 10**6 + 1)
+        rates = spec.rate(points)
+        slack, t = spec.min_slack(c, 0.0, horizon)
+        grid_min = float(np.min(rates[1:])) - c
+        # r moves by at most max |r(t_k+1) - r(t_k)| within one grid step
+        assert slack <= grid_min <= slack + float(np.max(np.abs(np.diff(rates))))
+        assert 0.0 <= t <= horizon
+
+    @pytest.mark.parametrize("segments", ["0:0:2; 1:10000:-9999.5", "0:0:2; 1:0:0.5"])
+    def test_drop_just_after_breakpoint(self, segments):
+        # r(1) = 2 belongs to the left piece; r falls below c = 1 just after it
+        spec = parse_hazard_config(f"kind = piecewise\nsegments = {segments}\n")
+        assert spec.min_slack(1.0, 0.0, 10.0) == (-0.5, 1.0)
+        assert spec.rate(1.0) == 2.0 and spec.rate(1.00001) < 1.0
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.floats(0.01, 10.0),   # piece length
+                st.floats(0.001, 5.0),   # rate at the piece's left end
+                st.floats(0.001, 5.0),   # rate at its right end
+                st.booleans(),           # start where the previous piece ended
+            ),
+            min_size=1,
+            max_size=6,
+        ),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 1.0, exclude_max=True),
+        st.floats(0.0, 3.0),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_piecewise_slack_bounds_dense_grid(self, pieces, u, v, c):
+        segments, start, previous = [], 0.0, None
+        for length, left, right, continuous in pieces:
+            if continuous and previous is not None:
+                left = previous
+            slope = (right - left) / length
+            segments.append((start, slope, left - slope * start))
+            start, previous = start + length, right
+        spec = PiecewiseLinearHazard(tuple(segments), support_end=start)
+        lo, hi = sorted((u * start, v * start))
+        if not lo < hi:
+            return
+        slack, t = spec.min_slack(c, lo, hi)
+        grid = np.linspace(lo, hi, 4001)[1:]
+        values = spec.rate(grid) - c
+        step = (hi - lo) / 4000
+        steepest = max(abs(m) for _, m, _ in segments)
+        assert np.all(slack <= values)
+        assert float(np.min(values)) - slack <= steepest * step + 1e-12
+        assert lo <= t <= hi
+
+    def test_interval_is_checked(self):
+        spec = ConstantHazard(1.0, support_end=2.0)
+        for lo, hi in ((1.0, 1.0), (-0.1, 1.0), (0.0, 2.0), (0.0, math.nan)):
+            with pytest.raises(ValueError):
+                spec.min_slack(0.5, lo, hi)
 
     def test_time_horizon_reaches_tail(self):
         for spec in ALL_SPECS:
@@ -226,8 +294,11 @@ class TestConfigParsing:
             "kind = constant\nrate = 1\nextra = 2\n",  # unused key
             "kind = piecewise\nsegments = 0:1\n",      # malformed segment
             "kind constant\n",                         # not key=value
+            "kind = constant\nrate = 1\nsupport_end = 0\n",
+            "kind = constant\nrate = 1\nsupport_end = -5\n",
+            "kind = constant\nrate = 1\nsupport_end = nan\n",
         ],
     )
     def test_errors(self, text):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="support_end" if "support_end" in text else None):
             parse_hazard_config(text)

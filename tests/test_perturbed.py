@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from telhaz.hazard import ConstantHazard, PolynomialHazard
+from telhaz.hazard import PiecewiseLinearHazard, PolynomialHazard
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import FIG3_TIMES, model_fig1, model_fig2, model_fig3
 from telhaz.telegraph import TelegraphParams, w_atom_prob, w_density
@@ -22,10 +22,11 @@ class TestConstruction:
             PerturbedModel(hazard, TelegraphParams(c=1.5, lam=1.0))
         PerturbedModel(hazard, TelegraphParams(c=1.0, lam=1.0))  # boundary passes
 
-    def test_validation_can_be_skipped(self):
-        hazard = ConstantHazard(0.5)
-        model = PerturbedModel(hazard, TelegraphParams(c=2.0, lam=1.0), validate=False)
-        assert model.noise.c == 2.0
+    def test_dominance_checked_between_grid_points(self):
+        # r(1) = 2, then r = 0.5 just after the breakpoint
+        hazard = PiecewiseLinearHazard(((0.0, 0.0, 2.0), (1.0, 0.0, 0.5)))
+        with pytest.raises(ValueError, match=r"fails at t = 1 \("):
+            PerturbedModel(hazard, TelegraphParams(c=1.0, lam=1.0))
 
 
 class TestBand:
@@ -56,11 +57,6 @@ class TestBand:
         assert band.a == pytest.approx(-math.expm1(-nu), abs=1e-9)
         assert band.b == pytest.approx(1.0, abs=1e-12)
         assert band.nu == nu
-
-    def test_width_condition_constant_low_rate(self):
-        model = PerturbedModel(ConstantHazard(0.5), TelegraphParams(c=1.0, lam=1.0), validate=False)
-        for t in (0.1, 1.0, 5.0, 50.0):
-            assert model.band_width_nondecreasing(t)  # r < c <= c*coth always
 
     def test_width_condition_flips_for_bimodal_case(self):
         model = model_fig2("a")
@@ -160,11 +156,20 @@ class TestCdf:
         assert fig_model.cdf(-0.5, 0.0) == 0.0
         assert fig_model.cdf(0.0, 0.0) == 1.0
 
+    def test_array_matches_scalars(self, fig_model):
+        t = 1.0
+        band = fig_model.band(t)
+        xs = np.array([band.a - 1e-9, band.a, 0.5 * (band.a + band.b), band.b, 1.0, 2.0])
+        values = fig_model.cdf(xs, t)
+        assert values.tolist() == [fig_model.cdf(float(x), t) for x in xs]
+        assert values[0] == 0.0 and values[-3:].tolist() == [1.0, 1.0, 1.0]
+        assert isinstance(fig_model.cdf(0.5, t), float)
+
     def test_monotone_and_matches_density_integral(self, fig_model):
         t = 0.5
         band = fig_model.band(t)
         xs = np.linspace(band.a + 1e-6, band.b - 1e-6, 7)
-        values = [fig_model.cdf(float(x), t) for x in xs]
+        values = fig_model.cdf(xs, t)
         assert np.all(np.diff(values) >= 0.0)
         for x, value in zip(xs[::3], values[::3]):
             interior, _ = integrate.quad(
