@@ -94,9 +94,10 @@ def _w_rows(params: TelegraphParams, horizon: float, grid, paths: int, seed: int
 
 def _x_rows(model: PerturbedModel, horizon: float, grid, paths: int, seed: int):
     yield "path_id", "t", "x"
+    times = grid.tolist()
     for pid in range(paths):
-        for t, x in model.sample_path_values(horizon, grid, seed + pid):
-            yield pid, t, x
+        values = model.sample_path_values(horizon, grid, seed + pid)
+        yield from zip(itertools.repeat(pid), times, values.tolist())
 
 
 def _band_rows(model: PerturbedModel, grid) -> list:
@@ -108,6 +109,12 @@ def _x_density(model: PerturbedModel, t: float, points: int):
     """``points`` interior x values of X(t)'s band and the density there."""
     band = model.band(t)
     xs = np.linspace(band.a, band.b, points + 2)[1:-1]
+    if not (band.a < xs[0] and xs[-1] < band.b):
+        # late t: a(t) and b(t) round to within a few ulps of 1, or both to 1
+        raise ValueError(
+            f"--t {t!r} is too late: the band ({band.a!r}, {band.b!r}) of X(t) has "
+            f"no room for {points} interior points in double precision"
+        )
     return xs, model.density(xs, t)
 
 
@@ -374,7 +381,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--data", required=True, help="data file or preset:NAME")
     p.add_argument("--bandwidth", type=_positive(allow_zero=False), required=True)
     p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--grid-size", type=_count(1), default=512)
+    p.add_argument("--grid-size", type=_count(2), default=512)
     _add_output_flag(p)
     p.set_defaults(func=cmd_estimate)
 
@@ -384,7 +391,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--bandwidth", type=_positive(allow_zero=False), required=True)
     p.add_argument("--alpha", type=float, default=0.025)
     p.add_argument("--c", type=_positive(allow_zero=False), required=True)
-    p.add_argument("--grid-size", type=_count(1), default=512)
+    p.add_argument("--grid-size", type=_count(2), default=512)
     p.add_argument("--format", choices=("csv", "report"), default="report")
     _add_output_flag(p)
     p.set_defaults(func=cmd_defensibility)

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .hazard import HazardSpec
+from .hazard import HazardSpec, _positive
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
@@ -73,19 +73,13 @@ class Sample:
         return int(self.values.size)
 
 
-def _check_bandwidth(h: float) -> float:
-    if not (isinstance(h, (int, float)) and math.isfinite(h) and h > 0.0):
-        raise ValueError(f"bandwidth must be finite and > 0, got {h!r}")
-    return float(h)
-
-
 def kde(sample: Sample, h: float, t):
     """(f_hat, F_hat) at ``t``: (nh)^-1 sum k(u_i) and n^-1 sum K(u_i), u_i = (t - T_i)/h.
 
     K is the kernel antiderivative, so f_hat integrates to one over the real
     line. A scalar ``t`` gives two floats.
     """
-    h = _check_bandwidth(h)
+    h = _positive("bandwidth", h)
     ta = np.asarray(t, dtype=float)
     u = (ta[..., None] - sample.values) / h
     f = EPANECHNIKOV.density(u).mean(axis=-1) / h
@@ -119,7 +113,7 @@ class BandConfig:
     grid: np.ndarray | None = None
 
     def __post_init__(self):
-        _check_bandwidth(self.h)
+        _positive("bandwidth", self.h)
         if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 0.5):
             raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha!r}")
         if self.grid is None and self.grid_size < 2:
@@ -224,8 +218,7 @@ def defensibility_test(
     Requires the baseline to dominate the amplitude (r > c) on
     (grid[0], grid[-1]], mirroring the model's own admissibility condition.
     """
-    if not (isinstance(c, (int, float)) and math.isfinite(c) and c > 0.0):
-        raise ValueError(f"c must be finite and > 0, got {c!r}")
+    c = _positive("c", c)
     band = confidence_band(sample, config)
     slack, t = baseline.min_slack(c, float(band.grid[0]), float(band.grid[-1]))
     if not slack > 0.0:
@@ -244,7 +237,7 @@ def defensibility_test(
             violating_t = float(band.grid[bad[0]])
     return DefensibilityReport(
         holds=holds,
-        c=float(c),
+        c=c,
         max_admissible_c=max_admissible,
         margin=margin,
         violating_t=violating_t,

@@ -9,6 +9,7 @@ quadrature; a quadrature cross-check lives in the tests only.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Callable
@@ -83,11 +84,13 @@ class HazardSpec:
         return arr
 
 
-def _positive(name: str, value) -> float:
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
+def _positive(name: str, value, allow_zero: bool = False) -> float:
+    """``value`` as a float: a real number but not a bool, finite, > 0 (>= 0 with allow_zero)."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and value > 0.0):
-        raise ValueError(f"{name} must be finite and > 0, got {value!r}")
+    if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
+        bound = ">= 0" if allow_zero else "> 0"
+        raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
     return float(value)
 
 
@@ -126,10 +129,7 @@ class PolynomialHazard(HazardSpec):
         super().__post_init__()
         object.__setattr__(self, "alpha", _positive("alpha", self.alpha))
         object.__setattr__(self, "beta", _positive("beta", self.beta))
-        if not (isinstance(self.c_ref, (int, float)) and math.isfinite(self.c_ref)
-                and self.c_ref >= 0.0):
-            raise ValueError(f"c_ref must be finite and >= 0, got {self.c_ref!r}")
-        object.__setattr__(self, "c_ref", float(self.c_ref))
+        object.__setattr__(self, "c_ref", _positive("c_ref", self.c_ref, allow_zero=True))
 
     def _rate(self, arr):
         return self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
@@ -302,7 +302,10 @@ def parse_hazard_config(text: str) -> HazardSpec:
         if "=" not in line:
             raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
         key, _, value = line.partition("=")
-        entries[key.strip().lower()] = value.strip()
+        key = key.strip().lower()
+        if key in entries:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        entries[key] = value.strip()
     kind = entries.pop("kind", None)
     if kind is None:
         raise ValueError("hazard config must set 'kind'")

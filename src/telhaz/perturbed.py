@@ -23,13 +23,13 @@ import numpy as np
 from .hazard import HazardSpec, time_horizon
 from .telegraph import (
     TelegraphParams,
+    _bessel_density,
     integrate_path,
     sample_path,
     scaled_mgf,
     w_atom_prob,
     w_cdf,
 )
-from .special import bessel_i0e, bessel_i1e_over_x
 
 # Past this excess cumulative hazard, exp(-nu) underflows: treat nu as infinite.
 _NU_CAP = 700.0
@@ -130,14 +130,16 @@ class PerturbedModel:
     def density(self, x, t: float):
         """Density of the continuous part of X(t) on the open band.
 
-        The argument of the Bessel functions uses the factored form
+        X(t) = 1 - survival(t) e^{-W(t)} is monotone in W(t), so this is the
+        Bessel-type density of W(t) at w = log(survival(t) / (1 - x)), divided
+        by the jacobian dx/dw = 1 - x. Its spread c^2 t^2 - w^2 is taken in
+        the factored form
 
             u(x, t) = log((1-a)/(1-x)) * log((1-x)/(1-b)),
 
         which stays accurate (and provably nonnegative) as x approaches
         either endpoint, where the naive c^2 t^2 - log^2(...) cancels.
         """
-        c, lam = self.noise.c, self.noise.lam
         if not (math.isfinite(t) and t > 0.0 and t < self.hazard.support_end):
             raise ValueError(f"t must lie in (0, {self.hazard.support_end}), got {t!r}")
         band = self.band(t)
@@ -149,9 +151,7 @@ class PerturbedModel:
             )
         one_minus = 1.0 - arr
         u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
-        z = (lam / c) * np.sqrt(np.maximum(u, 0.0))
-        bracket = lam * bessel_i0e(z) + lam * lam * t * bessel_i1e_over_x(z)
-        out = bracket * np.exp(z - lam * t) / (2.0 * c * one_minus)
+        out = _bessel_density(self.noise, t, u, one_minus)
         return float(out) if arr.ndim == 0 else out
 
     def cdf(self, x, t: float):
@@ -191,8 +191,8 @@ class PerturbedModel:
 
     # -- simulation ------------------------------------------------------------
 
-    def sample_path_values(self, horizon: float, time_grid, seed: int) -> list[tuple[float, float]]:
-        """One sample path of X evaluated on ``time_grid``.
+    def sample_path_values(self, horizon: float, time_grid, seed: int) -> np.ndarray:
+        """One sample path of X: its values at the times of ``time_grid``.
 
         Draws a single noise trajectory and maps it through
         X(t) = 1 - exp(-(R(t) + W(t))). Grid times must satisfy
@@ -206,5 +206,4 @@ class PerturbedModel:
         self.hazard._check_time(grid)
         path = sample_path(self.noise, horizon, seed)
         w = integrate_path(path, self.noise, grid)
-        values = -np.expm1(-(self.hazard.cumulative(grid) + w))
-        return list(zip(grid.tolist(), values.tolist()))
+        return -np.expm1(-(self.hazard.cumulative(grid) + w))

@@ -18,33 +18,14 @@ _SERIES_CUTOFF = 30.0
 _REL_STOP = 1e-16
 
 
-def _prepare(x):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("argument must be finite and >= 0")
-    return arr, arr.ndim == 0
-
-
-def _i0_series(x: np.ndarray) -> np.ndarray:
-    # sum_k (x/2)^{2k} / (k!)^2, term-ratio stopping
+def _series(x: np.ndarray, order: int) -> np.ndarray:
+    # sum_k (x/2)^{2k} / (k! (k+order)!): I0 for order 0, 2 I1(x)/x for order 1;
+    # term-ratio stopping
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, 400):
-        term = term * q / (k * k)
-        total = total + term
-        if np.all(term <= _REL_STOP * total):
-            break
-    return total
-
-
-def _i1_sum(x: np.ndarray) -> np.ndarray:
-    # S(x) = sum_k (x/2)^{2k} / (k! (k+1)!), so I1 = (x/2) S and I1/x = S/2
-    q = 0.25 * x * x
-    term = np.ones_like(x)
-    total = np.ones_like(x)
-    for k in range(1, 400):
-        term = term * q / (k * (k + 1))
+        term = term * q / (k * (k + order))
         total = total + term
         if np.all(term <= _REL_STOP * total):
             break
@@ -64,23 +45,21 @@ def _asymptotic_scaled(x: np.ndarray, order: int) -> np.ndarray:
     return total / np.sqrt(2.0 * math.pi * x)
 
 
-def _dispatch(arr, small_fn, large_fn):
-    if arr.ndim == 0:
-        return small_fn(arr) if float(arr) <= _SERIES_CUTOFF else large_fn(arr)
+def _dispatch(x, small_fn, large_fn):
+    arr = np.asarray(x, dtype=float)
+    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
+        raise ValueError("argument must be finite and >= 0")
+    # a scalar is a 0-d array and goes through the same masks
     out = np.empty_like(arr)
     small = arr <= _SERIES_CUTOFF
-    if np.any(small):
-        out[small] = small_fn(arr[small])
-    if np.any(~small):
-        out[~small] = large_fn(arr[~small])
-    return out
+    out[small] = small_fn(arr[small])
+    out[~small] = large_fn(arr[~small])
+    return float(out) if arr.ndim == 0 else out
 
 
 def bessel_i0e(x):
     """Exponentially scaled ``exp(-x) * I0(x)``; never overflows."""
-    arr, scalar = _prepare(x)
-    out = _dispatch(arr, lambda a: np.exp(-a) * _i0_series(a), lambda a: _asymptotic_scaled(a, 0))
-    return float(out) if scalar else out
+    return _dispatch(x, lambda a: np.exp(-a) * _series(a, 0), lambda a: _asymptotic_scaled(a, 0))
 
 
 def bessel_i1e_over_x(x):
@@ -90,10 +69,8 @@ def bessel_i1e_over_x(x):
     into I1 divided by a vanishing square root; evaluating the series for
     I1(x)/x directly removes the 0/0 at the support boundary.
     """
-    arr, scalar = _prepare(x)
-    out = _dispatch(
-        arr,
-        lambda a: 0.5 * np.exp(-a) * _i1_sum(a),
+    return _dispatch(
+        x,
+        lambda a: 0.5 * np.exp(-a) * _series(a, 1),
         lambda a: _asymptotic_scaled(a, 1) / a,
     )
-    return float(out) if scalar else out

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln, xlogy
 
+from .hazard import _positive
 from .special import bessel_i0e, bessel_i1e_over_x
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
@@ -31,12 +32,7 @@ class TelegraphParams:
 
     def __post_init__(self):
         for name in ("c", "lam"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ValueError(f"{name} must be a real number, got {value!r}")
-            if not (math.isfinite(value) and value > 0.0):
-                raise ValueError(f"{name} must be finite and > 0, got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -55,8 +51,7 @@ class TelegraphPath:
     def __post_init__(self):
         if self.initial_sign not in (-1, 1):
             raise ValueError(f"initial_sign must be -1 or +1, got {self.initial_sign!r}")
-        if not (math.isfinite(self.horizon) and self.horizon > 0.0):
-            raise ValueError(f"horizon must be finite and > 0, got {self.horizon!r}")
+        object.__setattr__(self, "horizon", _positive("horizon", self.horizon))
         times = tuple(float(t) for t in self.event_times)
         object.__setattr__(self, "event_times", times)
         previous = 0.0
@@ -68,8 +63,7 @@ class TelegraphPath:
 
 def sample_path(params: TelegraphParams, horizon: float, seed: int) -> TelegraphPath:
     """Draw one trajectory on [0, horizon] by exact exponential inter-arrivals."""
-    if not (math.isfinite(horizon) and horizon > 0.0):
-        raise ValueError(f"horizon must be finite and > 0, got {horizon!r}")
+    horizon = _positive("horizon", horizon)
     rng = np.random.default_rng(seed)
     sign = 1 if rng.random() < 0.5 else -1
     mean_gap = 1.0 / params.lam
@@ -84,7 +78,7 @@ def sample_path(params: TelegraphParams, horizon: float, seed: int) -> Telegraph
         if inside.size < arrivals.size:
             break
         start = float(arrivals[-1])
-    return TelegraphPath(sign, tuple(events), float(horizon))
+    return TelegraphPath(sign, tuple(events), horizon)
 
 
 def integrate_path(path: TelegraphPath, params: TelegraphParams, t):
@@ -116,8 +110,7 @@ def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.n
     :func:`sample_path` output (the tests cross-check the two samplers) and
     needs O(n_paths) memory whatever ``lam * t``.
     """
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be finite and > 0, got {t!r}")
+    t = _positive("t", t)
     if n_paths < 0:
         raise ValueError(f"n_paths must be >= 0, got {n_paths!r}")
     rng = np.random.default_rng(seed)
@@ -131,32 +124,39 @@ def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.n
 
 def w_atom_prob(params: TelegraphParams, t: float) -> float:
     """Probability mass sitting at each of the two endpoints +-c*t."""
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    t = _positive("t", t, allow_zero=True)
     return 0.5 * math.exp(-params.lam * t)
 
 
-def w_density(params: TelegraphParams, t: float, x):
-    """Density of the continuous part of W(t) on the open interval (-ct, ct).
+def _bessel_density(params: TelegraphParams, t: float, spread2, jacobian):
+    """The Bessel-type interior density that W(t) and X(t) share.
 
     The time derivative of I0 is expanded analytically into I1, and the
     whole bracket is evaluated in exponentially scaled form so that large
     ``lam * t`` never overflows:
 
-        f(x) = exp(z - lam t) * [lam I0e(z) + lam^2 t (I1(z)/z) e^{-z}] / (2c)
+        exp(z - lam t) * [lam I0e(z) + lam^2 t (I1(z)/z) e^{-z}] / (2c * jacobian)
 
-    with z = (lam/c) sqrt(c^2 t^2 - x^2).
+    with z = (lam/c) sqrt(spread2), a negative spread2 from roundoff read as 0.
     """
     c, lam = params.c, params.lam
-    if not (math.isfinite(t) and t > 0.0):
-        raise ValueError(f"t must be finite and > 0, got {t!r}")
-    arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) >= c * t):
-        raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
-    spread2 = (c * t - arr) * (c * t + arr)  # factored form of c^2 t^2 - x^2
-    z = (lam / c) * np.sqrt(spread2)
+    z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
     bracket = lam * bessel_i0e(z) + lam * lam * t * bessel_i1e_over_x(z)
-    out = bracket * np.exp(z - lam * t) / (2.0 * c)
+    return bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
+
+
+def w_density(params: TelegraphParams, t: float, x):
+    """Density of the continuous part of W(t) on the open interval (-ct, ct).
+
+    The Bessel-type density at spread2 = c^2 t^2 - x^2, taken in factored
+    form, with jacobian 1.
+    """
+    t = _positive("t", t)
+    ct = params.c * t
+    arr = np.asarray(x, dtype=float)
+    if np.any(np.abs(arr) >= ct):
+        raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
+    out = _bessel_density(params, t, (ct - arr) * (ct + arr), 1.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -187,8 +187,7 @@ def w_cdf(params: TelegraphParams, t: float, w):
     which is 1/2 on [-ct, ct) when N = 0: the lower endpoint atom. Accepts a
     scalar or an array of ``w``.
     """
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    t = _positive("t", t, allow_zero=True)
     arr = np.asarray(w, dtype=float)
     ct = params.c * t
     mix = np.zeros_like(arr)
@@ -227,7 +226,7 @@ def mgf(params: TelegraphParams, s: float, t):
         raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
-    return scaled_mgf(params, s, t, 0.0 if ta.ndim == 0 else np.zeros_like(ta))
+    return scaled_mgf(params, s, t, 0.0)
 
 
 def w_mean_var(params: TelegraphParams, t: float) -> tuple[float, float]:
@@ -237,8 +236,7 @@ def w_mean_var(params: TelegraphParams, t: float) -> tuple[float, float]:
     function at s = 0, reduced in closed form to
     ``(c/lam)^2 (lam t - (1 - e^{-2 lam t})/2)``.
     """
-    if t < 0.0 or not math.isfinite(t):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
+    t = _positive("t", t, allow_zero=True)
     lam = params.lam
     variance = (params.c / lam) ** 2 * (lam * t + 0.5 * math.expm1(-2.0 * lam * t))
     return 0.0, max(variance, 0.0)

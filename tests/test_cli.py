@@ -190,6 +190,16 @@ class TestValidationErrors:
         assert code == 2
         assert "support_end" in err
 
+    @pytest.mark.parametrize("t", ["5", "2.45"])
+    def test_band_without_interior_names_t(self, capsys, t):
+        # a(t) and b(t) both round to 1 at t = 5, and lie a few ulps apart at t = 2.45
+        code, out, err = run(
+            capsys, "density", "--process", "x", "--hazard", "preset:polynomial_c1", "--t", t
+        )
+        assert code == 2
+        assert out == ""
+        assert "--t" in err
+
     def test_argparse_error_exit_two(self, capsys):
         assert main(["simulate-w", "--paths", "not-an-int"]) == 2
 
@@ -208,6 +218,9 @@ class TestValidationErrors:
             ("simulate-w", "--seed", "-1"),
             ("simulate-x", "--hazard", "preset:polynomial_c1", "--seed", "-1"),
             ("reproduce", "fig1", "--seed", "-1"),
+            ("estimate", "--data", "preset:melanoma_46", "--bandwidth", "6", "--grid-size", "1"),
+            ("defensibility", "--data", "preset:melanoma_46", "--hazard", "preset:app1_constant",
+             "--bandwidth", "6", "--c", "0.0004", "--grid-size", "1"),
         ],
     )
     def test_count_flag_rejected_by_name(self, capsys, argv):

@@ -134,6 +134,8 @@ class TestKde:
             kde(melanoma, 0.0, 10.0)
         with pytest.raises(ValueError):
             kde(melanoma, -1.0, 10.0)
+        with pytest.raises(ValueError, match="bandwidth"):
+            kde(melanoma, True, 10.0)
 
     @pytest.mark.parametrize("name, h", [("melanoma_46", 6.0), ("service_86", 75.0), ("exp_1e4", 20.0)])
     def test_matches_direct_sum(self, name, h):
@@ -223,6 +225,8 @@ class TestConfidenceBand:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BandConfig(h=0.0, alpha=0.025)
+        with pytest.raises(ValueError, match="bandwidth"):
+            BandConfig(h=True, alpha=0.025)
         with pytest.raises(ValueError):
             BandConfig(h=6.0, alpha=0.5)
         with pytest.raises(ValueError):
@@ -306,6 +310,6 @@ class TestDefensibility:
 
     def test_amplitude_validation(self, melanoma):
         config = BandConfig(h=6.0, alpha=0.025)
-        for bad in (0.0, -0.1, math.inf):
-            with pytest.raises(ValueError):
+        for bad in (0.0, -0.1, math.inf, True):
+            with pytest.raises(ValueError, match="c must be"):
                 defensibility_test(melanoma, config, ConstantHazard(0.0125), bad)

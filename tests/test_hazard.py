@@ -222,9 +222,10 @@ class TestDominance:
 
 class TestValidation:
     def test_constant_rejects_bad_rate(self):
-        for bad in (0.0, -1.0, math.inf, math.nan):
+        for bad in (0.0, -1.0, math.inf, math.nan, True, "1"):
             with pytest.raises(ValueError):
                 ConstantHazard(bad)
+        assert ConstantHazard(np.int64(2)).rate0 == 2.0
 
     def test_polynomial_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -297,8 +298,16 @@ class TestConfigParsing:
             "kind = constant\nrate = 1\nsupport_end = 0\n",
             "kind = constant\nrate = 1\nsupport_end = -5\n",
             "kind = constant\nrate = 1\nsupport_end = nan\n",
+            "kind = constant\nrate = 1\nrate = 2\n",  # repeated key
+            "kind = constant\nrate = 1\nRATE = 3\n",  # repeated key, other case
         ],
     )
     def test_errors(self, text):
-        with pytest.raises(ValueError, match="support_end" if "support_end" in text else None):
+        if "support_end" in text:
+            named = "support_end"
+        elif text.lower().count("rate =") > 1:
+            named = "line 3: repeated key 'rate'"
+        else:
+            named = None
+        with pytest.raises(ValueError, match=named):
             parse_hazard_config(text)

@@ -231,23 +231,24 @@ class TestSamplePaths:
     def test_paths_start_at_zero_and_stay_in_band(self, fig_model):
         grid = np.linspace(0.0, 1.0, 101)
         for seed in range(5):
-            pairs = fig_model.sample_path_values(1.0, grid, seed=seed)
-            assert pairs[0] == (0.0, 0.0)
-            for t, x in pairs[1:]:
+            values = fig_model.sample_path_values(1.0, grid, seed=seed)
+            assert values.shape == grid.shape
+            assert values[0] == 0.0
+            for t, x in zip(grid[1:].tolist(), values[1:].tolist()):
                 band = fig_model.band(t)
                 assert band.a - 1e-12 <= x <= band.b + 1e-12
 
     def test_paths_are_nondecreasing(self, fig_model):
         grid = np.linspace(0.0, 2.0, 301)
         for seed in range(5):
-            values = [x for _, x in fig_model.sample_path_values(2.0, grid, seed=seed)]
+            values = fig_model.sample_path_values(2.0, grid, seed=seed)
             assert np.all(np.diff(values) >= -1e-14)
 
     def test_deterministic_per_seed(self, fig_model):
         grid = np.linspace(0.0, 1.0, 11)
         a = fig_model.sample_path_values(1.0, grid, seed=3)
         b = fig_model.sample_path_values(1.0, grid, seed=3)
-        assert a == b
+        assert np.array_equal(a, b)
 
     def test_vanishing_amplitude_recovers_the_cdf(self):
         hazard = PolynomialHazard(15.0, 0.001, 1.0)
@@ -255,7 +256,7 @@ class TestSamplePaths:
         grid = np.linspace(0.0, 2.0, 201)
         cdf = hazard.cdf(grid)
         for seed in (0, 1):
-            values = np.array([x for _, x in model.sample_path_values(2.0, grid, seed=seed)])
+            values = model.sample_path_values(2.0, grid, seed=seed)
             assert float(np.max(np.abs(values - cdf))) < 1e-4
 
     def test_grid_validation(self, fig_model):

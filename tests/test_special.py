@@ -37,6 +37,16 @@ class TestBessel:
         assert out.shape == xs.shape
         assert np.allclose(out, special.i0e(xs), rtol=1e-12)
 
+    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, 29.99, 30.0, 30.01, 75.0, 800.0])
+    def test_scalar_matches_array_bits(self, x):
+        # a scalar runs through the array path; the partner value lies across the cutoff
+        partner = 100.0 if x <= 30.0 else 1.0
+        for fn in (bessel_i0e, bessel_i1e_over_x):
+            scalar = fn(x)
+            assert type(scalar) is float
+            assert scalar == fn(np.array([x, partner]))[0]
+            assert scalar == fn(np.array([partner, x]))[1]
+
     def test_huge_argument_stays_finite(self):
         assert np.isfinite(bessel_i0e(800.0))
         assert np.isfinite(bessel_i1e_over_x(800.0))

@@ -29,6 +29,13 @@ class TestTypes:
         with pytest.raises(ValueError):
             TelegraphParams(c=c, lam=lam)
 
+    def test_params_accept_numpy_integers(self):
+        params = TelegraphParams(c=np.int64(1), lam=np.int64(3))
+        assert (params.c, params.lam) == (1.0, 3.0)
+        assert type(params.c) is float and type(params.lam) is float
+        with pytest.raises(ValueError, match="real number"):
+            TelegraphParams(c=True, lam=1.0)
+
     def test_path_validation(self):
         with pytest.raises(ValueError):
             TelegraphPath(0, (), 1.0)
