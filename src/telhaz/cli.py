@@ -26,7 +26,7 @@ import numpy as np
 
 from . import datasets, presets
 from .estimation import BandConfig, confidence_band, defensibility_test
-from .hazard import HazardSpec, load_hazard_config
+from .hazard import HazardSpec, _config_entries, _interior, _read_file, _times, load_hazard_config
 from .perturbed import PerturbedModel
 from .telegraph import TelegraphParams, integrate_path, sample_path, w_density
 
@@ -108,13 +108,9 @@ def _band_rows(model: PerturbedModel, grid) -> list:
 def _x_density(model: PerturbedModel, t: float, points: int):
     """``points`` interior x values of X(t)'s band and the density there."""
     band = model.band(t)
+    # a late t rounds a(t) and b(t) to within a few ulps of 1, or both to 1
     xs = np.linspace(band.a, band.b, points + 2)[1:-1]
-    if not (band.a < xs[0] and xs[-1] < band.b):
-        # late t: a(t) and b(t) round to within a few ulps of 1, or both to 1
-        raise ValueError(
-            f"--t {t!r} is too late: the band ({band.a!r}, {band.b!r}) of X(t) has "
-            f"no room for {points} interior points in double precision"
-        )
+    _interior(xs, band.a, band.b, f"--t {t!r} (band of X(t))")
     return xs, model.density(xs, t)
 
 
@@ -157,25 +153,32 @@ def cmd_density(args) -> int:
     if args.process == "w":
         ct = params.c * args.t
         xs = np.linspace(-ct, ct, args.points + 2)[1:-1]
+        _interior(xs, -ct, ct, f"--t {args.t!r} (support of W(t))")
         f = w_density(params, args.t, xs)
     else:
         if args.hazard is None:
             raise ValueError("--hazard is required for the x-process density")
         model = PerturbedModel(_resolve_hazard(args.hazard), params)
+        _times(args.t, model.hazard.support_end, "--t")
         xs, f = _x_density(model, args.t, args.points)
     _write_csv(args.output, _table(("x", "density"), xs, f))
     return 0
 
 
+def _model_and_grid(args) -> tuple[PerturbedModel, np.ndarray]:
+    """The model and the ``--points`` grid on [0, --t-max]; --t-max must lie inside the support."""
+    model = _model_from_args(args)
+    _times(args.t_max, model.hazard.support_end, "--t-max")
+    return model, np.linspace(0.0, args.t_max, args.points)
+
+
 def cmd_moments(args) -> int:
-    grid = np.linspace(0.0, args.t_max, args.points)
-    _write_csv(args.output, _moment_rows(_model_from_args(args), grid))
+    _write_csv(args.output, _moment_rows(*_model_and_grid(args)))
     return 0
 
 
 def cmd_band(args) -> int:
-    grid = np.linspace(0.0, args.t_max, args.points)
-    _write_csv(args.output, _band_rows(_model_from_args(args), grid))
+    _write_csv(args.output, _band_rows(*_model_and_grid(args)))
     return 0
 
 
@@ -413,15 +416,8 @@ def _inject_config(argv: list[str]) -> list[str]:
     if known.config is None:
         return argv
     tokens: list[str] = []
-    with open(known.config, "r", encoding="utf-8") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{known.config}:{lineno}: expected key=value, got {raw!r}")
-            key, _, value = line.partition("=")
-            tokens += [f"--{key.strip().replace('_', '-')}", value.strip()]
+    for key, value in _read_file(known.config, _config_entries).items():
+        tokens += [f"--{key.replace('_', '-')}", value]
     # insert right after the subcommand so later explicit flags override
     return remaining[:1] + tokens + remaining[1:]
 

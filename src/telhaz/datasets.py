@@ -39,19 +39,16 @@ _SERVICE_86 = (
 class NamedDataset:
     name: str
     sample: Sample
-    source: str
 
 
 _BUILTIN = {
     "melanoma_46": NamedDataset(
         name="melanoma_46",
         sample=Sample.from_values(_MELANOMA_46),
-        source="melanoma survival times, Central Oncology Group study (via Ahmad 1999)",
     ),
     "service_86": NamedDataset(
         name="service_86",
         sample=Sample.from_values(_SERVICE_86),
-        source="component service times, Langseth & Lindqvist (2005), Table 1",
     ),
 }
 
@@ -97,7 +94,6 @@ def load(path) -> NamedDataset:
     return NamedDataset(
         name=path.stem,
         sample=Sample.from_values(values),
-        source=f"loaded from {path}",
     )
 
 

@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .hazard import HazardSpec, _positive
+from .hazard import HazardSpec, _count, _interior, _positive
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
@@ -103,8 +103,8 @@ class BandConfig:
 
     When ``grid`` is omitted, evaluation uses ``grid_size`` uniform points
     strictly between the 1st and (n-1)-th order statistics (one grid step
-    trimmed at each end). An explicit grid must already lie strictly inside
-    that interval.
+    trimmed at each end). Either grid must be strictly increasing and lie
+    strictly inside that interval.
     """
 
     h: float
@@ -114,10 +114,11 @@ class BandConfig:
 
     def __post_init__(self):
         _positive("bandwidth", self.h)
-        if not (isinstance(self.alpha, (int, float)) and 0.0 < self.alpha < 0.5):
+        alpha = _positive("alpha", self.alpha)
+        if not alpha < 0.5:
             raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha!r}")
-        if self.grid is None and self.grid_size < 2:
-            raise ValueError("grid_size must be at least 2")
+        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "grid_size", _count("grid_size", self.grid_size, 2))
         if self.grid is not None:
             arr = np.asarray(self.grid, dtype=float)
             if arr.ndim != 1 or arr.size == 0:
@@ -127,16 +128,8 @@ class BandConfig:
     def resolve_grid(self, sample: Sample) -> np.ndarray:
         lo = float(sample.values[0])
         hi = float(sample.values[-2])
-        if self.grid is not None:
-            # increasing and interior at both ends puts every point inside; NaN fails both
-            grid = self.grid
-            if not (np.all(np.diff(grid) > 0.0) and lo < grid[0] and grid[-1] < hi):
-                raise ValueError(
-                    f"grid must be strictly increasing and lie strictly inside ({lo}, {hi}) "
-                    "for this sample"
-                )
-            return grid
-        return np.linspace(lo, hi, self.grid_size + 2)[1:-1]
+        grid = np.linspace(lo, hi, self.grid_size + 2)[1:-1] if self.grid is None else self.grid
+        return _interior(grid, lo, hi, "grid for this sample")
 
 
 @dataclass(frozen=True)
@@ -201,10 +194,6 @@ class DefensibilityReport:
     violating_t: float | None
     band: ConfidenceBand
     baseline_rate: np.ndarray
-
-    @property
-    def grid(self) -> np.ndarray:
-        return self.band.grid
 
 
 def defensibility_test(

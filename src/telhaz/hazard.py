@@ -31,13 +31,13 @@ class HazardSpec:
 
     def rate(self, t):
         """Instantaneous hazard r(t); scalar or array input."""
-        arr = self._check_time(t)
+        arr = _times(t, self.support_end)
         out = self._rate(arr)
         return float(out) if arr.ndim == 0 else out
 
     def cumulative(self, t):
         """Exact cumulative hazard R(t) = integral of r over [0, t]."""
-        arr = self._check_time(t)
+        arr = _times(t, self.support_end)
         out = self._cumulative(arr)
         return float(out) if arr.ndim == 0 else out
 
@@ -75,14 +75,6 @@ class HazardSpec:
         out = np.exp(-np.asarray(self.cumulative(t), dtype=float))
         return float(out) if np.ndim(t) == 0 else out
 
-    def _check_time(self, t) -> np.ndarray:
-        arr = np.asarray(t, dtype=float)
-        if not np.all((arr >= 0.0) & (arr < self.support_end)):
-            raise ValueError(
-                f"time must lie in [0, {self.support_end}), got {t!r}"
-            )
-        return arr
-
 
 def _positive(name: str, value, allow_zero: bool = False) -> float:
     """``value`` as a float: a real number but not a bool, finite, > 0 (>= 0 with allow_zero)."""
@@ -92,6 +84,35 @@ def _positive(name: str, value, allow_zero: bool = False) -> float:
         bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
     return float(value)
+
+
+def _count(name: str, value, minimum: int) -> int:
+    """``value`` as an int: an integer but not a bool, >= ``minimum``."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
+        raise ValueError(f"{name} must be an integer >= {minimum}, got {value!r}")
+    return int(value)
+
+
+def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
+    """``t`` as a float array of reals, not bools, in [0, end); errors quote the first bad value."""
+    arr = np.asarray(t)
+    if arr.dtype.kind not in "iuf":  # bool, str, object, complex, ...
+        for value in [*arr.ravel().tolist(), t]:  # t last: an object array fails on itself
+            _positive(name, value, allow_zero=True)
+    arr = arr.astype(float, copy=False)
+    inside = (arr >= 0.0) & (arr < end)  # NaN fails both
+    if not np.all(inside):
+        raise ValueError(f"{name} must lie in [0, {end}), got {float(arr[~inside][0])!r}")
+    return arr
+
+
+def _interior(points, lo: float, hi: float, label: str) -> np.ndarray:
+    """``points`` as floats if strictly increasing inside the open (lo, hi); label opens errors."""
+    arr = np.asarray(points, dtype=float)
+    # increasing and interior at both ends puts every point inside; NaN fails both
+    if not (np.all(np.diff(arr) > 0.0) and lo < arr[0] and arr[-1] < hi):
+        raise ValueError(f"{label}: {arr.size} points must increase strictly inside ({lo}, {hi})")
+    return arr
 
 
 @dataclass(frozen=True)
@@ -256,22 +277,22 @@ class CustomHazard(HazardSpec):
         return pts, self._rate(pts)
 
 
-def time_horizon(spec: HazardSpec, tail: float = 1e-6) -> float:
-    """Smallest convenient T with survival(T) <= tail.
+def time_horizon(spec: HazardSpec) -> float:
+    """Smallest convenient T with survival(T) <= 1e-6.
 
     Returns support_end for finite supports. For infinite supports the
     cumulative hazard is bracketed by doubling and then bisected.
     """
     if math.isfinite(spec.support_end):
         return spec.support_end
-    target = -math.log(tail)
+    target = -math.log(1e-6)
     hi = 1.0
     for _ in range(80):
         if spec.cumulative(hi) >= target:
             break
         hi *= 2.0
     else:
-        raise ValueError("cumulative hazard grows too slowly to reach the requested tail")
+        raise ValueError("cumulative hazard grows too slowly to reach the 1e-6 tail")
     lo = hi / 2.0 if hi > 1.0 else 0.0
     for _ in range(80):
         mid = 0.5 * (lo + hi)
@@ -291,41 +312,29 @@ def parse_hazard_config(text: str) -> HazardSpec:
         kind = polynomial    alpha = 15  beta = 0.001  c_ref = 1
         kind = piecewise     segments = 0:3.5e-6:0; 650:-4.07e-6:0.0049; ...
 
-    ``support_end`` is optional everywhere (default: inf). Lines starting
-    with '#' and blank lines are ignored.
+    ``support_end`` is optional everywhere (default: inf). The lines follow
+    :func:`_config_entries`.
     """
-    entries: dict[str, str] = {}
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if "=" not in line:
-            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
-        key, _, value = line.partition("=")
-        key = key.strip().lower()
-        if key in entries:
-            raise ValueError(f"line {lineno}: repeated key {key!r}")
-        entries[key] = value.strip()
+    entries = _config_entries(text)
     kind = entries.pop("kind", None)
     if kind is None:
         raise ValueError("hazard config must set 'kind'")
     support = float(entries.pop("support_end", "inf"))
 
-    def need(key: str) -> float:
+    def need(key: str) -> str:
         if key not in entries:
             raise ValueError(f"hazard kind {kind!r} requires key {key!r}")
-        return float(entries.pop(key))
+        return entries.pop(key)
 
     kind = kind.lower()
     if kind == "constant":
-        spec: HazardSpec = ConstantHazard(need("rate"), support_end=support)
+        spec: HazardSpec = ConstantHazard(float(need("rate")), support_end=support)
     elif kind == "polynomial":
-        spec = PolynomialHazard(need("alpha"), need("beta"), need("c_ref"), support_end=support)
+        coefficients = (float(need(key)) for key in ("alpha", "beta", "c_ref"))
+        spec = PolynomialHazard(*coefficients, support_end=support)
     elif kind == "piecewise":
-        if "segments" not in entries:
-            raise ValueError("hazard kind 'piecewise' requires key 'segments'")
         segments = []
-        for chunk in entries.pop("segments").split(";"):
+        for chunk in need("segments").split(";"):
             parts = chunk.strip().split(":")
             if len(parts) != 3:
                 raise ValueError(f"bad segment {chunk.strip()!r}; expected start:slope:intercept")
@@ -338,6 +347,31 @@ def parse_hazard_config(text: str) -> HazardSpec:
     return spec
 
 
+def _config_entries(text: str) -> dict[str, str]:
+    """``key = value`` lines as a dict: blank and '#' lines skipped, keys lower-cased and unique."""
+    entries: dict[str, str] = {}
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        if "=" not in line:
+            raise ValueError(f"line {lineno}: expected key=value, got {raw!r}")
+        key, _, value = line.partition("=")
+        key = key.strip().lower()
+        if key in entries:
+            raise ValueError(f"line {lineno}: repeated key {key!r}")
+        entries[key] = value.strip()
+    return entries
+
+
+def _read_file(path, parse):
+    """``parse`` applied to the text of the file at ``path``; its errors start with the path."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            return parse(fh.read())
+    except ValueError as exc:
+        raise ValueError(f"{path}: {exc}") from None
+
+
 def load_hazard_config(path) -> HazardSpec:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_hazard_config(fh.read())
+    return _read_file(path, parse_hazard_config)

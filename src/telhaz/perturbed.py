@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hazard import HazardSpec, time_horizon
+from .hazard import HazardSpec, _times, time_horizon
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
@@ -37,17 +37,12 @@ _NU_CAP = 700.0
 
 @dataclass(frozen=True)
 class SupportBand:
-    """Almost-sure envelope of X(t) at one time point.
-
-    ``nu`` is the total excess cumulative hazard of the owning model; the
-    band width converges to exp(-nu) at the end of the support.
-    """
+    """Almost-sure envelope of X(t) at one time point."""
 
     t: float
     a: float
     b: float
     width: float
-    nu: float
 
 
 @dataclass(frozen=True)
@@ -108,23 +103,23 @@ class PerturbedModel:
         a = -math.expm1(ct - cum)
         b = -math.expm1(-(ct + cum))
         width = math.exp(ct - cum) - math.exp(-(ct + cum))
-        return SupportBand(float(t), a, b, width, self.total_excess_hazard)
+        return SupportBand(float(t), a, b, width)
 
     def band_width_nondecreasing(self, t: float) -> bool:
         """Whether the band width is non-decreasing at t: r(t) <= c*coth(c*t).
 
         Undefined at t = 0 (coth blows up; the width always grows off 0).
         """
-        if not t > 0.0:
-            raise ValueError(f"t must be > 0, got {t!r}")
-        ct = self.noise.c * t
-        return self.hazard.rate(t) <= self.noise.c / math.tanh(ct)
+        rate = self.hazard.rate(t)  # also validates the domain
+        if t == 0.0:
+            raise ValueError("t must be > 0, got 0.0")
+        return rate <= self.noise.c / math.tanh(self.noise.c * float(t))
 
     # -- one-time-point law --------------------------------------------------
 
     def atom_prob(self, t: float) -> float:
         """Mass P{X(t) = a(t)} = P{X(t) = b(t)} = exp(-lam*t)/2."""
-        self.hazard._check_time(t)
+        _times(t, self.hazard.support_end)
         return w_atom_prob(self.noise, t)
 
     def density(self, x, t: float):
@@ -140,9 +135,7 @@ class PerturbedModel:
         which stays accurate (and provably nonnegative) as x approaches
         either endpoint, where the naive c^2 t^2 - log^2(...) cancels.
         """
-        if not (math.isfinite(t) and t > 0.0 and t < self.hazard.support_end):
-            raise ValueError(f"t must lie in (0, {self.hazard.support_end}), got {t!r}")
-        band = self.band(t)
+        band = self.band(t)  # also validates t
         arr = np.asarray(x, dtype=float)
         if np.any(arr <= band.a) or np.any(arr >= band.b):
             raise ValueError(
@@ -151,7 +144,7 @@ class PerturbedModel:
             )
         one_minus = 1.0 - arr
         u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
-        out = _bessel_density(self.noise, t, u, one_minus)
+        out = _bessel_density(self.noise, band.t, u, one_minus)
         return float(out) if arr.ndim == 0 else out
 
     def cdf(self, x, t: float):
@@ -161,6 +154,7 @@ class PerturbedModel:
         Accepts a scalar or an array of ``x``.
         """
         band = self.band(t)  # also validates t
+        t = band.t
         arr = np.asarray(x, dtype=float)
         ct = self.noise.c * t
         # X <= x  <=>  W <= log(survival(t) / (1 - x)); clamp the threshold
@@ -182,10 +176,9 @@ class PerturbedModel:
 
     def variance(self, t):
         """Var[X(t)] = survival^2 * (M(-2,t) - M(-1,t)^2), floored at 0."""
-        cum = np.asarray(self.hazard.cumulative(t), dtype=float)
-        ta = np.asarray(t, dtype=float)
-        second = scaled_mgf(self.noise, -2.0, ta, 2.0 * cum)
-        first = scaled_mgf(self.noise, -1.0, ta, cum)
+        cum = self.hazard.cumulative(t)
+        second = scaled_mgf(self.noise, -2.0, t, 2.0 * cum)
+        first = scaled_mgf(self.noise, -1.0, t, cum)
         out = np.maximum(np.asarray(second) - np.asarray(first) ** 2, 0.0)
         return float(out) if np.ndim(t) == 0 else out
 
@@ -198,12 +191,9 @@ class PerturbedModel:
         X(t) = 1 - exp(-(R(t) + W(t))). Grid times must satisfy
         t <= horizon and t < support_end.
         """
-        grid = np.asarray(time_grid, dtype=float)
+        grid = _times(time_grid, self.hazard.support_end, "time_grid")
         if grid.ndim != 1 or grid.size == 0:
             raise ValueError("time_grid must be a non-empty 1-d sequence")
-        if np.any(grid > horizon):
-            raise ValueError("time_grid must not exceed the horizon")
-        self.hazard._check_time(grid)
         path = sample_path(self.noise, horizon, seed)
         w = integrate_path(path, self.noise, grid)
         return -np.expm1(-(self.hazard.cumulative(grid) + w))

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import betainc, gammaln, xlogy
 
-from .hazard import _positive
+from .hazard import _count, _positive, _times
 from .special import bessel_i0e, bessel_i1e_over_x
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
@@ -88,9 +88,7 @@ def integrate_path(path: TelegraphPath, params: TelegraphParams, t):
     lengths are summed left to right, so every value equals the one a walk
     over the events up to ``t`` gives, to the last bit.
     """
-    arr = np.asarray(t, dtype=float)
-    if not np.all((arr >= 0.0) & (arr <= path.horizon)):
-        raise ValueError(f"t must lie in [0, {path.horizon}], got {t!r}")
+    arr = _times(t, math.nextafter(path.horizon, math.inf))  # [0, horizon], closed
     starts = np.array((0.0, *path.event_times))
     signs = np.where(np.arange(starts.size) % 2, -1.0, 1.0) * path.initial_sign
     # integral up to each segment start, then the partial segment up to t
@@ -111,8 +109,7 @@ def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.n
     needs O(n_paths) memory whatever ``lam * t``.
     """
     t = _positive("t", t)
-    if n_paths < 0:
-        raise ValueError(f"n_paths must be >= 0, got {n_paths!r}")
+    n_paths = _count("n_paths", n_paths, 0)
     rng = np.random.default_rng(seed)
     counts = rng.poisson(params.lam * t, size=n_paths)
     signs = np.where(rng.random(n_paths) < 0.5, 1.0, -1.0)
@@ -211,7 +208,7 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
     """
     omega = math.hypot(params.lam, s * params.c)
     ratio = params.lam / omega
-    ta = np.asarray(t, dtype=float)
+    ta = _times(t)
     shift = np.asarray(log_scale, dtype=float)
     out = 0.5 * (1.0 + ratio) * np.exp((omega - params.lam) * ta - shift) + 0.5 * (
         1.0 - ratio
@@ -221,9 +218,6 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
 
 def mgf(params: TelegraphParams, s: float, t):
     """Moment generating function E[exp(s W(t))]; symmetric in s <-> -s."""
-    ta = np.asarray(t, dtype=float)
-    if np.any(ta < 0.0) or not np.all(np.isfinite(ta)):
-        raise ValueError(f"t must be finite and >= 0, got {t!r}")
     if not math.isfinite(s):
         raise ValueError(f"s must be finite, got {s!r}")
     return scaled_mgf(params, s, t, 0.0)

@@ -200,6 +200,44 @@ class TestValidationErrors:
         assert out == ""
         assert "--t" in err
 
+    def test_tiny_t_w_density_names_t(self, capsys):
+        # the 40000 x values collapse onto a few subnormals inside (-1e-320, 1e-320)
+        code, out, err = run(capsys, "density", "--process", "w", "--t", "1e-320",
+                             "--points", "40000")
+        assert code == 2
+        assert out == ""
+        assert "--t 1e-320" in err
+
+    @pytest.mark.parametrize(
+        "argv, flag",
+        [
+            (("moments", "--t-max", "10"), "--t-max"),
+            (("band", "--t-max", "10", "--points", "4"), "--t-max"),
+            (("density", "--process", "x", "--t", "10"), "--t"),
+        ],
+        ids=["moments", "band", "density"],
+    )
+    def test_time_past_finite_support_named(self, capsys, tmp_path, argv, flag):
+        hazard_file = tmp_path / "fin.cfg"
+        hazard_file.write_text("kind = constant\nrate = 2\nsupport_end = 5\n")
+        code, out, err = run(capsys, *argv, "--hazard", str(hazard_file))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {flag} must lie in [0, 5.0), got 10.0\n"
+
+    @pytest.mark.parametrize("command", ["estimate", "defensibility"])
+    def test_equal_order_statistics_rejected(self, capsys, tmp_path, command):
+        # the 1st and (n-1)-th order statistics are both 5: no interior grid
+        data = tmp_path / "tied.txt"
+        data.write_text("5 5 7\n")
+        argv = [command, "--data", str(data), "--bandwidth", "1"]
+        if command == "defensibility":
+            argv += ["--hazard", "preset:app1_constant", "--c", "0.001"]
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert "grid for this sample" in err and "(5.0, 5.0)" in err
+
     def test_argparse_error_exit_two(self, capsys):
         assert main(["simulate-w", "--paths", "not-an-int"]) == 2
 
@@ -345,6 +383,36 @@ class TestHazardFileAndConfig:
         code, out, _ = run(capsys, "--help")
         assert code == 0
         assert "--config FILE" in " ".join(out.split())  # argparse rewraps to the terminal
+
+    def test_config_repeated_key_named(self, capsys, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("c = 1\nC = 2\n")
+        argv = ("band", "--hazard", "preset:polynomial_c1", "--config", str(cfg))
+        code, out, err = run(capsys, *argv)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {cfg}: line 2: repeated key 'c'\n"
+
+    def test_config_keys_case_insensitive(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.txt"
+        cfg.write_text("T_MAX = 0.5\npoints = 3\n")
+        argv = ("band", "--hazard", "preset:polynomial_c1", "--config", str(cfg))
+        code, out, _ = run(capsys, *argv)
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 1 + 3
+        assert lines[-1].startswith("0.5,")
+
+    @pytest.mark.parametrize(
+        "text", ["kind = constant\nrate = x\n", "rate = 2\n"], ids=["bad-value", "no-kind"]
+    )
+    def test_hazard_file_error_names_file(self, capsys, tmp_path, text):
+        hazard_file = tmp_path / "hz.cfg"
+        hazard_file.write_text(text)
+        code, out, err = run(capsys, "band", "--hazard", str(hazard_file))
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: {hazard_file}: ")
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "defensibility", "--config", "/nonexistent/x.cfg")

@@ -232,6 +232,17 @@ class TestConfidenceBand:
         with pytest.raises(ValueError):
             BandConfig(h=6.0, alpha=-0.1)
 
+    def test_count_and_alpha_types(self):
+        for bad in (2.5, True, 1):
+            with pytest.raises(ValueError, match="grid_size must be an integer >= 2"):
+                BandConfig(h=6.0, alpha=0.025, grid_size=bad)
+        for bad in (True, "0.025"):
+            with pytest.raises(ValueError, match="alpha must be a real number"):
+                BandConfig(h=6.0, alpha=bad)
+        config = BandConfig(h=6.0, alpha=np.float32(0.025), grid_size=np.int64(8))
+        assert config.alpha == float(np.float32(0.025)) and type(config.alpha) is float
+        assert config.grid_size == 8
+
     def test_unusable_points_are_masked(self):
         # two clusters far apart leave a dead zone where the density vanishes
         sample = Sample.from_values([1.0, 1.1, 1.2, 99.0, 99.1, 99.2])

@@ -59,6 +59,14 @@ class TestRateValues:
             spec.rate(float("nan"))
         assert spec.rate(1.999) == 1.0
 
+    def test_time_error_quotes_first_bad_value(self):
+        spec = ConstantHazard(2.0, support_end=5.0)
+        with pytest.raises(ValueError) as info:
+            spec.cumulative(np.linspace(0.0, 10.0, 401))
+        assert str(info.value) == "t must lie in [0, 5.0), got 5.0"
+        with pytest.raises(ValueError, match="must be a real number, got None"):
+            spec.rate([0.5, None])
+
 
 class TestCumulative:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
@@ -215,7 +223,7 @@ class TestDominance:
 
     def test_time_horizon_reaches_tail(self):
         for spec in ALL_SPECS:
-            horizon = time_horizon(spec, tail=1e-6)
+            horizon = time_horizon(spec)
             if math.isinf(spec.support_end):
                 assert spec.survival(horizon) <= 1e-6 * (1.0 + 1e-9)
 

@@ -7,12 +7,51 @@ from scipy import integrate
 from telhaz.hazard import PiecewiseLinearHazard, PolynomialHazard
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import FIG3_TIMES, model_fig1, model_fig2, model_fig3
-from telhaz.telegraph import TelegraphParams, w_atom_prob, w_density
+from telhaz.telegraph import (
+    TelegraphParams,
+    TelegraphPath,
+    integrate_path,
+    mgf,
+    scaled_mgf,
+    w_atom_prob,
+    w_density,
+)
 
 
 @pytest.fixture(scope="module")
 def fig_model():
     return model_fig3()  # c=1, lam=15, alpha=15, beta=0.001
+
+
+# every entry point of the X(t) layer that takes a time t; x = 0.75 lies inside
+# the fig3 band at t = 0.5 and t = 1
+TIME_CALLS = {
+    "rate": lambda m, t: m.hazard.rate(t),
+    "cumulative": lambda m, t: m.hazard.cumulative(t),
+    "band": lambda m, t: m.band(t),
+    "density": lambda m, t: m.density(0.75, t),
+    "cdf": lambda m, t: m.cdf(0.75, t),
+    "atom_prob": lambda m, t: m.atom_prob(t),
+    "mean": lambda m, t: m.mean(t),
+    "variance": lambda m, t: m.variance(t),
+    "band_width_nondecreasing": lambda m, t: m.band_width_nondecreasing(t),
+    "integrate_path": lambda m, t: integrate_path(TelegraphPath(1, (0.3,), 2.0), m.noise, t),
+    "mgf": lambda m, t: mgf(m.noise, 1.0, t),
+    "scaled_mgf": lambda m, t: scaled_mgf(m.noise, -1.0, t, 0.0),
+}
+
+
+class TestTimeRule:
+    @pytest.mark.parametrize("bad", [True, "0.5"])
+    @pytest.mark.parametrize("name", sorted(TIME_CALLS))
+    def test_non_real_time_rejected(self, fig_model, name, bad):
+        with pytest.raises(ValueError, match=f"must be a real number, got {bad!r}"):
+            TIME_CALLS[name](fig_model, bad)
+
+    @pytest.mark.parametrize("t", [np.int64(1), np.float32(0.5)], ids=["int64", "float32"])
+    @pytest.mark.parametrize("name", sorted(TIME_CALLS))
+    def test_numpy_time_accepted(self, fig_model, name, t):
+        assert TIME_CALLS[name](fig_model, t) == TIME_CALLS[name](fig_model, float(t))
 
 
 class TestConstruction:
@@ -56,7 +95,6 @@ class TestBand:
         band = soft.band(30.0)
         assert band.a == pytest.approx(-math.expm1(-nu), abs=1e-9)
         assert band.b == pytest.approx(1.0, abs=1e-12)
-        assert band.nu == nu
 
     def test_width_condition_flips_for_bimodal_case(self):
         model = model_fig2("a")

@@ -108,6 +108,13 @@ class TestSampling:
         assert np.all(np.abs(w) == 2.0)  # no switches at negligible rate
         assert sample_w(p, 1.0, 0, seed=0).size == 0
 
+    def test_path_count_validation(self):
+        p = TelegraphParams(c=1.0, lam=1.0)
+        for bad in (2.5, True, -1):
+            with pytest.raises(ValueError, match="n_paths must be an integer >= 0"):
+                sample_w(p, 1.0, bad, seed=0)
+        assert sample_w(p, 1.0, np.int64(3), seed=0).size == 3
+
 
 class TestIntegration:
     def test_zero_event_path(self):
