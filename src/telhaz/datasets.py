@@ -71,28 +71,28 @@ def load(path) -> NamedDataset:
     """Parse a whitespace/newline separated (or single-column CSV) numeric file.
 
     Values are validated (finite, positive, at least three) and sorted.
-    Parse errors name the offending line and token.
+    Errors start with ``path`` as given; parse errors name the offending
+    line and token.
     """
-    path = Path(path)
     values: list[float] = []
-    with path.open("r", encoding="utf-8") as fh:
+    with open(path, "r", encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
             for token in raw.replace(",", " ").split():
                 try:
                     value = float(token)
                 except ValueError:
                     raise ValueError(
-                        f"{path.name}:{lineno}: non-numeric token {token!r}"
+                        f"{path}:{lineno}: non-numeric token {token!r}"
                     ) from None
                 if not np.isfinite(value) or value <= 0.0:
                     raise ValueError(
-                        f"{path.name}:{lineno}: value must be finite and > 0, got {token}"
+                        f"{path}:{lineno}: value must be finite and > 0, got {token}"
                     )
                 values.append(value)
     if len(values) < 3:
-        raise ValueError(f"{path.name}: need at least 3 values, found {len(values)}")
+        raise ValueError(f"{path}: need at least 3 values, found {len(values)}")
     return NamedDataset(
-        name=path.stem,
+        name=Path(path).stem,
         sample=Sample.from_values(values),
     )
 

@@ -19,6 +19,8 @@ from .hazard import HazardSpec, _count, _interior, _positive
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
+# pairs (grid point, observation) evaluated at once by kde; bounds its memory
+_BLOCK = 1 << 18
 
 
 class UpperTailError(ValueError):
@@ -39,8 +41,13 @@ class Kernel:
 
     def cdf(self, u):
         u = np.asarray(u, dtype=float)
-        core = 0.5 + 3.0 / (4.0 * _SQRT5) * (u - u**3 / 15.0)
-        return np.where(u < -_SQRT5, 0.0, np.where(u > _SQRT5, 1.0, core))
+        # the cubic only inside the support, where its value is kept; 0 or 1
+        # outside. np.array, not .astype: a 0-d result must stay assignable
+        out = np.array(u > _SQRT5, dtype=float)
+        inside = ~((u < -_SQRT5) | (u > _SQRT5))  # NaN stays inside and gives NaN
+        v = u[inside]
+        out[inside] = 0.5 + 3.0 / (4.0 * _SQRT5) * (v - v**3 / 15.0)
+        return out
 
 
 EPANECHNIKOV = Kernel()
@@ -77,14 +84,25 @@ def kde(sample: Sample, h: float, t):
     """(f_hat, F_hat) at ``t``: (nh)^-1 sum k(u_i) and n^-1 sum K(u_i), u_i = (t - T_i)/h.
 
     K is the kernel antiderivative, so f_hat integrates to one over the real
-    line. A scalar ``t`` gives two floats.
+    line. A scalar ``t`` gives two floats. The grid is walked in blocks of
+    at most ``_BLOCK`` pairs (one grid point per block at least), so memory
+    is O(n) whatever the grid size; each point's sum is the same as over the
+    whole matrix, bit for bit.
     """
     h = _positive("bandwidth", h)
     ta = np.asarray(t, dtype=float)
-    u = (ta[..., None] - sample.values) / h
-    f = EPANECHNIKOV.density(u).mean(axis=-1) / h
-    F = EPANECHNIKOV.cdf(u).mean(axis=-1)
-    return (float(f), float(F)) if ta.ndim == 0 else (f, F)
+    flat = ta.reshape(-1)
+    f = np.empty_like(flat)
+    F = np.empty_like(flat)
+    step = max(1, _BLOCK // sample.n)
+    for start in range(0, flat.size, step):
+        rows = slice(start, start + step)
+        u = (flat[rows, None] - sample.values) / h
+        f[rows] = EPANECHNIKOV.density(u).mean(axis=-1) / h
+        F[rows] = EPANECHNIKOV.cdf(u).mean(axis=-1)
+    if ta.ndim == 0:
+        return float(f[0]), float(F[0])
+    return f.reshape(ta.shape), F.reshape(ta.shape)
 
 
 def hazard_estimate(sample: Sample, h: float, t):

@@ -51,10 +51,10 @@ class HazardSpec:
         Dominance r > c holds on the interval iff the slack is > 0. Exact for
         the closed-form families; a custom pair is checked on a grid.
         """
-        if not 0.0 <= lo < hi < self.support_end:
-            raise ValueError(
-                f"need 0 <= lo < hi < support_end = {self.support_end}, got ({lo!r}, {hi!r})"
-            )
+        lo = float(_times(lo, self.support_end, name="lo"))
+        hi = float(_times(hi, self.support_end, name="hi"))
+        if not lo < hi:
+            raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
         pts, rates = self._slack_candidates(lo, hi)
         i = int(np.argmin(rates))
         return float(rates[i] - c), float(pts[i])

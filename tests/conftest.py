@@ -5,7 +5,8 @@ vectorized one: it walks exponential inter-arrival gaps path by path, so the
 two constructions can cross-validate each other. The path integral is the
 same kind of walk, over one realized path's switch times. The kernel
 estimates are plain per-observation sums, the reference for any faster
-evaluator of the library's vectorized ``kde``.
+evaluator of the library's vectorized ``kde``; ``matrix_kde`` is the
+one-matrix evaluator that ``kde`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -67,6 +68,25 @@ def direct_kde(values, h: float, t: float) -> tuple[float, float]:
             K_terms.append(0.5 + scale * (u - u**3 / 15.0))
     n = len(values)
     return math.fsum(k_terms) / (n * h), math.fsum(K_terms) / n
+
+
+def where_cdf(u):
+    """Kernel CDF with the cubic taken everywhere, then 0/1 chosen outside the support (oracle)."""
+    root5 = math.sqrt(5.0)
+    u = np.asarray(u, dtype=float)
+    with np.errstate(invalid="ignore"):  # inf - inf at u = +-inf; np.where discards it
+        core = 0.5 + 3.0 / (4.0 * root5) * (u - u**3 / 15.0)
+    return np.where(u < -root5, 0.0, np.where(u > root5, 1.0, core))
+
+
+def matrix_kde(values, h: float, t):
+    """f_hat and F_hat from the whole (m x n) matrix u = (t - T_i)/h at once (oracle)."""
+    root5 = math.sqrt(5.0)
+    ta = np.asarray(t, dtype=float)
+    u = (ta[..., None] - np.asarray(values, dtype=float)) / h
+    f = np.maximum(3.0 / (4.0 * root5) * (1.0 - u * u / 5.0), 0.0).mean(axis=-1) / h
+    F = where_cdf(u).mean(axis=-1)
+    return (float(f), float(F)) if ta.ndim == 0 else (f, F)
 
 
 def ks_distance(sorted_sample: np.ndarray, cdf_at_sample: np.ndarray) -> float:

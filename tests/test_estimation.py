@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,9 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import direct_kde
+from conftest import direct_kde, matrix_kde, where_cdf
 from telhaz.datasets import builtin
 from telhaz.estimation import (
+    _BLOCK,
     EPANECHNIKOV,
     BandConfig,
     Sample,
@@ -45,6 +47,17 @@ class TestKernel:
         assert float(EPANECHNIKOV.cdf(-SQRT5)) == pytest.approx(0.0, abs=1e-15)
         assert float(EPANECHNIKOV.cdf(SQRT5)) == pytest.approx(1.0, abs=1e-15)
         assert float(EPANECHNIKOV.cdf(0.0)) == 0.5
+
+    def test_cdf_bit_identical_to_where_formula(self):
+        edges = [SQRT5, -SQRT5]
+        edges += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
+        u = np.array([*edges, np.inf, -np.inf, np.nan, 0.0, -1e-300])
+        u = np.concatenate([u, np.random.default_rng(4).uniform(-3.0, 3.0, 1000)])
+        assert np.array_equal(EPANECHNIKOV.cdf(u), where_cdf(u), equal_nan=True)
+        for value in u[:11].tolist():
+            out = EPANECHNIKOV.cdf(value)
+            assert out.shape == ()
+            assert np.array_equal(out, where_cdf(value), equal_nan=True)
 
     def test_l2_constant_closed_form_vs_quadrature(self):
         numeric, _ = integrate.quad(
@@ -149,6 +162,26 @@ class TestKde:
         np.testing.assert_allclose(f, direct[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(F, direct[:, 1], rtol=1e-12, atol=0.0)
 
+    @pytest.mark.parametrize("name, h", [("melanoma_46", 6.0), ("service_86", 75.0), ("exp_1e4", 20.0)])
+    def test_bit_identical_to_matrix_kde(self, name, h):
+        if name == "exp_1e4":
+            sample = Sample.from_values(np.random.default_rng(5).exponential(80.0, size=10_000))
+        else:
+            sample = builtin(name).sample
+        reach = 3.0 * SQRT5 * h  # past both ends of the sample's kernel support
+        ts = np.linspace(sample.values[0] - reach, sample.values[-1] + reach, 301)
+        for t in (ts, ts[:300].reshape(20, 15), float(ts[150])):
+            got, want = kde(sample, h, t), matrix_kde(sample.values, h, t)
+            assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+            assert np.shape(got[0]) == np.shape(want[0])
+
+    def test_bit_identical_with_one_row_blocks(self):
+        # n above _BLOCK: every block holds a single grid point
+        sample = Sample.from_values(np.random.default_rng(6).exponential(size=_BLOCK + 1000))
+        ts = np.array([-0.1, 0.01, 0.5, 3.0, 40.0])
+        got, want = kde(sample, 0.05, ts), matrix_kde(sample.values, 0.05, ts)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
     def test_scalar_time_gives_two_floats(self, melanoma):
         f, F = kde(melanoma, 6.0, 50.0)
         assert type(f) is float and type(F) is float
@@ -207,6 +240,18 @@ class TestConfidenceBand:
         narrow = confidence_band(large, BandConfig(h=25.0, alpha=0.025, grid=grid))
         wide = confidence_band(small, BandConfig(h=25.0, alpha=0.025, grid=grid))
         assert np.nanmean(narrow.halfwidth) < np.nanmean(wide.halfwidth)
+
+    def test_memory_does_not_grow_with_grid(self):
+        # one (512 x 1e5) matrix of doubles alone would be ~400 MB
+        sample = Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
+        config = BandConfig(h=0.02, alpha=0.025)
+        tracemalloc.start()
+        try:
+            confidence_band(sample, config)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 64 * 2**20
 
     def test_explicit_grid_must_stay_interior(self, melanoma):
         with pytest.raises(ValueError):

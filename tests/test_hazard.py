@@ -220,6 +220,9 @@ class TestDominance:
         for lo, hi in ((1.0, 1.0), (-0.1, 1.0), (0.0, 2.0), (0.0, math.nan)):
             with pytest.raises(ValueError):
                 spec.min_slack(0.5, lo, hi)
+        for lo, hi, name in ((True, 1.5, "lo"), (0.0, True, "hi"), ("0", 1.5, "lo")):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+                spec.min_slack(0.5, lo, hi)
 
     def test_time_horizon_reaches_tail(self):
         for spec in ALL_SPECS:
