@@ -16,7 +16,6 @@ import contextlib
 import csv
 import functools
 import itertools
-import math
 import os
 import sys
 import traceback
@@ -25,8 +24,10 @@ from pathlib import Path
 import numpy as np
 
 from . import datasets, presets
-from .estimation import BandConfig, confidence_band, defensibility_test
-from .hazard import HazardSpec, _config_entries, _interior, _read_file, _times, load_hazard_config
+from .estimation import BandConfig, _alpha, confidence_band, defensibility_test
+from .hazard import (
+    _config_entries, _count, _interior, _positive, _read_file, _times, load_hazard_config
+)
 from .perturbed import PerturbedModel
 from .telegraph import TelegraphParams, integrate_path, sample_path, w_density
 
@@ -46,29 +47,27 @@ def _write_csv(path: str | Path | None, rows) -> None:
         csv.writer(out, lineterminator="\n").writerows(rows)
 
 
-def _resolve_hazard(spec: str) -> HazardSpec:
-    if spec.startswith("preset:"):
-        name = spec[len("preset:"):]
-        try:
-            return presets.HAZARDS[name]
-        except KeyError:
-            raise ValueError(
-                f"unknown hazard preset {name!r}; available: {sorted(presets.HAZARDS)}"
-            ) from None
-    return load_hazard_config(spec)
+def _resolve(spec: str, kind: str, named: dict, load):
+    """``preset:NAME`` looked up in ``named``; any other ``spec`` is a file read by ``load``."""
+    if not spec.startswith("preset:"):
+        return load(spec)
+    name = spec[len("preset:"):]
+    if name not in named:
+        raise ValueError(f"unknown {kind} preset {name!r}; available: {sorted(named)}")
+    return named[name]
 
 
-def _resolve_dataset(spec: str) -> datasets.NamedDataset:
-    if spec.startswith("preset:"):
-        try:
-            return datasets.builtin(spec[len("preset:"):])
-        except KeyError as exc:
-            raise ValueError(exc.args[0]) from None
-    return datasets.load(spec)
+def _hazard(args):
+    return _resolve(args.hazard, "hazard", presets.HAZARDS, load_hazard_config)
 
 
 def _model_from_args(args) -> PerturbedModel:
-    return PerturbedModel(_resolve_hazard(args.hazard), TelegraphParams(c=args.c, lam=args.lam))
+    return PerturbedModel(_hazard(args), TelegraphParams(c=args.c, lam=args.lam))
+
+
+def _data_and_config(args) -> tuple[datasets.NamedDataset, BandConfig]:
+    dataset = _resolve(args.data, "dataset", datasets._BUILTIN, datasets.load)
+    return dataset, BandConfig(h=args.bandwidth, alpha=args.alpha, grid_size=args.grid_size)
 
 
 # -- tables -------------------------------------------------------------------
@@ -149,8 +148,8 @@ def cmd_simulate_x(args) -> int:
 
 
 def cmd_density(args) -> int:
-    params = TelegraphParams(c=args.c, lam=args.lam)
     if args.process == "w":
+        params = TelegraphParams(c=args.c, lam=args.lam)
         ct = params.c * args.t
         xs = np.linspace(-ct, ct, args.points + 2)[1:-1]
         _interior(xs, -ct, ct, f"--t {args.t!r} (support of W(t))")
@@ -158,7 +157,7 @@ def cmd_density(args) -> int:
     else:
         if args.hazard is None:
             raise ValueError("--hazard is required for the x-process density")
-        model = PerturbedModel(_resolve_hazard(args.hazard), params)
+        model = _model_from_args(args)
         _times(args.t, model.hazard.support_end, "--t")
         xs, f = _x_density(model, args.t, args.points)
     _write_csv(args.output, _table(("x", "density"), xs, f))
@@ -183,33 +182,35 @@ def cmd_band(args) -> int:
 
 
 def cmd_estimate(args) -> int:
-    dataset = _resolve_dataset(args.data)
-    config = BandConfig(h=args.bandwidth, alpha=args.alpha, grid_size=args.grid_size)
+    dataset, config = _data_and_config(args)
     _write_csv(args.output, _estimate_rows(confidence_band(dataset.sample, config)))
     return 0
 
 
-def _write_defensibility_report(stream, report, dataset_name: str, args) -> None:
-    stream.write(f"dataset = {dataset_name}\n")
-    stream.write(f"n = {report.band.grid.size} grid points, h = {args.bandwidth!r}, ")
-    stream.write(f"alpha = {args.alpha!r}\n")
-    stream.write(f"c = {report.c!r}\n")
-    stream.write(f"holds = {str(report.holds).lower()}\n")
-    stream.write(f"max_admissible_c = {report.max_admissible_c!r}\n")
-    if report.violating_t is not None:
-        stream.write(f"violating_t = {report.violating_t!r}\n")
+def _write_verdict(path, dataset_name: str, config: BandConfig, report, with_grid_size: bool):
+    """The key = value verdict block; ``violating_t`` only when the test fails.
+
+    ``with_grid_size`` opens the second line with the number of grid points,
+    as ``--format report`` has it; the published ``report.txt`` leaves it out.
+    """
+    size = f"n = {report.band.grid.size} grid points, " if with_grid_size else ""
+    with _open_output(path) as out:
+        out.write(f"dataset = {dataset_name}\n")
+        out.write(f"{size}h = {config.h!r}, alpha = {config.alpha!r}\n")
+        out.write(f"c = {report.c!r}\n")
+        out.write(f"holds = {str(report.holds).lower()}\n")
+        out.write(f"max_admissible_c = {report.max_admissible_c!r}\n")
+        if not report.holds:
+            out.write(f"violating_t = {report.violating_t!r}\n")
 
 
 def cmd_defensibility(args) -> int:
-    dataset = _resolve_dataset(args.data)
-    baseline = _resolve_hazard(args.hazard)
-    config = BandConfig(h=args.bandwidth, alpha=args.alpha, grid_size=args.grid_size)
-    report = defensibility_test(dataset.sample, config, baseline, args.c)
+    dataset, config = _data_and_config(args)
+    report = defensibility_test(dataset.sample, config, _hazard(args), args.c)
     if args.format == "csv":
         _write_csv(args.output, _defensibility_rows(report))
     else:
-        with _open_output(args.output) as out:
-            _write_defensibility_report(out, report, dataset.name, args)
+        _write_verdict(args.output, dataset.name, config, report, with_grid_size=True)
     return 0 if report.holds else 3
 
 
@@ -261,13 +262,7 @@ def _reproduce_app(outdir: Path, seed: int, preset: dict) -> int:
     report = defensibility_test(dataset.sample, config, preset["baseline"], preset["c"])
     _write_csv(outdir / "estimate.csv", _estimate_rows(report.band))
     _write_csv(outdir / "defensibility.csv", _defensibility_rows(report))
-    # not the --format report block: the published report.txt has its own layout
-    with _open_output(outdir / "report.txt") as fh:
-        fh.write(f"dataset = {dataset.name}\n")
-        fh.write(f"h = {preset['h']!r}, alpha = {preset['alpha']!r}\n")
-        fh.write(f"c = {preset['c']!r}\n")
-        fh.write(f"holds = {str(report.holds).lower()}\n")
-        fh.write(f"max_admissible_c = {report.max_admissible_c!r}\n")
+    _write_verdict(outdir / "report.txt", dataset.name, config, report, with_grid_size=False)
     return 0 if report.holds else 3
 
 
@@ -290,37 +285,56 @@ def cmd_reproduce(args) -> int:
 # -- parser -------------------------------------------------------------------
 
 
-def _count(minimum: int):
-    """argparse type for a count flag: an integer no smaller than ``minimum``."""
+def _flag(convert, rule, *bounds):
+    """argparse type: ``convert`` the text, then check the value with the library ``rule``.
 
-    def parse(text: str) -> int:
-        value = int(text)
-        if value < minimum:
-            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-        return value
+    The rule's ValueError becomes "argument --flag: must be ..."; a failed
+    conversion stays a ValueError, which argparse reports as "invalid int
+    value" or "invalid float value".
+    """
 
-    parse.__name__ = "int"  # argparse reports a ValueError as "invalid int value"
+    def parse(text: str):
+        value = convert(text)
+        try:
+            return rule("", value, *bounds)  # argparse names the flag, so the rule names none
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc).lstrip()) from None
+
+    parse.__name__ = convert.__name__
     return parse
 
 
-def _positive(allow_zero: bool):
-    """argparse type for a float flag: finite and > 0 or, with ``allow_zero``, >= 0."""
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
-            bound = ">= 0" if allow_zero else "> 0"
-            raise argparse.ArgumentTypeError(f"must be finite and {bound}, got {text}")
-        return value
-
-    parse.__name__ = "float"  # argparse reports a ValueError as "invalid float value"
-    return parse
+_POSITIVE = _flag(float, _positive)
 
 
 def _add_noise_flags(p: argparse.ArgumentParser) -> None:
-    positive = _positive(allow_zero=False)
-    p.add_argument("--c", type=positive, default=1.0, help="noise amplitude (> 0)")
-    p.add_argument("--lam", type=positive, default=1.0, help="switching rate (> 0)")
+    p.add_argument("--c", type=_POSITIVE, default=1.0, help="noise amplitude (> 0)")
+    p.add_argument("--lam", type=_POSITIVE, default=1.0, help="switching rate (> 0)")
+
+
+def _add_path_flags(p: argparse.ArgumentParser) -> None:
+    """The noise and sampling flags of simulate-w and simulate-x."""
+    _add_noise_flags(p)
+    p.add_argument("--horizon", type=_POSITIVE, default=1.0)
+    p.add_argument("--paths", type=_flag(int, _count, 0), default=2)
+    p.add_argument("--grid-size", type=_flag(int, _count, 1), default=201)
+    p.add_argument("--seed", type=_flag(int, _count, 0), default=1)
+
+
+def _add_grid_flags(p: argparse.ArgumentParser) -> None:
+    """The model and time-grid flags of moments and band."""
+    p.add_argument("--hazard", required=True)
+    _add_noise_flags(p)
+    p.add_argument("--t-max", type=_flag(float, _positive, True), default=2.0)
+    p.add_argument("--points", type=_flag(int, _count, 1), default=401)
+
+
+def _add_band_flags(p: argparse.ArgumentParser) -> None:
+    """The data and confidence-band flags of estimate and defensibility."""
+    p.add_argument("--data", required=True, help="data file or preset:NAME")
+    p.add_argument("--bandwidth", type=_POSITIVE, required=True)
+    p.add_argument("--alpha", type=_flag(float, _alpha), default=0.025)
+    p.add_argument("--grid-size", type=_flag(int, _count, 2), default=512)
 
 
 def _add_output_flag(p: argparse.ArgumentParser) -> None:
@@ -337,21 +351,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("simulate-w", help="sample paths of the integrated noise")
-    _add_noise_flags(p)
-    p.add_argument("--horizon", type=_positive(allow_zero=False), default=1.0)
-    p.add_argument("--paths", type=_count(0), default=2)
-    p.add_argument("--grid-size", type=_count(1), default=201)
-    p.add_argument("--seed", type=_count(0), default=1)
+    _add_path_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate_w)
 
     p = sub.add_parser("simulate-x", help="sample paths of the perturbed CDF process")
     p.add_argument("--hazard", required=True, help="hazard config file or preset:NAME")
-    _add_noise_flags(p)
-    p.add_argument("--horizon", type=_positive(allow_zero=False), default=1.0)
-    p.add_argument("--paths", type=_count(0), default=2)
-    p.add_argument("--grid-size", type=_count(1), default=201)
-    p.add_argument("--seed", type=_count(0), default=1)
+    _add_path_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_simulate_x)
 
@@ -359,42 +365,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--process", choices=("w", "x"), default="w")
     p.add_argument("--hazard", default=None, help="required when --process x")
     _add_noise_flags(p)
-    p.add_argument("--t", type=_positive(allow_zero=False), default=1.0)
-    p.add_argument("--points", type=_count(1), default=401)
+    p.add_argument("--t", type=_POSITIVE, default=1.0)
+    p.add_argument("--points", type=_flag(int, _count, 1), default=401)
     _add_output_flag(p)
     p.set_defaults(func=cmd_density)
 
     p = sub.add_parser("moments", help="mean and variance of X(t) on a grid")
-    p.add_argument("--hazard", required=True)
-    _add_noise_flags(p)
-    p.add_argument("--t-max", type=_positive(allow_zero=True), default=2.0)
-    p.add_argument("--points", type=_count(1), default=401)
+    _add_grid_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_moments)
 
     p = sub.add_parser("band", help="almost-sure band of X(t) on a grid")
-    p.add_argument("--hazard", required=True)
-    _add_noise_flags(p)
-    p.add_argument("--t-max", type=_positive(allow_zero=True), default=2.0)
-    p.add_argument("--points", type=_count(1), default=401)
+    _add_grid_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_band)
 
     p = sub.add_parser("estimate", help="kernel density/CDF/hazard with confidence band")
-    p.add_argument("--data", required=True, help="data file or preset:NAME")
-    p.add_argument("--bandwidth", type=_positive(allow_zero=False), required=True)
-    p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--grid-size", type=_count(2), default=512)
+    _add_band_flags(p)
     _add_output_flag(p)
     p.set_defaults(func=cmd_estimate)
 
     p = sub.add_parser("defensibility", help="strip test of the model on a data set")
-    p.add_argument("--data", required=True, help="data file or preset:NAME")
+    _add_band_flags(p)
     p.add_argument("--hazard", required=True, help="baseline hazard config or preset:NAME")
-    p.add_argument("--bandwidth", type=_positive(allow_zero=False), required=True)
-    p.add_argument("--alpha", type=float, default=0.025)
-    p.add_argument("--c", type=_positive(allow_zero=False), required=True)
-    p.add_argument("--grid-size", type=_count(2), default=512)
+    p.add_argument("--c", type=_POSITIVE, required=True)
     p.add_argument("--format", choices=("csv", "report"), default="report")
     _add_output_flag(p)
     p.set_defaults(func=cmd_defensibility)
@@ -402,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("reproduce", help="emit all tables for a named figure or case study")
     p.add_argument("target", choices=tuple(_REPRODUCE))
     p.add_argument("--output-dir", default=None)
-    p.add_argument("--seed", type=_count(0), default=1)
+    p.add_argument("--seed", type=_flag(int, _count, 0), default=1)
     p.set_defaults(func=cmd_reproduce)
 
     return parser

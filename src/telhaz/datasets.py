@@ -7,10 +7,9 @@ observations and are preserved.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from pathlib import Path
-
-import numpy as np
 
 from .estimation import Sample
 
@@ -84,7 +83,7 @@ def load(path) -> NamedDataset:
                     raise ValueError(
                         f"{path}:{lineno}: non-numeric token {token!r}"
                     ) from None
-                if not np.isfinite(value) or value <= 0.0:
+                if not math.isfinite(value) or value <= 0.0:
                     raise ValueError(
                         f"{path}:{lineno}: value must be finite and > 0, got {token}"
                     )

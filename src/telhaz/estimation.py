@@ -23,28 +23,47 @@ _TAIL_EPS = 1e-12
 _BLOCK = 1 << 18
 
 
+def _alpha(name: str, value) -> float:
+    """``value`` as a float: a real number but not a bool, in the open (0, 0.5)."""
+    alpha = _positive(name, value)
+    if not alpha < 0.5:
+        raise ValueError(f"{name} must lie in (0, 0.5), got {value!r}")
+    return alpha
+
+
 class UpperTailError(ValueError):
     """Raised where the estimated survival is too small for a stable ratio."""
 
 
+def _inside(u: np.ndarray) -> np.ndarray:
+    """Where ``u`` is not outside the kernel's support; NaN is inside, so it gives NaN."""
+    return ~((u < -_SQRT5) | (u > _SQRT5))
+
+
 @dataclass(frozen=True)
 class Kernel:
-    """Parabolic kernel on [-sqrt(5), sqrt(5)], variance-normalized (Epanechnikov)."""
+    """Parabolic kernel on [-sqrt(5), sqrt(5)], variance-normalized (Epanechnikov).
+
+    Each formula is evaluated only inside the support, where its value is
+    kept; outside, the density is 0 and the CDF 0 or 1.
+    """
 
     l2_constant = 3.0 * _SQRT5 / 25.0
     support_radius = _SQRT5
 
     def density(self, u):
         u = np.asarray(u, dtype=float)
-        # the maximum also absorbs roundoff of 1 - u^2/5 at exactly +-sqrt(5)
-        return np.maximum(3.0 / (4.0 * _SQRT5) * (1.0 - u * u / 5.0), 0.0)
+        out = np.zeros_like(u)
+        inside = _inside(u)
+        v = u[inside]
+        # the maximum also absorbs roundoff of 1 - v^2/5 at exactly +-sqrt(5)
+        out[inside] = np.maximum(3.0 / (4.0 * _SQRT5) * (1.0 - v * v / 5.0), 0.0)
+        return out
 
     def cdf(self, u):
         u = np.asarray(u, dtype=float)
-        # the cubic only inside the support, where its value is kept; 0 or 1
-        # outside. np.array, not .astype: a 0-d result must stay assignable
-        out = np.array(u > _SQRT5, dtype=float)
-        inside = ~((u < -_SQRT5) | (u > _SQRT5))  # NaN stays inside and gives NaN
+        out = np.array(u > _SQRT5, dtype=float)  # not .astype: a 0-d result must stay assignable
+        inside = _inside(u)
         v = u[inside]
         out[inside] = 0.5 + 3.0 / (4.0 * _SQRT5) * (v - v**3 / 15.0)
         return out
@@ -132,10 +151,7 @@ class BandConfig:
 
     def __post_init__(self):
         _positive("bandwidth", self.h)
-        alpha = _positive("alpha", self.alpha)
-        if not alpha < 0.5:
-            raise ValueError(f"alpha must lie in (0, 0.5), got {self.alpha!r}")
-        object.__setattr__(self, "alpha", alpha)
+        object.__setattr__(self, "alpha", _alpha("alpha", self.alpha))
         object.__setattr__(self, "grid_size", _count("grid_size", self.grid_size, 2))
         if self.grid is not None:
             arr = np.asarray(self.grid, dtype=float)

@@ -93,16 +93,18 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
-    """``t`` as a float array of reals, not bools, in [0, end); errors quote the first bad value."""
+def _times(t, end: float = math.inf, name: str = "t", closed: bool = False) -> np.ndarray:
+    """``t`` as a float array of reals, not bools, in [0, end), or [0, end] if ``closed``."""
     arr = np.asarray(t)
     if arr.dtype.kind not in "iuf":  # bool, str, object, complex, ...
         for value in [*arr.ravel().tolist(), t]:  # t last: an object array fails on itself
             _positive(name, value, allow_zero=True)
     arr = arr.astype(float, copy=False)
-    inside = (arr >= 0.0) & (arr < end)  # NaN fails both
+    inside = (arr >= 0.0) & ((arr <= end) if closed else (arr < end))  # NaN fails both
     if not np.all(inside):
-        raise ValueError(f"{name} must lie in [0, {end}), got {float(arr[~inside][0])!r}")
+        # the error quotes the first bad value, not the whole array
+        bound = f"[0, {end}]" if closed else f"[0, {end})"
+        raise ValueError(f"{name} must lie in {bound}, got {float(arr[~inside][0])!r}")
     return arr
 
 

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hazard import HazardSpec, _times, time_horizon
+from .hazard import HazardSpec, _positive, _times, time_horizon
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
@@ -136,8 +136,9 @@ class PerturbedModel:
         either endpoint, where the naive c^2 t^2 - log^2(...) cancels.
         """
         band = self.band(t)  # also validates t
+        _positive("t", band.t)  # t = 0 leaves the band no interior
         arr = np.asarray(x, dtype=float)
-        if np.any(arr <= band.a) or np.any(arr >= band.b):
+        if not np.all((arr > band.a) & (arr < band.b)):  # NaN fails too
             raise ValueError(
                 f"x must lie strictly inside the band ({band.a}, {band.b}); "
                 "the endpoints carry atoms"

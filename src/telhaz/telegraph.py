@@ -88,7 +88,7 @@ def integrate_path(path: TelegraphPath, params: TelegraphParams, t):
     lengths are summed left to right, so every value equals the one a walk
     over the events up to ``t`` gives, to the last bit.
     """
-    arr = _times(t, math.nextafter(path.horizon, math.inf))  # [0, horizon], closed
+    arr = _times(t, path.horizon, closed=True)
     starts = np.array((0.0, *path.event_times))
     signs = np.where(np.arange(starts.size) % 2, -1.0, 1.0) * path.initial_sign
     # integral up to each segment start, then the partial segment up to t
@@ -151,7 +151,7 @@ def w_density(params: TelegraphParams, t: float, x):
     t = _positive("t", t)
     ct = params.c * t
     arr = np.asarray(x, dtype=float)
-    if np.any(np.abs(arr) >= ct):
+    if not np.all(np.abs(arr) < ct):  # NaN fails too
         raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
     out = _bessel_density(params, t, (ct - arr) * (ct + arr), 1.0)
     return float(out) if arr.ndim == 0 else out

@@ -70,6 +70,13 @@ def direct_kde(values, h: float, t: float) -> tuple[float, float]:
     return math.fsum(k_terms) / (n * h), math.fsum(K_terms) / n
 
 
+def full_density(u):
+    """Kernel density with the quadratic taken everywhere, then clipped at 0 (oracle)."""
+    root5 = math.sqrt(5.0)
+    u = np.asarray(u, dtype=float)
+    return np.maximum(3.0 / (4.0 * root5) * (1.0 - u * u / 5.0), 0.0)
+
+
 def where_cdf(u):
     """Kernel CDF with the cubic taken everywhere, then 0/1 chosen outside the support (oracle)."""
     root5 = math.sqrt(5.0)
@@ -81,10 +88,9 @@ def where_cdf(u):
 
 def matrix_kde(values, h: float, t):
     """f_hat and F_hat from the whole (m x n) matrix u = (t - T_i)/h at once (oracle)."""
-    root5 = math.sqrt(5.0)
     ta = np.asarray(t, dtype=float)
     u = (ta[..., None] - np.asarray(values, dtype=float)) / h
-    f = np.maximum(3.0 / (4.0 * root5) * (1.0 - u * u / 5.0), 0.0).mean(axis=-1) / h
+    f = full_density(u).mean(axis=-1) / h
     F = where_cdf(u).mean(axis=-1)
     return (float(f), float(F)) if ta.ndim == 0 else (f, F)
 

@@ -11,13 +11,27 @@ import numpy as np
 import pytest
 
 import telhaz
-from telhaz.cli import main
+from telhaz.cli import build_parser, main
 from telhaz.presets import model_fig3
 
 
 RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reproduce_sha256.json"
 # stdout SHA-256 and exit code of one invocation per subcommand table and report
 RECORDED_CLI = json.loads(Path(__file__).with_name("cli_sha256.json").read_text())
+
+
+def typed_flags():
+    """(subcommand, flag) for every option of every subcommand that converts its text."""
+    subparsers = next(a for a in build_parser()._actions if a.dest == "command")
+    return [
+        (name, action.option_strings[0])
+        for name, sub in subparsers.choices.items()
+        for action in sub._actions
+        if action.option_strings and action.type is not None
+    ]
+
+
+TYPED_FLAGS = typed_flags()
 
 
 def run(capsys, *argv):
@@ -265,7 +279,21 @@ class TestValidationErrors:
         code, out, err = run(capsys, *argv)
         assert code == 2
         assert out == ""
-        assert f"argument {argv[-2]}: must be >= " in err
+        assert f"argument {argv[-2]}: must be an integer >= " in err
+
+    @pytest.mark.parametrize("command, flag", TYPED_FLAGS, ids=[" ".join(f) for f in TYPED_FLAGS])
+    def test_every_typed_flag_rejects_nan_by_name(self, capsys, command, flag):
+        code, out, err = run(capsys, command, flag, "nan")
+        assert code == 2
+        assert out == ""
+        assert f"argument {flag}: " in err
+
+    @pytest.mark.parametrize("command", ["estimate", "defensibility"])
+    def test_alpha_half_rejected_by_name(self, capsys, command):
+        code, out, err = run(capsys, command, "--alpha", "0.5")
+        assert code == 2
+        assert out == ""
+        assert "argument --alpha: must lie in (0, 0.5), got 0.5" in err
 
     @pytest.mark.parametrize(
         "argv",
@@ -293,6 +321,9 @@ class TestValidationErrors:
              "--c", "0.0004", "--bandwidth", "inf"),
             ("defensibility", "--data", "preset:melanoma_46", "--hazard", "preset:app1_constant",
              "--bandwidth", "6", "--c", "nan"),
+            ("estimate", "--data", "preset:melanoma_46", "--bandwidth", "6", "--alpha", "0"),
+            ("defensibility", "--data", "preset:melanoma_46", "--hazard", "preset:app1_constant",
+             "--bandwidth", "6", "--c", "0.0004", "--alpha", "-0.1"),
         ],
     )
     def test_time_flag_rejected_by_name(self, capsys, argv):

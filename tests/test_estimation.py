@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import direct_kde, matrix_kde, where_cdf
+from conftest import direct_kde, full_density, matrix_kde, where_cdf
 from telhaz.datasets import builtin
 from telhaz.estimation import (
     _BLOCK,
@@ -48,16 +48,21 @@ class TestKernel:
         assert float(EPANECHNIKOV.cdf(SQRT5)) == pytest.approx(1.0, abs=1e-15)
         assert float(EPANECHNIKOV.cdf(0.0)) == 0.5
 
-    def test_cdf_bit_identical_to_where_formula(self):
+    @pytest.mark.parametrize(
+        "method, oracle", [("cdf", where_cdf), ("density", full_density)], ids=["cdf", "density"]
+    )
+    def test_bit_identical_to_full_formula(self, method, oracle):
+        evaluate = getattr(EPANECHNIKOV, method)
         edges = [SQRT5, -SQRT5]
         edges += [np.nextafter(e, d) for e in edges for d in (-np.inf, np.inf)]
         u = np.array([*edges, np.inf, -np.inf, np.nan, 0.0, -1e-300])
         u = np.concatenate([u, np.random.default_rng(4).uniform(-3.0, 3.0, 1000)])
-        assert np.array_equal(EPANECHNIKOV.cdf(u), where_cdf(u), equal_nan=True)
+        assert np.array_equal(evaluate(u), oracle(u), equal_nan=True)
         for value in u[:11].tolist():
-            out = EPANECHNIKOV.cdf(value)
+            out = evaluate(value)
             assert out.shape == ()
-            assert np.array_equal(out, where_cdf(value), equal_nan=True)
+            assert np.array_equal(out, oracle(value), equal_nan=True)
+            assert np.array_equal(float(out), oracle(value), equal_nan=True)
 
     def test_l2_constant_closed_form_vs_quadrature(self):
         numeric, _ = integrate.quad(

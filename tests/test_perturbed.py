@@ -129,10 +129,10 @@ class TestAtomsAndDensity:
 
     def test_density_rejects_endpoints_and_outside(self, fig_model):
         band = fig_model.band(1.0)
-        for x in (band.a, band.b, band.a - 0.01, band.b + 0.01):
-            with pytest.raises(ValueError):
+        for x in (band.a, band.b, band.a - 0.01, band.b + 0.01, math.nan):
+            with pytest.raises(ValueError, match="x must lie strictly inside the band"):
                 fig_model.density(x, 1.0)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^t must be finite and > 0, got 0\.0$"):
             fig_model.density(0.5, 0.0)
 
     def test_change_of_variables_against_w_density(self, fig_model):

@@ -144,6 +144,12 @@ class TestIntegration:
         with pytest.raises(ValueError):
             integrate_path(path, p, np.array([0.0, 0.5, 1.5]))
 
+    def test_past_horizon_quotes_closed_interval(self):
+        path = TelegraphPath(1, (), 1.0)
+        with pytest.raises(ValueError) as info:
+            integrate_path(path, TelegraphParams(c=1.0, lam=1.0), 1.5)
+        assert str(info.value) == "t must lie in [0, 1.0], got 1.5"
+
     @pytest.mark.parametrize("lam_t", [1.0, 15.0, 300.0, 1000.0])
     def test_array_matches_walk_exactly(self, lam_t):
         p = TelegraphParams(c=1.5, lam=lam_t / 2.0)
@@ -206,7 +212,10 @@ class TestAtomAndDensity:
             w_density(p, 1.0, 1.0)  # endpoint carries an atom
         with pytest.raises(ValueError):
             w_density(p, 1.0, -1.5)
-        with pytest.raises(ValueError):
+        for x in (math.nan, np.array([0.0, math.nan])):
+            with pytest.raises(ValueError, match="x must lie strictly inside"):
+                w_density(p, 1.0, x)
+        with pytest.raises(ValueError, match=r"^t must be finite and > 0, got 0\.0$"):
             w_density(p, 0.0, 0.0)
 
     @pytest.mark.parametrize("c,lam,t", [(1.0, 1.0, 1.0), (0.5, 15.0, 2.0), (2.0, 5.0, 0.25)])
