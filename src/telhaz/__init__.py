@@ -33,8 +33,6 @@ from .perturbed import PerturbedModel, SupportBand
 from .special import bessel_i0e, bessel_i1e_over_x
 from .telegraph import (
     TelegraphParams,
-    TelegraphPath,
-    integrate_path,
     mgf,
     sample_path,
     sample_w,
@@ -63,7 +61,6 @@ __all__ = [
     "Sample",
     "SupportBand",
     "TelegraphParams",
-    "TelegraphPath",
     "UpperTailError",
     "bessel_i0e",
     "bessel_i1e_over_x",
@@ -72,7 +69,6 @@ __all__ = [
     "confidence_band",
     "defensibility_test",
     "hazard_estimate",
-    "integrate_path",
     "kde",
     "load",
     "load_hazard_config",

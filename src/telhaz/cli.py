@@ -29,7 +29,7 @@ from .hazard import (
     _config_entries, _count, _interior, _positive, _read_file, _times, load_hazard_config
 )
 from .perturbed import PerturbedModel
-from .telegraph import TelegraphParams, integrate_path, sample_path, w_density
+from .telegraph import TelegraphParams, sample_path, w_density
 
 
 @contextlib.contextmanager
@@ -83,20 +83,12 @@ def _table(header: tuple, *columns) -> list:
     return [header, *zip(*(column.tolist() for column in columns))]
 
 
-def _w_rows(params: TelegraphParams, horizon: float, grid, paths: int, seed: int):
-    yield "path_id", "t", "w"
+def _path_rows(name: str, values, grid, paths: int, seed: int):
+    """``paths`` sample paths, path ``pid`` being ``values(grid, seed + pid)``."""
+    yield "path_id", "t", name
     times = grid.tolist()
     for pid in range(paths):
-        path = sample_path(params, horizon, seed + pid)
-        yield from zip(itertools.repeat(pid), times, integrate_path(path, params, grid).tolist())
-
-
-def _x_rows(model: PerturbedModel, horizon: float, grid, paths: int, seed: int):
-    yield "path_id", "t", "x"
-    times = grid.tolist()
-    for pid in range(paths):
-        values = model.sample_path_values(horizon, grid, seed + pid)
-        yield from zip(itertools.repeat(pid), times, values.tolist())
+        yield from zip(itertools.repeat(pid), times, values(grid, seed + pid).tolist())
 
 
 def _band_rows(model: PerturbedModel, grid) -> list:
@@ -135,7 +127,8 @@ def _defensibility_rows(report) -> list:
 def cmd_simulate_w(args) -> int:
     params = TelegraphParams(c=args.c, lam=args.lam)
     grid = np.linspace(0.0, args.horizon, args.grid_size)
-    _write_csv(args.output, _w_rows(params, args.horizon, grid, args.paths, args.seed))
+    w = functools.partial(sample_path, params)
+    _write_csv(args.output, _path_rows("w", w, grid, args.paths, args.seed))
     return 0
 
 
@@ -143,7 +136,7 @@ def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
     horizon = min(args.horizon, model.hazard.support_end * (1.0 - 1e-12))
     grid = np.linspace(0.0, horizon, args.grid_size)
-    _write_csv(args.output, _x_rows(model, horizon, grid, args.paths, args.seed))
+    _write_csv(args.output, _path_rows("x", model.sample_path_values, grid, args.paths, args.seed))
     return 0
 
 
@@ -221,10 +214,10 @@ def cmd_defensibility(args) -> int:
 
 def _reproduce_fig1(outdir: Path, seed: int) -> None:
     model = presets.model_fig1()
-    horizon = presets.FIG1_HORIZON
-    grid = np.linspace(0.0, horizon, 201)
-    _write_csv(outdir / "w_paths.csv", _w_rows(model.noise, horizon, grid, 2, seed))
-    _write_csv(outdir / "x_paths.csv", _x_rows(model, horizon, grid, 2, seed))
+    grid = np.linspace(0.0, presets.FIG1_HORIZON, 201)
+    w = functools.partial(sample_path, model.noise)
+    _write_csv(outdir / "w_paths.csv", _path_rows("w", w, grid, 2, seed))
+    _write_csv(outdir / "x_paths.csv", _path_rows("x", model.sample_path_values, grid, 2, seed))
     _write_csv(outdir / "f_curve.csv", _table(("t", "cdf"), grid, model.hazard.cdf(grid)))
 
 

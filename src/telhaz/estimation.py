@@ -35,11 +35,6 @@ class UpperTailError(ValueError):
     """Raised where the estimated survival is too small for a stable ratio."""
 
 
-def _inside(u: np.ndarray) -> np.ndarray:
-    """Where ``u`` is not outside the kernel's support; NaN is inside, so it gives NaN."""
-    return ~((u < -_SQRT5) | (u > _SQRT5))
-
-
 @dataclass(frozen=True)
 class Kernel:
     """Parabolic kernel on [-sqrt(5), sqrt(5)], variance-normalized (Epanechnikov).
@@ -51,22 +46,23 @@ class Kernel:
     l2_constant = 3.0 * _SQRT5 / 25.0
     support_radius = _SQRT5
 
-    def density(self, u):
+    def evaluate(self, u):
+        """(density, CDF) at ``u``, from one support mask; NaN is inside, so it gives NaN."""
         u = np.asarray(u, dtype=float)
-        out = np.zeros_like(u)
-        inside = _inside(u)
+        k = np.zeros_like(u)
+        K = np.array(u > _SQRT5, dtype=float)  # not .astype: a 0-d result must stay assignable
+        inside = ~((u < -_SQRT5) | (u > _SQRT5))
         v = u[inside]
         # the maximum also absorbs roundoff of 1 - v^2/5 at exactly +-sqrt(5)
-        out[inside] = np.maximum(3.0 / (4.0 * _SQRT5) * (1.0 - v * v / 5.0), 0.0)
-        return out
+        k[inside] = np.maximum(3.0 / (4.0 * _SQRT5) * (1.0 - v * v / 5.0), 0.0)
+        K[inside] = 0.5 + 3.0 / (4.0 * _SQRT5) * (v - v**3 / 15.0)
+        return k, K
+
+    def density(self, u):
+        return self.evaluate(u)[0]
 
     def cdf(self, u):
-        u = np.asarray(u, dtype=float)
-        out = np.array(u > _SQRT5, dtype=float)  # not .astype: a 0-d result must stay assignable
-        inside = _inside(u)
-        v = u[inside]
-        out[inside] = 0.5 + 3.0 / (4.0 * _SQRT5) * (v - v**3 / 15.0)
-        return out
+        return self.evaluate(u)[1]
 
 
 EPANECHNIKOV = Kernel()
@@ -116,9 +112,9 @@ def kde(sample: Sample, h: float, t):
     step = max(1, _BLOCK // sample.n)
     for start in range(0, flat.size, step):
         rows = slice(start, start + step)
-        u = (flat[rows, None] - sample.values) / h
-        f[rows] = EPANECHNIKOV.density(u).mean(axis=-1) / h
-        F[rows] = EPANECHNIKOV.cdf(u).mean(axis=-1)
+        k, K = EPANECHNIKOV.evaluate((flat[rows, None] - sample.values) / h)
+        f[rows] = k.mean(axis=-1) / h
+        F[rows] = K.mean(axis=-1)
     if ta.ndim == 0:
         return float(f[0]), float(F[0])
     return f.reshape(ta.shape), F.reshape(ta.shape)

@@ -93,18 +93,16 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
-def _times(t, end: float = math.inf, name: str = "t", closed: bool = False) -> np.ndarray:
-    """``t`` as a float array of reals, not bools, in [0, end), or [0, end] if ``closed``."""
+def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
+    """``t`` as a float array of reals, not bools, in [0, end); errors quote the first bad value."""
     arr = np.asarray(t)
     if arr.dtype.kind not in "iuf":  # bool, str, object, complex, ...
         for value in [*arr.ravel().tolist(), t]:  # t last: an object array fails on itself
             _positive(name, value, allow_zero=True)
     arr = arr.astype(float, copy=False)
-    inside = (arr >= 0.0) & ((arr <= end) if closed else (arr < end))  # NaN fails both
+    inside = (arr >= 0.0) & (arr < end)  # NaN fails both
     if not np.all(inside):
-        # the error quotes the first bad value, not the whole array
-        bound = f"[0, {end}]" if closed else f"[0, {end})"
-        raise ValueError(f"{name} must lie in {bound}, got {float(arr[~inside][0])!r}")
+        raise ValueError(f"{name} must lie in [0, {end}), got {float(arr[~inside][0])!r}")
     return arr
 
 
@@ -321,26 +319,36 @@ def parse_hazard_config(text: str) -> HazardSpec:
     kind = entries.pop("kind", None)
     if kind is None:
         raise ValueError("hazard config must set 'kind'")
-    support = float(entries.pop("support_end", "inf"))
+
+    def number(key: str, value: str) -> float:
+        try:
+            return float(value)
+        except ValueError:
+            raise ValueError(f"{key} must be a number, got {value!r}") from None
 
     def need(key: str) -> str:
         if key not in entries:
             raise ValueError(f"hazard kind {kind!r} requires key {key!r}")
         return entries.pop(key)
 
+    support = number("support_end", entries.pop("support_end", "inf"))
     kind = kind.lower()
     if kind == "constant":
-        spec: HazardSpec = ConstantHazard(float(need("rate")), support_end=support)
+        spec: HazardSpec = ConstantHazard(number("rate", need("rate")), support_end=support)
     elif kind == "polynomial":
-        coefficients = (float(need(key)) for key in ("alpha", "beta", "c_ref"))
+        coefficients = (number(key, need(key)) for key in ("alpha", "beta", "c_ref"))
         spec = PolynomialHazard(*coefficients, support_end=support)
     elif kind == "piecewise":
         segments = []
         for chunk in need("segments").split(";"):
             parts = chunk.strip().split(":")
+            bad = ValueError(f"bad segment {chunk.strip()!r}; expected start:slope:intercept")
             if len(parts) != 3:
-                raise ValueError(f"bad segment {chunk.strip()!r}; expected start:slope:intercept")
-            segments.append(tuple(float(p) for p in parts))
+                raise bad
+            try:
+                segments.append(tuple(number("segments", p) for p in parts))
+            except ValueError:
+                raise bad from None
         spec = PiecewiseLinearHazard(tuple(segments), support_end=support)
     else:
         raise ValueError(f"unknown hazard kind {kind!r}")

@@ -24,7 +24,6 @@ from .hazard import HazardSpec, _positive, _times, time_horizon
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
-    integrate_path,
     sample_path,
     scaled_mgf,
     w_atom_prob,
@@ -185,16 +184,13 @@ class PerturbedModel:
 
     # -- simulation ------------------------------------------------------------
 
-    def sample_path_values(self, horizon: float, time_grid, seed: int) -> np.ndarray:
-        """One sample path of X: its values at the times of ``time_grid``.
+    def sample_path_values(self, time_grid, seed: int) -> np.ndarray:
+        """One sample path of X: its values at the nondecreasing times of ``time_grid``.
 
-        Draws a single noise trajectory and maps it through
-        X(t) = 1 - exp(-(R(t) + W(t))). Grid times must satisfy
-        t <= horizon and t < support_end.
+        Draws a single noise trajectory with :func:`sample_path` and maps it
+        through X(t) = 1 - exp(-(R(t) + W(t))). Grid times must satisfy
+        t < support_end.
         """
         grid = _times(time_grid, self.hazard.support_end, "time_grid")
-        if grid.ndim != 1 or grid.size == 0:
-            raise ValueError("time_grid must be a non-empty 1-d sequence")
-        path = sample_path(self.noise, horizon, seed)
-        w = integrate_path(path, self.noise, grid)
+        w = sample_path(self.noise, grid, seed)
         return -np.expm1(-(self.hazard.cumulative(grid) + w))

@@ -21,6 +21,9 @@ from .special import bessel_i0e, bessel_i1e_over_x
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
 _POISSON_TAIL = 1e-16
+# Exponential gaps sample_path draws at once, and the most switches it expects.
+_GAP_BLOCK = 1 << 16
+_MAX_SWITCHES = 2**30
 
 
 @dataclass(frozen=True)
@@ -35,67 +38,48 @@ class TelegraphParams:
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
 
-@dataclass(frozen=True)
-class TelegraphPath:
-    """One realized trajectory, stored as its switching epochs.
+def sample_path(params: TelegraphParams, grid, seed: int) -> np.ndarray:
+    """W at the nondecreasing times ``grid`` along one exact trajectory.
 
-    ``initial_sign`` is the sign of the velocity at time 0 and
-    ``event_times`` are the strictly increasing switch times inside
-    ``(0, horizon]``.
+    The starting sign is a fair coin flip and the switch times are sums of
+    exponential gaps, drawn in blocks of at most 2^16; each block is
+    integrated onto the grid points it reaches, so memory is O(grid size +
+    2^16) whatever ``lam * grid[-1]``, which may be at most 2^30. The signed
+    segment lengths are summed left to right, so every value equals the one a
+    walk over the same switches up to its time gives, to the last bit.
     """
-
-    initial_sign: int
-    event_times: tuple[float, ...]
-    horizon: float
-
-    def __post_init__(self):
-        if self.initial_sign not in (-1, 1):
-            raise ValueError(f"initial_sign must be -1 or +1, got {self.initial_sign!r}")
-        object.__setattr__(self, "horizon", _positive("horizon", self.horizon))
-        times = tuple(float(t) for t in self.event_times)
-        object.__setattr__(self, "event_times", times)
-        previous = 0.0
-        for t in times:
-            if not previous < t <= self.horizon:
-                raise ValueError("event_times must be strictly increasing within (0, horizon]")
-            previous = t
-
-
-def sample_path(params: TelegraphParams, horizon: float, seed: int) -> TelegraphPath:
-    """Draw one trajectory on [0, horizon] by exact exponential inter-arrivals."""
-    horizon = _positive("horizon", horizon)
+    grid = _times(grid, name="grid")
+    if grid.ndim != 1 or grid.size == 0:
+        raise ValueError("grid must be a non-empty 1-d sequence")
+    if not (grid[1:] >= grid[:-1]).all():
+        raise ValueError("grid must be nondecreasing")
+    horizon = float(grid[-1])
+    expected = params.lam * horizon
+    if expected > _MAX_SWITCHES:
+        raise ValueError(
+            f"lam = {params.lam!r} up to grid[-1] = {horizon!r} expects {expected!r} "
+            "switches; at most 2**30 are drawn"
+        )
     rng = np.random.default_rng(seed)
     sign = 1 if rng.random() < 0.5 else -1
-    mean_gap = 1.0 / params.lam
-    expected = params.lam * horizon
-    block = max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0))
-    events: list[float] = []
-    start = 0.0
-    while True:
-        arrivals = start + np.cumsum(rng.exponential(mean_gap, size=block))
-        inside = arrivals[arrivals < horizon]
-        events.extend(inside.tolist())
-        if inside.size < arrivals.size:
-            break
-        start = float(arrivals[-1])
-    return TelegraphPath(sign, tuple(events), horizon)
-
-
-def integrate_path(path: TelegraphPath, params: TelegraphParams, t):
-    """Exact integral of the velocity along ``path`` up to time ``t``.
-
-    Accepts a scalar or an array of times in [0, horizon]. The signed segment
-    lengths are summed left to right, so every value equals the one a walk
-    over the events up to ``t`` gives, to the last bit.
-    """
-    arr = _times(t, path.horizon, closed=True)
-    starts = np.array((0.0, *path.event_times))
-    signs = np.where(np.arange(starts.size) % 2, -1.0, 1.0) * path.initial_sign
-    # integral up to each segment start, then the partial segment up to t
-    reached = np.concatenate(([0.0], np.cumsum(signs[:-1] * np.diff(starts))))
-    k = np.searchsorted(starts[1:], arr, side="left")
-    out = params.c * (reached[k] + signs[k] * (arr - starts[k]))
-    return float(out) if arr.ndim == 0 else out
+    block = min(_GAP_BLOCK, max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0)))
+    flips = np.ones(block + 1)
+    flips[1::2] = -1.0
+    out = np.empty_like(grid)
+    # carried between blocks: the last switch, the integral up to it, the sign after it
+    start, reach, done = 0.0, 0.0, 0
+    while done < grid.size:
+        arrivals = start + np.cumsum(rng.exponential(1.0 / params.lam, size=block))
+        starts = np.concatenate(([start], arrivals))
+        signs = flips * sign
+        # integral up to each segment start, then the partial segment up to t
+        reached = np.cumsum(np.concatenate(([reach], signs[:-1] * np.diff(starts))))
+        end = int(np.searchsorted(grid, arrivals[-1], side="right"))
+        t = grid[done:end]
+        k = np.searchsorted(arrivals, t, side="left")
+        out[done:end] = params.c * (reached[k] + signs[k] * (t - starts[k]))
+        start, reach, sign, done = arrivals[-1], reached[-1], signs[-1], end
+    return out
 
 
 def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.ndarray:
@@ -104,8 +88,8 @@ def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.n
     Given N ~ Poisson(lam t) switches, the N + 1 segment lengths are t times
     a flat Dirichlet vector, so the time spent on the starting side is t B
     with B ~ Beta(ceil((N+1)/2), floor((N+1)/2)) and W(t) = +-ct (2B - 1);
-    B = 1 when N = 0. This is distributionally identical to integrating
-    :func:`sample_path` output (the tests cross-check the two samplers) and
+    B = 1 when N = 0. This is distributionally identical to the last value of
+    :func:`sample_path` (the tests cross-check the two samplers) and
     needs O(n_paths) memory whatever ``lam * t``.
     """
     t = _positive("t", t)

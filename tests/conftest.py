@@ -2,11 +2,11 @@
 
 The Monte Carlo sampler here is deliberately written against the library's
 vectorized one: it walks exponential inter-arrival gaps path by path, so the
-two constructions can cross-validate each other. The path integral is the
-same kind of walk, over one realized path's switch times. The kernel
-estimates are plain per-observation sums, the reference for any faster
-evaluator of the library's vectorized ``kde``; ``matrix_kde`` is the
-one-matrix evaluator that ``kde`` must reproduce bit for bit.
+two constructions can cross-validate each other. The path oracle keeps every
+switch time of one trajectory, and its integral is the same kind of walk over
+them. The kernel estimates are plain per-observation sums, the reference for
+any faster evaluator of the library's vectorized ``kde``; ``matrix_kde`` is
+the one-matrix evaluator that ``kde`` must reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -36,21 +36,42 @@ def brute_force_w(c: float, lam: float, t: float, n_paths: int, seed: int) -> np
     return out
 
 
-def walk_integral(path, params, t: float) -> float:
-    """W(t) along ``path`` by walking its switch times one segment at a time (oracle)."""
-    if not 0.0 <= t <= path.horizon:
-        raise ValueError(f"t must lie in [0, {path.horizon}], got {t!r}")
-    sign = path.initial_sign
+def oracle_path(params, horizon: float, seed: int) -> tuple[int, list[float]]:
+    """Starting sign and every switch time in (0, horizon) of one trajectory (oracle).
+
+    The library's ``sample_path`` stream, kept as an event list: the sign coin,
+    then exponential gaps in blocks sized for the whole expected switch count.
+    """
+    rng = np.random.default_rng(seed)
+    sign = 1 if rng.random() < 0.5 else -1
+    expected = params.lam * horizon
+    block = max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0))
+    events: list[float] = []
+    start = 0.0
+    while True:
+        arrivals = start + np.cumsum(rng.exponential(1.0 / params.lam, size=block))
+        inside = arrivals[arrivals < horizon]
+        events.extend(inside.tolist())
+        if inside.size < arrivals.size:
+            return sign, events
+        start = float(arrivals[-1])
+
+
+def walk_integral(sign: int, events, params, times) -> np.ndarray:
+    """W at the nondecreasing ``times``, walking the switch times one segment at a time (oracle)."""
+    out = []
     total = 0.0
     previous = 0.0
-    for event in path.event_times:
-        if event >= t:
-            break
-        total += sign * (event - previous)
-        previous = event
-        sign = -sign
-    total += sign * (t - previous)
-    return params.c * total
+    events = iter(events)
+    event = next(events, math.inf)
+    for t in times:
+        while event < t:
+            total += sign * (event - previous)
+            previous = event
+            sign = -sign
+            event = next(events, math.inf)
+        out.append(params.c * (total + sign * (t - previous)))
+    return np.array(out)
 
 
 def direct_kde(values, h: float, t: float) -> tuple[float, float]:

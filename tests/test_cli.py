@@ -79,6 +79,19 @@ class TestSimulate:
             _, t, w = line.split(",")
             assert abs(float(w)) <= 2.0 * float(t) + 1e-12
 
+    def test_w_single_point_grid(self, capsys):
+        # the grid [0.0] ends at 0, so no switch is expected before it
+        code, out, _ = run(capsys, "simulate-w", "--grid-size", "1", "--paths", "1")
+        assert code == 0
+        assert out == "path_id,t,w\n0,0.0,0.0\n"
+
+    def test_w_switch_bound_named(self):
+        # 1e300 expected switches would never finish; the refusal is immediate
+        argv = [sys.executable, "-m", "telhaz.cli", "simulate-w", "--lam", "1e300"]
+        result = subprocess.run(argv, env=src_env(), capture_output=True, text=True, timeout=60)
+        assert result.returncode == 2
+        assert result.stderr.startswith("error: lam = 1e+300 up to grid[-1] = 1.0 expects ")
+
     def test_x_paths_inside_band(self, capsys, tmp_path):
         out_file = tmp_path / "x.csv"
         code, _, _ = run(
@@ -444,6 +457,25 @@ class TestHazardFileAndConfig:
         assert code == 2
         assert out == ""
         assert err.startswith(f"error: {hazard_file}: ")
+
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("kind = constant\nrate = abc\n", "rate must be a number, got 'abc'"),
+            ("kind = constant\nrate = 1\nsupport_end = soon\n",
+             "support_end must be a number, got 'soon'"),
+            ("kind = piecewise\nsegments = 0:x:1\n",
+             "bad segment '0:x:1'; expected start:slope:intercept"),
+        ],
+        ids=["rate", "support_end", "segments"],
+    )
+    def test_hazard_file_number_named_by_key(self, capsys, tmp_path, text, message):
+        hazard_file = tmp_path / "h1.txt"
+        hazard_file.write_text(text)
+        code, out, err = run(capsys, "band", "--hazard", str(hazard_file))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {hazard_file}: {message}\n"
 
     def test_missing_config_file(self, capsys):
         code, _, err = run(capsys, "defensibility", "--config", "/nonexistent/x.cfg")

@@ -7,11 +7,11 @@ from scipy import integrate
 from telhaz.hazard import PiecewiseLinearHazard, PolynomialHazard
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import FIG3_TIMES, model_fig1, model_fig2, model_fig3
+from conftest import oracle_path
 from telhaz.telegraph import (
     TelegraphParams,
-    TelegraphPath,
-    integrate_path,
     mgf,
+    sample_path,
     scaled_mgf,
     w_atom_prob,
     w_density,
@@ -35,7 +35,7 @@ TIME_CALLS = {
     "mean": lambda m, t: m.mean(t),
     "variance": lambda m, t: m.variance(t),
     "band_width_nondecreasing": lambda m, t: m.band_width_nondecreasing(t),
-    "integrate_path": lambda m, t: integrate_path(TelegraphPath(1, (0.3,), 2.0), m.noise, t),
+    "integrate_path": lambda m, t: sample_path(m.noise, [t], 0),
     "mgf": lambda m, t: mgf(m.noise, 1.0, t),
     "scaled_mgf": lambda m, t: scaled_mgf(m.noise, -1.0, t, 0.0),
 }
@@ -269,7 +269,7 @@ class TestSamplePaths:
     def test_paths_start_at_zero_and_stay_in_band(self, fig_model):
         grid = np.linspace(0.0, 1.0, 101)
         for seed in range(5):
-            values = fig_model.sample_path_values(1.0, grid, seed=seed)
+            values = fig_model.sample_path_values(grid, seed=seed)
             assert values.shape == grid.shape
             assert values[0] == 0.0
             for t, x in zip(grid[1:].tolist(), values[1:].tolist()):
@@ -279,13 +279,13 @@ class TestSamplePaths:
     def test_paths_are_nondecreasing(self, fig_model):
         grid = np.linspace(0.0, 2.0, 301)
         for seed in range(5):
-            values = fig_model.sample_path_values(2.0, grid, seed=seed)
+            values = fig_model.sample_path_values(grid, seed=seed)
             assert np.all(np.diff(values) >= -1e-14)
 
     def test_deterministic_per_seed(self, fig_model):
         grid = np.linspace(0.0, 1.0, 11)
-        a = fig_model.sample_path_values(1.0, grid, seed=3)
-        b = fig_model.sample_path_values(1.0, grid, seed=3)
+        a = fig_model.sample_path_values(grid, seed=3)
+        b = fig_model.sample_path_values(grid, seed=3)
         assert np.array_equal(a, b)
 
     def test_vanishing_amplitude_recovers_the_cdf(self):
@@ -294,26 +294,27 @@ class TestSamplePaths:
         grid = np.linspace(0.0, 2.0, 201)
         cdf = hazard.cdf(grid)
         for seed in (0, 1):
-            values = model.sample_path_values(2.0, grid, seed=seed)
+            values = model.sample_path_values(grid, seed=seed)
             assert float(np.max(np.abs(values - cdf))) < 1e-4
 
     def test_grid_validation(self, fig_model):
-        with pytest.raises(ValueError):
-            fig_model.sample_path_values(1.0, [0.0, 1.5], seed=0)
-        with pytest.raises(ValueError):
-            fig_model.sample_path_values(1.0, [], seed=0)
+        for grid in ([], [0.0, -0.5], [0.0, 1.0, 0.5]):
+            with pytest.raises(ValueError, match="grid"):
+                fig_model.sample_path_values(grid, seed=0)
+        end = PiecewiseLinearHazard(((0.0, 0.0, 2.0),), support_end=1.0)
+        model = PerturbedModel(end, TelegraphParams(c=1.0, lam=1.0))
+        with pytest.raises(ValueError, match=r"time_grid must lie in \[0, 1.0\), got 1.0"):
+            model.sample_path_values([0.0, 1.0], seed=0)
 
     def test_noise_sign_balance_at_late_times(self):
         # P{V(t) = +c} is 1/2 for every t thanks to the fair initial flip
-        from telhaz.telegraph import sample_path
-
         model = model_fig1()
         n = 4000
         t = 0.9
         positive = 0
         for seed in range(n):
-            path = sample_path(model.noise, 1.0, seed)
-            switches = sum(1 for e in path.event_times if e <= t)
-            positive += path.initial_sign * (-1) ** switches > 0
+            sign, events = oracle_path(model.noise, 1.0, seed)
+            switches = sum(1 for e in events if e <= t)
+            positive += sign * (-1) ** switches > 0
         sigma = math.sqrt(0.25 / n)
         assert abs(positive / n - 0.5) < 3.0 * sigma

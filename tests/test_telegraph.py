@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -6,11 +7,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from conftest import brute_force_w, ks_distance, ks_critical, walk_integral
+from conftest import brute_force_w, ks_distance, ks_critical, oracle_path, walk_integral
 from telhaz.telegraph import (
     TelegraphParams,
-    TelegraphPath,
-    integrate_path,
     mgf,
     sample_path,
     sample_w,
@@ -36,38 +35,28 @@ class TestTypes:
         with pytest.raises(ValueError, match="real number"):
             TelegraphParams(c=True, lam=1.0)
 
-    def test_path_validation(self):
-        with pytest.raises(ValueError):
-            TelegraphPath(0, (), 1.0)
-        with pytest.raises(ValueError):
-            TelegraphPath(1, (0.5, 0.25), 1.0)
-        with pytest.raises(ValueError):
-            TelegraphPath(1, (0.5, 1.5), 1.0)
-        with pytest.raises(ValueError):
-            TelegraphPath(1, (0.0,), 1.0)
-        path = TelegraphPath(-1, (0.25, 0.75), 1.0)
-        assert path.event_times == (0.25, 0.75)
-
 
 class TestSampling:
     def test_deterministic_per_seed(self):
         p = TelegraphParams(c=2.0, lam=15.0)
-        a = sample_path(p, 1.0, seed=42)
-        b = sample_path(p, 1.0, seed=42)
-        assert a == b
-        assert sample_path(p, 1.0, seed=43) != a
+        grid = np.linspace(0.0, 1.0, 51)
+        a = sample_path(p, grid, seed=42)
+        assert np.array_equal(sample_path(p, grid, seed=42), a)
+        assert not np.array_equal(sample_path(p, grid, seed=43), a)
 
     def test_horizon_domain(self):
+        # the horizon is grid[-1]: zero is allowed, and more than 2**30
+        # expected switches is refused before any is drawn
         p = TelegraphParams(c=1.0, lam=1.0)
-        with pytest.raises(ValueError):
-            sample_path(p, 0.0, seed=1)
-        with pytest.raises(ValueError):
-            sample_path(p, -1.0, seed=1)
+        assert sample_path(p, [0.0], seed=1).tolist() == [0.0]
+        for lam, end in ((1e300, 1.0), (2.0**30, math.nextafter(1.0, 2.0))):
+            with pytest.raises(ValueError, match=r"^lam = .* switches; at most 2\*\*30"):
+                sample_path(TelegraphParams(c=1.0, lam=lam), [0.0, end], seed=1)
 
     def test_event_count_poisson_gof(self):
         # chi-square goodness of fit of N(1) against Poisson(15) over 1e4 seeds
         p = TelegraphParams(c=2.0, lam=15.0)
-        counts = np.array([len(sample_path(p, 1.0, seed=s).event_times) for s in range(10_000)])
+        counts = np.array([len(oracle_path(p, 1.0, seed=s)[1]) for s in range(10_000)])
         kmax = int(counts.max()) + 1
         observed = np.bincount(counts, minlength=kmax).astype(float)
         expected = stats.poisson.pmf(np.arange(kmax), 15.0) * counts.size
@@ -90,7 +79,7 @@ class TestSampling:
     def test_no_event_probability(self):
         p = TelegraphParams(c=1.0, lam=2.0)
         n = 4000
-        empty = sum(not sample_path(p, 1.0, seed=s).event_times for s in range(n))
+        empty = sum(not oracle_path(p, 1.0, seed=s)[1] for s in range(n))
         target = math.exp(-2.0)
         sigma = math.sqrt(target * (1.0 - target) / n)
         assert abs(empty / n - target) < 3.0 * sigma
@@ -118,69 +107,105 @@ class TestSampling:
 
 class TestIntegration:
     def test_zero_event_path(self):
-        p = TelegraphParams(c=2.0, lam=1.0)
-        path = TelegraphPath(1, (), 1.0)
-        assert integrate_path(path, p, 0.5) == 1.0
-        for t in np.linspace(0.0, 1.0, 7):
-            assert integrate_path(path, p, float(t)) == pytest.approx(2.0 * t)
+        # at a negligible rate the path keeps its starting side: W(t) = +-c*t
+        p = TelegraphParams(c=2.0, lam=1e-9)
+        grid = np.linspace(0.0, 1.0, 7)
+        for seed in range(4):
+            w = sample_path(p, grid, seed)
+            assert np.array_equal(np.abs(w), 2.0 * grid)
+            assert np.all(np.sign(w[1:]) == np.sign(w[-1]))
 
     def test_hand_integrated_examples(self):
+        # the oracle walk itself, against integration by hand
         p1 = TelegraphParams(c=1.0, lam=1.0)
-        assert integrate_path(TelegraphPath(1, (0.5,), 1.0), p1, 1.0) == pytest.approx(0.0)
-        # hand integration: -0.25 + 0.50 - 0.25 over the three segments
-        path = TelegraphPath(-1, (0.25, 0.75), 1.0)
-        assert integrate_path(path, p1, 1.0) == pytest.approx(0.0, abs=1e-15)
+        assert walk_integral(1, [0.5], p1, [1.0]).tolist() == [0.0]
+        # -0.25 + 0.50 - 0.25 over the three segments
+        assert walk_integral(-1, [0.25, 0.75], p1, [1.0]).tolist() == [0.0]
         # +0.25 - 0.50 over [0, 0.75] when starting on the positive side
-        flipped = TelegraphPath(1, (0.25, 0.75), 1.0)
-        assert integrate_path(flipped, p1, 0.75) == pytest.approx(-0.25)
+        assert walk_integral(1, [0.25, 0.75], p1, [0.25, 0.75]).tolist() == [0.25, -0.25]
 
     def test_domain(self):
         p = TelegraphParams(c=1.0, lam=1.0)
-        path = TelegraphPath(1, (), 1.0)
-        with pytest.raises(ValueError):
-            integrate_path(path, p, 1.5)
-        with pytest.raises(ValueError):
-            integrate_path(path, p, -0.1)
-        with pytest.raises(ValueError):
-            integrate_path(path, p, np.array([0.0, 0.5, 1.5]))
+        cases = [
+            ([], "grid must be a non-empty 1-d sequence"),
+            ([[0.0, 0.5]], "grid must be a non-empty 1-d sequence"),
+            ([0.0, 0.5, 0.25], "grid must be nondecreasing"),
+            ([-0.1, 0.5], r"grid must lie in \[0, inf\), got -0.1"),
+            ([0.0, math.nan], r"grid must lie in \[0, inf\), got nan"),
+            ([0.0, math.inf], r"grid must lie in \[0, inf\), got inf"),
+        ]
+        for grid, message in cases:
+            with pytest.raises(ValueError, match=f"^{message}"):
+                sample_path(p, grid, seed=0)
 
-    def test_past_horizon_quotes_closed_interval(self):
-        path = TelegraphPath(1, (), 1.0)
-        with pytest.raises(ValueError) as info:
-            integrate_path(path, TelegraphParams(c=1.0, lam=1.0), 1.5)
-        assert str(info.value) == "t must lie in [0, 1.0], got 1.5"
+    def test_repeated_time_gives_equal_values(self):
+        p = TelegraphParams(c=1.0, lam=15.0)
+        w = sample_path(p, [0.0, 0.3, 0.3, 0.3, 1.0, 1.0], seed=5)
+        assert w[1] == w[2] == w[3]
+        assert w[4] == w[5]
 
-    @pytest.mark.parametrize("lam_t", [1.0, 15.0, 300.0, 1000.0])
+    @pytest.mark.parametrize("lam_t", [1.0, 15.0, 300.0, 1000.0, 30000.0])
     def test_array_matches_walk_exactly(self, lam_t):
         p = TelegraphParams(c=1.5, lam=lam_t / 2.0)
-        path = sample_path(p, 2.0, seed=int(lam_t))
+        sign, events = oracle_path(p, 2.0, seed=int(lam_t))
         # switch times and their float neighbours are where a search can pick
         # the wrong segment
-        events = np.array(path.event_times)
+        events = np.array(events)
         grid = np.sort(np.concatenate([
             np.linspace(0.0, 2.0, 257),
             events,
             np.nextafter(events, 0.0),
             np.minimum(np.nextafter(events, 3.0), 2.0),
         ]))
-        expected = np.array([walk_integral(path, p, float(t)) for t in grid])
-        assert np.array_equal(integrate_path(path, p, grid), expected)
-        for t in (0.0, float(events[0]) if events.size else 1.0, 2.0):
-            value = integrate_path(path, p, t)
-            assert type(value) is float
-            assert value == walk_integral(path, p, t)
+        expected = walk_integral(sign, events, p, grid)
+        assert np.array_equal(sample_path(p, grid, seed=int(lam_t)), expected)
+
+    def test_long_path_within_roundoff(self):
+        # past 2**16 expected switches the gaps are drawn in several blocks, so
+        # the switch times round differently from the oracle's single block
+        p = TelegraphParams(c=1.0, lam=1e6)
+        grid = np.linspace(0.0, 1.0, 201)
+        sign, events = oracle_path(p, 1.0, seed=11)
+        gap = np.max(np.abs(sample_path(p, grid, seed=11) - walk_integral(sign, events, p, grid)))
+        assert gap <= 1e-12 * p.c * grid[-1]
+
+    def test_long_path_memory_bounded(self):
+        # 1e6 expected switches on 201 points; the switch times of one whole
+        # path would take ~65 MB
+        p = TelegraphParams(c=1.0, lam=1e6)
+        grid = np.linspace(0.0, 1.0, 201)
+        tracemalloc.start()
+        try:
+            sample_path(p, grid, seed=11)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2**20
 
     @given(
-        st.lists(st.floats(min_value=1e-6, max_value=0.999), min_size=0, max_size=12, unique=True),
+        st.integers(min_value=0, max_value=2**32 - 1),
         st.floats(min_value=0.0, max_value=1.0),
-        st.sampled_from([-1, 1]),
         st.floats(min_value=0.1, max_value=5.0),
+        st.floats(min_value=0.1, max_value=50.0),
     )
     @settings(max_examples=120, deadline=None)
-    def test_bounded_by_ct(self, events, t, sign, c):
-        p = TelegraphParams(c=c, lam=1.0)
-        path = TelegraphPath(sign, tuple(sorted(events)), 1.0)
-        assert abs(integrate_path(path, p, t)) <= c * t + 1e-12
+    def test_bounded_by_ct(self, seed, t, c, lam):
+        grid = np.array([t, 1.0])
+        w = sample_path(TelegraphParams(c=c, lam=lam), grid, seed)
+        assert np.all(np.abs(w) <= c * grid + 1e-12)
+
+    def test_last_value_matches_w_cdf(self):
+        # KS distance of W(1) over 1e4 seeds against the closed-form CDF at the
+        # 0.1% level of the other goodness-of-fit tests here; at the atoms -ct
+        # and ct the CDF jumps, so its left limit there is taken apart
+        p = TelegraphParams(c=2.0, lam=1.5)
+        n = 10_000
+        w = np.sort([sample_path(p, [1.0], seed)[0] for seed in range(n)])
+        cdf_at = w_cdf(p, 1.0, w)
+        left = np.where(w <= -2.0, 0.0, np.where(w >= 2.0, 1.0 - w_atom_prob(p, 1.0), cdf_at))
+        i = np.arange(1, n + 1)
+        distance = max(float(np.max(i / n - cdf_at)), float(np.max(left - (i - 1) / n)))
+        assert distance < ks_critical(n, alpha=0.001)
 
 
 class TestAtomAndDensity:
