@@ -29,7 +29,7 @@ from .hazard import (
     _config_entries, _count, _interior, _positive, _read_file, _times, load_hazard_config
 )
 from .perturbed import PerturbedModel
-from .telegraph import TelegraphParams, sample_path, w_density
+from .telegraph import TelegraphParams, _expected_switches, sample_path, w_density
 
 
 @contextlib.contextmanager
@@ -127,6 +127,7 @@ def _defensibility_rows(report) -> list:
 def cmd_simulate_w(args) -> int:
     params = TelegraphParams(c=args.c, lam=args.lam)
     grid = np.linspace(0.0, args.horizon, args.grid_size)
+    _expected_switches(params, grid[-1])  # refused before the output is opened
     w = functools.partial(sample_path, params)
     _write_csv(args.output, _path_rows("w", w, grid, args.paths, args.seed))
     return 0
@@ -136,6 +137,7 @@ def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
     horizon = min(args.horizon, model.hazard.support_end * (1.0 - 1e-12))
     grid = np.linspace(0.0, horizon, args.grid_size)
+    _expected_switches(model.noise, grid[-1])  # refused before the output is opened
     _write_csv(args.output, _path_rows("x", model.sample_path_values, grid, args.paths, args.seed))
     return 0
 

@@ -20,27 +20,42 @@ _REL_STOP = 1e-16
 
 def _series(x: np.ndarray, order: int) -> np.ndarray:
     # sum_k (x/2)^{2k} / (k! (k+order)!): I0 for order 0, 2 I1(x)/x for order 1;
-    # term-ratio stopping
+    # term-ratio stopping. The whole array is tested only once the largest
+    # argument, which converges last, passes its own test; the whole-array
+    # test implies that one, so the loop stops at the same k either way
+    if x.size == 0:
+        return x.copy()
+    probe = int(np.argmax(x))
     q = 0.25 * x * x
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, 400):
-        term = term * q / (k * (k + order))
-        total = total + term
-        if np.all(term <= _REL_STOP * total):
+        term *= q
+        term /= k * (k + order)
+        total += term
+        if term.flat[probe] <= _REL_STOP * total.flat[probe] and np.all(
+            term <= _REL_STOP * total
+        ):
             break
     return total
 
 
 def _asymptotic_scaled(x: np.ndarray, order: int) -> np.ndarray:
-    # e^{-x} I_order(x) for large x; terms shrink monotonically while k << x
+    # e^{-x} I_order(x) for large x; terms shrink monotonically while k << x,
+    # slowest at the smallest argument, which the stop test probes as _series does
+    if x.size == 0:
+        return x.copy()
+    probe = int(np.argmin(x))
     mu = 4.0 * order * order
     term = np.ones_like(x)
     total = np.ones_like(x)
     for k in range(1, 30):
-        term = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
-        total = total + term
-        if np.all(np.abs(term) <= _REL_STOP * np.abs(total)):
+        term *= (2 * k - 1) ** 2 - mu
+        term /= 8.0 * k * x
+        total += term
+        if abs(term.flat[probe]) <= _REL_STOP * abs(total.flat[probe]) and np.all(
+            np.abs(term) <= _REL_STOP * np.abs(total)
+        ):
             break
     return total / np.sqrt(2.0 * math.pi * x)
 

@@ -21,6 +21,8 @@ from .special import bessel_i0e, bessel_i1e_over_x
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
 _POISSON_TAIL = 1e-16
+# (point, Poisson term) pairs w_cdf evaluates at once, or one row of terms if more.
+_CDF_BLOCK = 1 << 16
 # Exponential gaps sample_path draws at once, and the most switches it expects.
 _GAP_BLOCK = 1 << 16
 _MAX_SWITCHES = 2**30
@@ -38,6 +40,18 @@ class TelegraphParams:
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
 
+def _expected_switches(params: TelegraphParams, horizon: float) -> float:
+    """``lam * horizon``, the switches a path up to ``horizon`` expects; at most 2^30."""
+    horizon = float(horizon)
+    expected = params.lam * horizon
+    if expected > _MAX_SWITCHES:
+        raise ValueError(
+            f"lam = {params.lam!r} up to grid[-1] = {horizon!r} expects {expected!r} "
+            "switches; at most 2**30 are drawn"
+        )
+    return expected
+
+
 def sample_path(params: TelegraphParams, grid, seed: int) -> np.ndarray:
     """W at the nondecreasing times ``grid`` along one exact trajectory.
 
@@ -53,13 +67,7 @@ def sample_path(params: TelegraphParams, grid, seed: int) -> np.ndarray:
         raise ValueError("grid must be a non-empty 1-d sequence")
     if not (grid[1:] >= grid[:-1]).all():
         raise ValueError("grid must be nondecreasing")
-    horizon = float(grid[-1])
-    expected = params.lam * horizon
-    if expected > _MAX_SWITCHES:
-        raise ValueError(
-            f"lam = {params.lam!r} up to grid[-1] = {horizon!r} expects {expected!r} "
-            "switches; at most 2**30 are drawn"
-        )
+    expected = _expected_switches(params, grid[-1])
     rng = np.random.default_rng(seed)
     sign = 1 if rng.random() < 0.5 else -1
     block = min(_GAP_BLOCK, max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0)))
@@ -119,11 +127,19 @@ def _bessel_density(params: TelegraphParams, t: float, spread2, jacobian):
         exp(z - lam t) * [lam I0e(z) + lam^2 t (I1(z)/z) e^{-z}] / (2c * jacobian)
 
     with z = (lam/c) sqrt(spread2), a negative spread2 from roundoff read as 0.
+    Where z or the density overflows, a ValueError names c, lam and t.
     """
     c, lam = params.c, params.lam
-    z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
-    bracket = lam * bessel_i0e(z) + lam * lam * t * bessel_i1e_over_x(z)
-    return bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
+    overflow = f"the density overflows at c = {c!r}, lam = {lam!r}, t = {t!r}"
+    with np.errstate(all="ignore"):  # a non-finite z or result is reported below
+        z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
+        if not np.all(np.isfinite(z)):
+            raise ValueError(overflow)
+        bracket = lam * bessel_i0e(z) + lam * lam * t * bessel_i1e_over_x(z)
+        out = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(overflow)
+    return out
 
 
 def w_density(params: TelegraphParams, t: float, x):
@@ -137,7 +153,9 @@ def w_density(params: TelegraphParams, t: float, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) < ct):  # NaN fails too
         raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
-    out = _bessel_density(params, t, (ct - arr) * (ct + arr), 1.0)
+    with np.errstate(over="ignore"):  # an infinite spread is reported by name below
+        spread2 = (ct - arr) * (ct + arr)
+    out = _bessel_density(params, t, spread2, 1.0)
     return float(out) if arr.ndim == 0 else out
 
 
@@ -157,6 +175,18 @@ def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
     return n[keep], weights[keep]
 
 
+def _conditional_cdfs(y: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """P{W(t) <= w | N = n} for the column ``y`` of (w/ct + 1)/2 and each count n."""
+    a, b = (counts + 2) // 2, (counts + 1) // 2
+    odd = counts % 2 == 1
+    even = (counts > 0) & ~odd
+    out = np.full((y.shape[0], counts.size), 0.5)  # N = 0: the lower atom
+    # for odd n, a = b and the two incomplete betas coincide: 0.5 * (I + I) == I
+    out[:, odd] = betainc(a[odd], a[odd], y)
+    out[:, even] = 0.5 * (betainc(a[even], b[even], y) + betainc(b[even], a[even], y))
+    return out
+
+
 def w_cdf(params: TelegraphParams, t: float, w):
     """P{W(t) <= w} as a Poisson mixture of incomplete-beta laws.
 
@@ -166,19 +196,25 @@ def w_cdf(params: TelegraphParams, t: float, w):
         P{W(t) <= w | N} = [I_y(a, b) + I_y(b, a)] / 2,
 
     which is 1/2 on [-ct, ct) when N = 0: the lower endpoint atom. Accepts a
-    scalar or an array of ``w``.
+    scalar or an array of ``w``. The (point, term) pairs are evaluated in
+    blocks of whole rows, at most 2^16 pairs or one row, so memory beyond the
+    O(sqrt(lam t)) terms does not grow with the number of points; each row is
+    summed on its own, so a point's value does not depend on the others.
     """
     t = _positive("t", t, allow_zero=True)
     arr = np.asarray(w, dtype=float)
     ct = params.c * t
-    mix = np.zeros_like(arr)
+    mix = np.zeros(arr.size)
     if t > 0.0:
-        y = np.clip(0.5 * (arr / ct + 1.0), 0.0, 1.0)
+        y = np.clip(0.5 * (arr.reshape(-1) / ct + 1.0), 0.0, 1.0)
         counts, weights = _poisson_terms(params.lam * t)
-        for n, p in zip(counts.tolist(), weights.tolist()):
-            a, b = (n + 2) // 2, (n + 1) // 2
-            mix += p * (0.5 * (betainc(a, b, y) + betainc(b, a, y)) if n else 0.5)
-    out = np.where(arr >= ct, 1.0, np.where(arr < -ct, 0.0, np.minimum(mix, 1.0)))
+        rows = max(1, _CDF_BLOCK // counts.size)
+        for start in range(0, y.size, rows):
+            block = _conditional_cdfs(y[start:start + rows, None], counts)
+            # a row sum, not block @ weights: BLAS rounds a one-row product differently
+            mix[start:start + rows] = (block * weights).sum(axis=-1)
+    mix = np.minimum(mix.reshape(arr.shape), 1.0)
+    out = np.where(arr >= ct, 1.0, np.where(arr < -ct, 0.0, mix))
     return float(out) if arr.ndim == 0 else out
 
 

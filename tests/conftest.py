@@ -6,7 +6,10 @@ two constructions can cross-validate each other. The path oracle keeps every
 switch time of one trajectory, and its integral is the same kind of walk over
 them. The kernel estimates are plain per-observation sums, the reference for
 any faster evaluator of the library's vectorized ``kde``; ``matrix_kde`` is
-the one-matrix evaluator that ``kde`` must reproduce bit for bit.
+the one-matrix evaluator that ``kde`` must reproduce bit for bit. The Bessel
+series keep their allocating loops with a whole-array stop test, which the
+library's in-place loops must reproduce bit for bit, and the W(t) CDF keeps
+its one-term-at-a-time Poisson mixture.
 """
 
 from __future__ import annotations
@@ -14,6 +17,9 @@ from __future__ import annotations
 import math
 
 import numpy as np
+from scipy.special import betainc
+
+_REL_STOP = 1e-16
 
 
 def brute_force_w(c: float, lam: float, t: float, n_paths: int, seed: int) -> np.ndarray:
@@ -72,6 +78,44 @@ def walk_integral(sign: int, events, params, times) -> np.ndarray:
             event = next(events, math.inf)
         out.append(params.c * (total + sign * (t - previous)))
     return np.array(out)
+
+
+def series_oracle(x: np.ndarray, order: int) -> np.ndarray:
+    """Ascending Bessel series, a fresh array per step, stop tested on the whole array (oracle)."""
+    q = 0.25 * x * x
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 400):
+        term = term * q / (k * (k + order))
+        total = total + term
+        if np.all(term <= _REL_STOP * total):
+            break
+    return total
+
+
+def asymptotic_oracle(x: np.ndarray, order: int) -> np.ndarray:
+    """Scaled large-argument Bessel expansion, written like :func:`series_oracle` (oracle)."""
+    mu = 4.0 * order * order
+    term = np.ones_like(x)
+    total = np.ones_like(x)
+    for k in range(1, 30):
+        term = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
+        total = total + term
+        if np.all(np.abs(term) <= _REL_STOP * np.abs(total)):
+            break
+    return total / np.sqrt(2.0 * math.pi * x)
+
+
+def loop_w_cdf(params, t: float, w, counts, weights) -> np.ndarray:
+    """P{W(t) <= w} from the Poisson ``counts`` and ``weights``, one term at a time (oracle)."""
+    arr = np.asarray(w, dtype=float)
+    ct = params.c * t
+    y = np.clip(0.5 * (arr / ct + 1.0), 0.0, 1.0)
+    mix = np.zeros_like(arr)
+    for n, p in zip(counts.tolist(), weights.tolist()):
+        a, b = (n + 2) // 2, (n + 1) // 2
+        mix += p * (0.5 * (betainc(a, b, y) + betainc(b, a, y)) if n else 0.5)
+    return np.where(arr >= ct, 1.0, np.where(arr < -ct, 0.0, np.minimum(mix, 1.0)))
 
 
 def direct_kde(values, h: float, t: float) -> tuple[float, float]:

@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -226,6 +227,39 @@ class TestValidationErrors:
         assert code == 2
         assert out == ""
         assert "--t" in err
+
+    @pytest.mark.parametrize(
+        "lam, t, named",
+        [
+            ("1e155", "1", "lam = 1e+155"),  # lam * lam overflows: once printed inf
+            ("1e300", "1", "lam = 1e+300"),  # inf * 0: once printed nan with a warning
+            ("1", "1e156", "t = 1e+156"),  # c^2 t^2 overflows the Bessel argument
+        ],
+    )
+    def test_density_overflow_named(self, capsys, lam, t, named):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "density", "--c", "1", "--lam", lam, "--t", t,
+                                 "--points", "1")
+        assert code == 2
+        assert out == ""
+        assert err.startswith("error: the density overflows at c = 1.0, lam = ")
+        assert named in err
+        assert "Warning" not in err
+
+    @pytest.mark.parametrize(
+        "subcommand", [["simulate-w"], ["simulate-x", "--hazard", "preset:polynomial_c1"]]
+    )
+    def test_switch_bound_leaves_no_table(self, capsys, tmp_path, subcommand):
+        # the bound is checked before the output is opened: no header, no file
+        code, out, err = run(capsys, *subcommand, "--lam", "1e300")
+        assert (code, out) == (2, "")
+        assert "lam = 1e+300" in err
+        target = tmp_path / "paths.csv"
+        code, out, err = run(capsys, *subcommand, "--lam", "1e300", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert "switches; at most 2**30" in err
+        assert not target.exists()
 
     def test_tiny_t_w_density_names_t(self, capsys):
         # the 40000 x values collapse onto a few subnormals inside (-1e-320, 1e-320)

@@ -8,7 +8,31 @@ from scipy import integrate, special, stats
 
 from telhaz.estimation import EPANECHNIKOV, BandConfig, Sample, confidence_band
 
-from telhaz.special import bessel_i0e, bessel_i1e_over_x
+from telhaz.special import _asymptotic_scaled, _series, bessel_i0e, bessel_i1e_over_x
+
+from conftest import asymptotic_oracle, series_oracle
+
+
+def oracle_inputs(lo, hi, slowest):
+    """Named argument arrays on [lo, hi]; ``slowest`` is the one whose terms shrink last."""
+    rng = np.random.default_rng(12)
+    spread = rng.uniform(lo, hi, 100_000)
+    few = rng.uniform(lo, hi, 50)
+    return {
+        "unsorted": spread,
+        "ascending": np.sort(spread),
+        "descending": np.sort(spread)[::-1],
+        "slowest_first": np.concatenate(([slowest], few)),
+        "slowest_last": np.concatenate((few, [slowest])),
+        "slowest_repeated": np.concatenate((few, [slowest] * 3, few, [slowest])),
+        "all_lowest": np.full(17, lo),
+        "empty": np.empty(0),
+        "scalar": np.asarray(0.5 * (lo + hi)),
+    }
+
+
+SERIES_INPUTS = {**oracle_inputs(0.0, 30.0, 30.0), "smallest_subnormal": np.array([5e-324])}
+ASYMPTOTIC_INPUTS = oracle_inputs(30.0, 600.0, 30.0)
 
 
 class TestBessel:
@@ -57,6 +81,26 @@ class TestBessel:
                 fn(-1.0)
             with pytest.raises(ValueError):
                 fn(float("nan"))
+
+
+class TestSeriesOracles:
+    """The in-place loops stop where the whole-array test would, so every bit matches."""
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("name", sorted(SERIES_INPUTS))
+    def test_series_matches_oracle_bits(self, name, order):
+        x = SERIES_INPUTS[name]
+        got, want = _series(x, order), series_oracle(x, order)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("name", sorted(ASYMPTOTIC_INPUTS))
+    def test_asymptotic_matches_oracle_bits(self, name, order):
+        x = ASYMPTOTIC_INPUTS[name]
+        got, want = _asymptotic_scaled(x, order), asymptotic_oracle(x, order)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
 
 
 _BAND_SAMPLE = Sample.from_values(np.linspace(0.1, 1.0, 50) ** 2)

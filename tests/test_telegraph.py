@@ -7,7 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
-from conftest import brute_force_w, ks_distance, ks_critical, oracle_path, walk_integral
+from conftest import (
+    brute_force_w, ks_distance, ks_critical, loop_w_cdf, oracle_path, walk_integral
+)
+from telhaz import telegraph
 from telhaz.telegraph import (
     TelegraphParams,
     mgf,
@@ -308,6 +311,59 @@ class TestAtomAndDensity:
         p = TelegraphParams(c=1.7, lam=4.0)
         w = sample_w(p, 2.0, 20_000, seed=9)
         assert np.all(np.abs(w) <= 1.7 * 2.0 + 1e-12)
+
+
+class TestCdfBlocks:
+    """w_cdf's blocked Poisson mixture against the one-term-at-a-time loop."""
+
+    @staticmethod
+    def spanning_points(p, t, blocks=3):
+        # enough points for ``blocks`` whole row blocks plus a partial one
+        counts, weights = telegraph._poisson_terms(p.lam * t)
+        rows = max(1, telegraph._CDF_BLOCK // counts.size)
+        ct = p.c * t
+        w = np.random.default_rng(rows).uniform(-1.05 * ct, 1.05 * ct, blocks * rows + 7)
+        return w, counts, weights
+
+    @pytest.mark.parametrize("lam_t", [1e-3, 1.0, 10.0, 1e3])
+    def test_matches_loop_oracle(self, lam_t):
+        p = TelegraphParams(c=1.5, lam=lam_t / 2.0)
+        w, counts, weights = self.spanning_points(p, 2.0)
+        got = w_cdf(p, 2.0, w)
+        assert np.max(np.abs(got - loop_w_cdf(p, 2.0, w, counts, weights))) <= 1e-13
+        for i in (0, 1, w.size // 2, w.size - 1):
+            assert w_cdf(p, 2.0, float(w[i])) == got[i]
+
+    def test_one_row_blocks_match_loop_oracle(self, monkeypatch):
+        # a block smaller than one row of terms holds that one row
+        p = TelegraphParams(c=1.0, lam=10.0)
+        w = np.linspace(-1.02, 1.02, 41)
+        counts, weights = telegraph._poisson_terms(10.0)
+        monkeypatch.setattr(telegraph, "_CDF_BLOCK", 7)
+        got = w_cdf(p, 1.0, w)
+        assert np.max(np.abs(got - loop_w_cdf(p, 1.0, w, counts, weights))) <= 1e-13
+        assert [w_cdf(p, 1.0, float(x)) for x in w] == got.tolist()
+
+    def test_shape_kept(self):
+        p = TelegraphParams(c=1.0, lam=3.0)
+        w = np.linspace(-0.9, 0.9, 12).reshape(3, 4)
+        assert w_cdf(p, 1.0, w).shape == (3, 4)
+        assert w_cdf(p, 1.0, w).ravel().tolist() == w_cdf(p, 1.0, w.ravel()).tolist()
+        assert w_cdf(p, 1.0, np.empty(0)).shape == (0,)
+
+    def test_memory_bounded(self):
+        # 2000 points at lam*t = 1e3 keep 526 Poisson terms; one unblocked
+        # (point, term) temporary would take 2000 * 526 * 8 B ~ 8.4 MB
+        p = TelegraphParams(c=1.0, lam=1e3)
+        assert telegraph._poisson_terms(1e3)[0].size == 526
+        w = np.linspace(-1.0, 1.0, 2000)
+        tracemalloc.start()
+        try:
+            w_cdf(p, 1.0, w)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 3 * 2**20
 
 
 class TestMgf:
