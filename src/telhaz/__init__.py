@@ -30,7 +30,6 @@ from .hazard import (
     time_horizon,
 )
 from .perturbed import PerturbedModel, SupportBand
-from .special import bessel_i0e, bessel_i1e_over_x
 from .telegraph import (
     TelegraphParams,
     mgf,
@@ -62,8 +61,6 @@ __all__ = [
     "SupportBand",
     "TelegraphParams",
     "UpperTailError",
-    "bessel_i0e",
-    "bessel_i1e_over_x",
     "builtin",
     "builtin_names",
     "confidence_band",

@@ -1,9 +1,9 @@
 """Scaled modified Bessel functions backing the closed-form densities.
 
-``exp(-x) I0(x)`` and ``exp(-x) I1(x) / x`` are evaluated from their ascending
-power series below a crossover argument, and from the exponentially scaled
-large-argument expansion above it. They never overflow, and the density code
-combines them with its own exponential prefactors.
+``exp(-x) I0(x)`` and ``exp(-x) I1(x) / x`` are evaluated together, from their
+ascending power series below a crossover argument, and from the exponentially
+scaled large-argument expansion above it. They never overflow, and the density
+code combines them with its own exponential prefactors.
 """
 
 from __future__ import annotations
@@ -60,32 +60,25 @@ def _asymptotic_scaled(x: np.ndarray, order: int) -> np.ndarray:
     return total / np.sqrt(2.0 * math.pi * x)
 
 
-def _dispatch(x, small_fn, large_fn):
-    arr = np.asarray(x, dtype=float)
-    if np.any(arr < 0.0) or not np.all(np.isfinite(arr)):
-        raise ValueError("argument must be finite and >= 0")
-    # a scalar is a 0-d array and goes through the same masks
-    out = np.empty_like(arr)
-    small = arr <= _SERIES_CUTOFF
-    out[small] = small_fn(arr[small])
-    out[~small] = large_fn(arr[~small])
-    return float(out) if arr.ndim == 0 else out
+def scaled_bessel(z):
+    """``(exp(-z) I0(z), exp(-z) I1(z) / z)``, shaped like ``z``; the second is 1/2 at 0.
 
-
-def bessel_i0e(x):
-    """Exponentially scaled ``exp(-x) * I0(x)``; never overflows."""
-    return _dispatch(x, lambda a: np.exp(-a) * _series(a, 0), lambda a: _asymptotic_scaled(a, 0))
-
-
-def bessel_i1e_over_x(x):
-    """``exp(-x) * I1(x) / x`` with its finite limit 1/2 at x = 0.
-
-    The ratio appears wherever the chain rule turns a time derivative of I0
-    into I1 divided by a vanishing square root; evaluating the series for
-    I1(x)/x directly removes the 0/0 at the support boundary.
+    The density needs both at one argument: the time derivative of I0 is I1 over a
+    vanishing square root, and the series for I1(z)/z removes that 0/0. ``z`` must
+    be finite and >= 0; it is not checked, as its one caller builds it so.
     """
-    return _dispatch(
-        x,
-        lambda a: 0.5 * np.exp(-a) * _series(a, 1),
-        lambda a: _asymptotic_scaled(a, 1) / a,
-    )
+    arr = np.asarray(z, dtype=float)
+    small = arr <= _SERIES_CUTOFF
+    a = arr[small]
+    # both series before the outputs and one exp(-a), halved in place for
+    # (0.5 exp(-a)) S1: fewer full-size arrays live at once than two separate calls held
+    s0, s1 = _series(a, 0), _series(a, 1)
+    i0e, i1e_over_z = np.empty_like(arr), np.empty_like(arr)
+    scale = np.exp(-a)
+    i0e[small] = scale * s0
+    scale *= 0.5
+    i1e_over_z[small] = scale * s1
+    a = arr[~small]
+    i0e[~small] = _asymptotic_scaled(a, 0)
+    i1e_over_z[~small] = _asymptotic_scaled(a, 1) / a
+    return i0e, i1e_over_z

@@ -11,13 +11,14 @@ closed form; no time discretization or quadrature is used anywhere.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.special import betainc, gammaln, xlogy
 
 from .hazard import _count, _positive, _times
-from .special import bessel_i0e, bessel_i1e_over_x
+from .special import scaled_bessel
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
 _POISSON_TAIL = 1e-16
@@ -40,14 +41,14 @@ class TelegraphParams:
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
 
-def _expected_switches(params: TelegraphParams, horizon: float) -> float:
-    """``lam * horizon``, the switches a path up to ``horizon`` expects; at most 2^30."""
+def _expected_switches(params: TelegraphParams, horizon: float, name: str = "grid[-1]") -> float:
+    """``lam * horizon``, the noise law's budget for paths and the CDF; at most 2^30."""
     horizon = float(horizon)
     expected = params.lam * horizon
     if expected > _MAX_SWITCHES:
         raise ValueError(
-            f"lam = {params.lam!r} up to grid[-1] = {horizon!r} expects {expected!r} "
-            "switches; at most 2**30 are drawn"
+            f"lam = {params.lam!r} up to {name} = {horizon!r} expects {expected!r} "
+            "switches; at most 2**30 are supported"
         )
     return expected
 
@@ -135,7 +136,8 @@ def _bessel_density(params: TelegraphParams, t: float, spread2, jacobian):
         z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
         if not np.all(np.isfinite(z)):
             raise ValueError(overflow)
-        bracket = lam * bessel_i0e(z) + lam * lam * t * bessel_i1e_over_x(z)
+        i0e, i1e_over_z = scaled_bessel(z)
+        bracket = lam * i0e + lam * lam * t * i1e_over_z
         out = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
     if not np.all(np.isfinite(out)):
         raise ValueError(overflow)
@@ -164,7 +166,8 @@ def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
 
     The window mean -+ (10 sqrt(mean) + 40) misses less than 1e-21 of the mass
     (Bernstein's tail bound); each side is then cut where its tail mass
-    reaches half the budget, which keeps O(sqrt(mean)) terms.
+    reaches half the budget, which keeps O(sqrt(mean)) terms. Each weight cancels
+    terms of size mean log(mean), so the kept ones are divided by their sum.
     """
     reach = 10.0 * math.sqrt(mean) + 40.0
     n = np.arange(max(0, math.floor(mean - reach)), math.ceil(mean + reach) + 1)
@@ -172,7 +175,7 @@ def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
     below = np.cumsum(weights)
     above = np.cumsum(weights[::-1])[::-1]
     keep = (below > 0.5 * _POISSON_TAIL) & (above > 0.5 * _POISSON_TAIL)
-    return n[keep], weights[keep]
+    return n[keep], weights[keep] / weights[keep].sum()
 
 
 def _conditional_cdfs(y: np.ndarray, counts: np.ndarray) -> np.ndarray:
@@ -207,7 +210,7 @@ def w_cdf(params: TelegraphParams, t: float, w):
     mix = np.zeros(arr.size)
     if t > 0.0:
         y = np.clip(0.5 * (arr.reshape(-1) / ct + 1.0), 0.0, 1.0)
-        counts, weights = _poisson_terms(params.lam * t)
+        counts, weights = _poisson_terms(_expected_switches(params, t, "t"))
         rows = max(1, _CDF_BLOCK // counts.size)
         for start in range(0, y.size, rows):
             block = _conditional_cdfs(y[start:start + rows, None], counts)
@@ -224,8 +227,11 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
     Splitting cosh/sinh into single exponentials keeps every term bounded
     whenever ``log_scale`` grows at least like the dominant exponent, which
     is exactly the situation in the perturbed-process moment formulas.
-    Accepts arrays for ``t`` and ``log_scale``.
+    ``s`` is a real number, not a bool, finite and of either sign. Accepts
+    arrays for ``t`` and ``log_scale``.
     """
+    if not isinstance(s, numbers.Real) or isinstance(s, bool) or not math.isfinite(s):
+        raise ValueError(f"s must be a finite real number, got {s!r}")
     omega = math.hypot(params.lam, s * params.c)
     ratio = params.lam / omega
     ta = _times(t)
@@ -238,8 +244,6 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
 
 def mgf(params: TelegraphParams, s: float, t):
     """Moment generating function E[exp(s W(t))]; symmetric in s <-> -s."""
-    if not math.isfinite(s):
-        raise ValueError(f"s must be finite, got {s!r}")
     return scaled_mgf(params, s, t, 0.0)
 
 

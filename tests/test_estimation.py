@@ -69,7 +69,7 @@ class TestKernel:
             lambda u: float(EPANECHNIKOV.density(u)) ** 2, -SQRT5, SQRT5, epsabs=1e-13
         )
         assert EPANECHNIKOV.l2_constant == pytest.approx(3.0 * SQRT5 / 25.0, rel=1e-15)
-        assert EPANECHNIKOV.l2_constant == pytest.approx(numeric, abs=1e-5)
+        assert EPANECHNIKOV.l2_constant == pytest.approx(numeric, abs=1e-12)
 
     def test_density_integrates_to_one(self):
         numeric, _ = integrate.quad(lambda u: float(EPANECHNIKOV.density(u)), -SQRT5, SQRT5)

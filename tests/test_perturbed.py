@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from telhaz.hazard import PiecewiseLinearHazard, PolynomialHazard
+from telhaz.hazard import ConstantHazard, PiecewiseLinearHazard, PolynomialHazard
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import FIG3_TIMES, model_fig1, model_fig2, model_fig3
 from conftest import oracle_path
@@ -215,6 +215,15 @@ class TestCdf:
                 epsabs=1e-10, epsrel=1e-10, limit=300,
             )
             assert value == pytest.approx(fig_model.atom_prob(t) + interior, abs=1e-6)
+
+    @pytest.mark.parametrize("lam", [1e12, 1e300])
+    def test_switch_budget_named(self, lam):
+        # the mixture behind cdf is refused by name past 2**30 expected switches
+        model = PerturbedModel(ConstantHazard(2.0), TelegraphParams(c=1.0, lam=lam))
+        with pytest.raises(
+            ValueError, match=r"^lam = .* up to t = 1\.0 expects .* switches; at most 2\*\*30"
+        ):
+            model.cdf(0.5, 1.0)
 
     def test_convergence_in_probability_to_one(self, fig_model):
         threshold = 1.0 - 1e-4

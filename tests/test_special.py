@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate, special, stats
+from scipy import special, stats
 
 from telhaz.estimation import EPANECHNIKOV, BandConfig, Sample, confidence_band
 
-from telhaz.special import _asymptotic_scaled, _series, bessel_i0e, bessel_i1e_over_x
+from telhaz.special import _asymptotic_scaled, _series, scaled_bessel
 
 from conftest import asymptotic_oracle, series_oracle
 
@@ -35,52 +35,74 @@ SERIES_INPUTS = {**oracle_inputs(0.0, 30.0, 30.0), "smallest_subnormal": np.arra
 ASYMPTOTIC_INPUTS = oracle_inputs(30.0, 600.0, 30.0)
 
 
+def oracle_pair(z):
+    """scaled_bessel's pair from the oracle loops, split at the same cutoff."""
+    i0e, i1e_over_z = np.empty_like(z), np.empty_like(z)
+    small = z <= 30.0
+    a = z[small]
+    i0e[small] = np.exp(-a) * series_oracle(a, 0)
+    i1e_over_z[small] = 0.5 * np.exp(-a) * series_oracle(a, 1)
+    a = z[~small]
+    i0e[~small] = asymptotic_oracle(a, 0)
+    i1e_over_z[~small] = asymptotic_oracle(a, 1) / a
+    return i0e, i1e_over_z
+
+
 class TestBessel:
     def test_values_at_zero(self):
-        assert bessel_i0e(0.0) == 1.0
-        assert bessel_i1e_over_x(0.0) == 0.5
+        assert scaled_bessel(0.0) == (1.0, 0.5)
 
     def test_frozen_series_values(self):
         # independent ascending-series I0(1) and I1(1), truncated below 1e-16, scaled by e^-1
         scale = math.exp(-1.0)
-        assert bessel_i0e(1.0) == pytest.approx(1.2660658777520082 * scale, rel=1e-14)
-        assert bessel_i1e_over_x(1.0) == pytest.approx(0.5651591039924851 * scale, rel=1e-13)
+        i0e, i1e_over_z = scaled_bessel(1.0)
+        assert i0e == pytest.approx(1.2660658777520082 * scale, rel=1e-14)
+        assert i1e_over_z == pytest.approx(0.5651591039924851 * scale, rel=1e-13)
 
     @pytest.mark.parametrize("x", np.geomspace(1e-6, 600.0, 41).tolist() + [29.9, 30.0, 30.1])
     def test_against_scipy(self, x):
-        assert bessel_i0e(x) == pytest.approx(float(special.i0e(x)), rel=1e-12)
-        assert bessel_i1e_over_x(x) == pytest.approx(float(special.i1e(x)) / x, rel=1e-12)
+        i0e, i1e_over_z = scaled_bessel(x)
+        assert i0e == pytest.approx(float(special.i0e(x)), rel=1e-12)
+        assert i1e_over_z == pytest.approx(float(special.i1e(x)) / x, rel=1e-12)
 
     def test_i1e_over_x_matches_ratio(self):
-        for x in (1e-12, 1e-6, 0.5, 10.0, 29.99, 30.01, 250.0):
-            assert bessel_i1e_over_x(x) == pytest.approx(float(special.i1e(x)) / x, rel=1e-12)
+        xs = np.array([1e-12, 1e-6, 0.5, 10.0, 29.99, 30.01, 250.0])
+        assert np.allclose(scaled_bessel(xs)[1], special.i1e(xs) / xs, rtol=1e-12, atol=0.0)
 
     def test_array_input(self):
-        xs = np.array([0.0, 0.5, 2.0, 40.0])
-        out = bessel_i0e(xs)
-        assert out.shape == xs.shape
-        assert np.allclose(out, special.i0e(xs), rtol=1e-12)
+        xs = np.array([[0.0, 0.5], [2.0, 40.0]])
+        i0e, i1e_over_z = scaled_bessel(xs)
+        assert i0e.shape == i1e_over_z.shape == xs.shape
+        assert np.allclose(i0e, special.i0e(xs), rtol=1e-12, atol=0.0)
+
+    @pytest.mark.parametrize("x", [0.5, 40.0])
+    def test_zero_d_input(self, x):
+        # a scalar or 0-d array runs through the array path and keeps its 0-d shape
+        for arg in (x, np.float64(x), np.asarray(x)):
+            pair = scaled_bessel(arg)
+            assert [value.shape for value in pair] == [(), ()]
+            assert [float(value) for value in pair] == [
+                value[0] for value in scaled_bessel(np.array([x]))
+            ]
 
     @pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, 29.99, 30.0, 30.01, 75.0, 800.0])
     def test_scalar_matches_array_bits(self, x):
-        # a scalar runs through the array path; the partner value lies across the cutoff
+        # a value does not depend on its neighbours; the partner lies across the cutoff
         partner = 100.0 if x <= 30.0 else 1.0
-        for fn in (bessel_i0e, bessel_i1e_over_x):
-            scalar = fn(x)
-            assert type(scalar) is float
-            assert scalar == fn(np.array([x, partner]))[0]
-            assert scalar == fn(np.array([partner, x]))[1]
+        for i, scalar in enumerate(scaled_bessel(x)):
+            assert scalar == scaled_bessel(np.array([x, partner]))[i][0]
+            assert scalar == scaled_bessel(np.array([partner, x]))[i][1]
 
     def test_huge_argument_stays_finite(self):
-        assert np.isfinite(bessel_i0e(800.0))
-        assert np.isfinite(bessel_i1e_over_x(800.0))
+        assert all(np.isfinite(scaled_bessel(800.0)))
 
-    def test_negative_argument_rejected(self):
-        for fn in (bessel_i0e, bessel_i1e_over_x):
-            with pytest.raises(ValueError):
-                fn(-1.0)
-            with pytest.raises(ValueError):
-                fn(float("nan"))
+    @pytest.mark.parametrize("name", ["unsorted", "slowest_first", "all_lowest", "empty"])
+    def test_pair_matches_oracle_bits(self, name):
+        # the series and asymptotic oracles on the same two sides of the cutoff
+        z = np.concatenate((SERIES_INPUTS[name], ASYMPTOTIC_INPUTS[name]))
+        np.random.default_rng(3).shuffle(z)
+        for got, want in zip(scaled_bessel(z), oracle_pair(z)):
+            assert got.tobytes() == want.tobytes()
 
 
 class TestSeriesOracles:
@@ -152,13 +174,3 @@ class TestNormalQuantile:
         with pytest.raises(ValueError):
             BandConfig(h=0.3, alpha=alpha)
 
-
-def test_epanechnikov_l2_constant_by_quadrature():
-    # closed form 3*sqrt(5)/25 for the parabolic kernel on [-sqrt(5), sqrt(5)]
-    radius = math.sqrt(5.0)
-
-    def k(u):
-        return 3.0 / (4.0 * radius) * (1.0 - u * u / 5.0)
-
-    value, _ = integrate.quad(lambda u: k(u) ** 2, -radius, radius, epsabs=1e-13)
-    assert value == pytest.approx(3.0 * math.sqrt(5.0) / 25.0, abs=1e-12)

@@ -351,6 +351,25 @@ class TestCdfBlocks:
         assert w_cdf(p, 1.0, w).ravel().tolist() == w_cdf(p, 1.0, w.ravel()).tolist()
         assert w_cdf(p, 1.0, np.empty(0)).shape == (0,)
 
+    @pytest.mark.parametrize("lam_t", [1e4, 1e6])
+    def test_symmetric_law_exact(self, lam_t):
+        # F(0) = 1/2 and F(-w) + F(w) = 1 need the kept Poisson weights to sum to 1;
+        # w = ct 2^-k keeps 1 -+ w/ct exact, so y and 1 - y are exact complements
+        p = TelegraphParams(c=1.0, lam=lam_t)
+        w = 2.0 ** -np.arange(4.0, 13.0, 2.0)
+        cdf = w_cdf(p, 1.0, np.concatenate((-w, [0.0], w)))
+        assert abs(cdf[w.size] - 0.5) <= 1e-15
+        assert np.max(np.abs(cdf[:w.size] + cdf[w.size + 1:] - 1.0)) <= 1e-15
+
+    @pytest.mark.parametrize("lam", [1e12, 1e300])
+    def test_switch_budget_named(self, lam):
+        # the CDF shares the paths' 2**30 budget and is refused before any term is formed
+        p = TelegraphParams(c=1.0, lam=lam)
+        with pytest.raises(
+            ValueError, match=r"^lam = .* up to t = 1\.0 expects .* switches; at most 2\*\*30"
+        ):
+            w_cdf(p, 1.0, 0.0)
+
     def test_memory_bounded(self):
         # 2000 points at lam*t = 1e3 keep 526 Poisson terms; one unblocked
         # (point, term) temporary would take 2000 * 526 * 8 B ~ 8.4 MB
@@ -424,6 +443,15 @@ class TestMgf:
             mgf(p, 1.0, -0.5)
         with pytest.raises(ValueError):
             mgf(p, math.inf, 1.0)
+
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, True, "1"])
+    def test_s_rule(self, s):
+        # s is a finite real number of either sign, not a bool, in both functions
+        p = TelegraphParams(c=1.0, lam=1.0)
+        with pytest.raises(ValueError, match=r"^s must be a finite real number, got "):
+            scaled_mgf(p, s, 1.0, 0.0)
+        with pytest.raises(ValueError, match=r"^s must be a finite real number, got "):
+            mgf(p, s, 1.0)
 
 
 class TestMoments:
