@@ -5,20 +5,8 @@ the induced random distribution-function process, and a kernel-band
 defensibility test for lifetime data.
 """
 
-from .datasets import NamedDataset, builtin, builtin_names, load, save
-from .estimation import (
-    EPANECHNIKOV,
-    BandConfig,
-    ConfidenceBand,
-    DefensibilityReport,
-    Kernel,
-    Sample,
-    UpperTailError,
-    confidence_band,
-    defensibility_test,
-    hazard_estimate,
-    kde,
-)
+import importlib
+
 from .hazard import (
     ConstantHazard,
     CustomHazard,
@@ -43,6 +31,24 @@ from .telegraph import (
 )
 
 __version__ = "0.1.0"
+
+# The estimation names (estimation imports scipy.special) and the data sets
+# resolve on first access (PEP 562), so `import telhaz` loads neither module.
+_LAZY = {
+    **dict.fromkeys(("NamedDataset", "builtin", "builtin_names", "load", "save"), "datasets"),
+    **dict.fromkeys(
+        ("EPANECHNIKOV", "BandConfig", "ConfidenceBand", "DefensibilityReport", "Kernel", "Sample",
+         "UpperTailError", "confidence_band", "defensibility_test", "hazard_estimate", "kde"),
+        "estimation",
+    ),
+}
+
+
+def __getattr__(name: str):
+    if name not in _LAZY:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    return getattr(importlib.import_module(f".{_LAZY[name]}", __name__), name)
+
 
 __all__ = [
     "BandConfig",

@@ -20,16 +20,22 @@ import os
 import sys
 import traceback
 from pathlib import Path
+from typing import TYPE_CHECKING
 
 import numpy as np
 
-from . import datasets, presets
-from .estimation import BandConfig, _alpha, confidence_band, defensibility_test
+from . import presets
 from .hazard import (
-    _config_entries, _count, _interior, _positive, _read_file, _times, load_hazard_config
+    _alpha, _config_entries, _count, _interior, _positive, _read_file, _times, load_hazard_config
 )
 from .perturbed import PerturbedModel
 from .telegraph import TelegraphParams, _expected_switches, sample_path, w_density
+
+# datasets and estimation (which loads scipy.special) are imported inside the
+# commands that estimate, so the process commands never load them.
+if TYPE_CHECKING:
+    from .datasets import NamedDataset
+    from .estimation import BandConfig
 
 
 @contextlib.contextmanager
@@ -65,7 +71,10 @@ def _model_from_args(args) -> PerturbedModel:
     return PerturbedModel(_hazard(args), TelegraphParams(c=args.c, lam=args.lam))
 
 
-def _data_and_config(args) -> tuple[datasets.NamedDataset, BandConfig]:
+def _data_and_config(args) -> tuple[NamedDataset, BandConfig]:
+    from . import datasets
+    from .estimation import BandConfig
+
     dataset = _resolve(args.data, "dataset", datasets._BUILTIN, datasets.load)
     return dataset, BandConfig(h=args.bandwidth, alpha=args.alpha, grid_size=args.grid_size)
 
@@ -177,6 +186,8 @@ def cmd_band(args) -> int:
 
 
 def cmd_estimate(args) -> int:
+    from .estimation import confidence_band
+
     dataset, config = _data_and_config(args)
     _write_csv(args.output, _estimate_rows(confidence_band(dataset.sample, config)))
     return 0
@@ -200,6 +211,8 @@ def _write_verdict(path, dataset_name: str, config: BandConfig, report, with_gri
 
 
 def cmd_defensibility(args) -> int:
+    from .estimation import defensibility_test
+
     dataset, config = _data_and_config(args)
     report = defensibility_test(dataset.sample, config, _hazard(args), args.c)
     if args.format == "csv":
@@ -252,6 +265,9 @@ def _reproduce_fig4(outdir: Path, seed: int) -> None:
 
 
 def _reproduce_app(outdir: Path, seed: int, preset: dict) -> int:
+    from . import datasets
+    from .estimation import BandConfig, defensibility_test
+
     dataset = datasets.builtin(preset["dataset"])
     config = BandConfig(h=preset["h"], alpha=preset["alpha"])
     report = defensibility_test(dataset.sample, config, preset["baseline"], preset["c"])

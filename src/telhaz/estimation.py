@@ -15,20 +15,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .hazard import HazardSpec, _count, _interior, _positive
+from .hazard import HazardSpec, _alpha, _count, _interior, _not_nan, _positive
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
 # pairs (grid point, observation) evaluated at once by kde; bounds its memory
 _BLOCK = 1 << 18
-
-
-def _alpha(name: str, value) -> float:
-    """``value`` as a float: a real number but not a bool, in the open (0, 0.5)."""
-    alpha = _positive(name, value)
-    if not alpha < 0.5:
-        raise ValueError(f"{name} must lie in (0, 0.5), got {value!r}")
-    return alpha
 
 
 class UpperTailError(ValueError):
@@ -99,13 +91,13 @@ def kde(sample: Sample, h: float, t):
     """(f_hat, F_hat) at ``t``: (nh)^-1 sum k(u_i) and n^-1 sum K(u_i), u_i = (t - T_i)/h.
 
     K is the kernel antiderivative, so f_hat integrates to one over the real
-    line. A scalar ``t`` gives two floats. The grid is walked in blocks of
-    at most ``_BLOCK`` pairs (one grid point per block at least), so memory
-    is O(n) whatever the grid size; each point's sum is the same as over the
-    whole matrix, bit for bit.
+    line. A scalar ``t`` gives two floats; NaN in ``t`` is refused by name.
+    The grid is walked in blocks of at most ``_BLOCK`` pairs (one grid point
+    per block at least), so memory is O(n) whatever the grid size; each
+    point's sum is the same as over the whole matrix, bit for bit.
     """
     h = _positive("bandwidth", h)
-    ta = np.asarray(t, dtype=float)
+    ta = _not_nan("t", t)
     flat = ta.reshape(-1)
     f = np.empty_like(flat)
     F = np.empty_like(flat)

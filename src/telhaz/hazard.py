@@ -93,6 +93,22 @@ def _count(name: str, value, minimum: int) -> int:
     return int(value)
 
 
+def _alpha(name: str, value) -> float:
+    """``value`` as a float: a real number but not a bool, in the open (0, 0.5)."""
+    alpha = _positive(name, value)
+    if not alpha < 0.5:
+        raise ValueError(f"{name} must lie in (0, 0.5), got {value!r}")
+    return alpha
+
+
+def _not_nan(name: str, values) -> np.ndarray:
+    """``values`` as a float array with no NaN; +-inf pass, as evaluation points of a CDF."""
+    arr = np.asarray(values, dtype=float)
+    if np.isnan(arr).any():
+        raise ValueError(f"{name} must not be NaN")
+    return arr
+
+
 def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
     """``t`` as a float array of reals, not bools, in [0, end); errors quote the first bad value."""
     arr = np.asarray(t)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hazard import HazardSpec, _positive, _times, time_horizon
+from .hazard import HazardSpec, _not_nan, _positive, _times, time_horizon
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
@@ -150,19 +150,23 @@ class PerturbedModel:
     def cdf(self, x, t: float):
         """P{X(t) <= x}, via the monotone map onto the integrated-noise law.
 
-        Outside the closed band the value clamps to 0 below and 1 above.
-        Accepts a scalar or an array of ``x``.
+        Outside the closed band the value clamps to 0 below and 1 above, so
+        -inf and +inf give 0 and 1; NaN is refused by name. Accepts a scalar
+        or an array of ``x``. The first call in a process imports
+        ``scipy.special`` (through :func:`w_cdf`).
         """
         band = self.band(t)  # also validates t
         t = band.t
-        arr = np.asarray(x, dtype=float)
+        arr = _not_nan("x", x)
         ct = self.noise.c * t
         # X <= x  <=>  W <= log(survival(t) / (1 - x)); clamp the threshold
         # into [-ct, ct] to absorb roundoff at the band endpoints. For x >= 1
-        # the log is -inf or NaN; the band clamp below overrides those.
+        # the log is -inf or NaN; such points lie outside the band, so w_cdf
+        # gets 0 there and the band clamp below overrides them.
+        outside = (arr < band.a) | (arr >= band.b)
         with np.errstate(divide="ignore", invalid="ignore"):
             w = np.clip(-(self.hazard.cumulative(t) + np.log1p(-arr)), -ct, ct)
-        inside = w_cdf(self.noise, t, w)
+        inside = w_cdf(self.noise, t, np.where(outside, 0.0, w))
         out = np.where(arr < band.a, 0.0, np.where(arr >= band.b, 1.0, inside))
         return float(out) if arr.ndim == 0 else out
 

@@ -15,9 +15,8 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import betainc, gammaln, xlogy
 
-from .hazard import _count, _positive, _times
+from .hazard import _count, _not_nan, _positive, _times
 from .special import scaled_bessel
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
@@ -169,6 +168,8 @@ def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
     reaches half the budget, which keeps O(sqrt(mean)) terms. Each weight cancels
     terms of size mean log(mean), so the kept ones are divided by their sum.
     """
+    from scipy.special import gammaln, xlogy  # imported here: only the CDF needs scipy
+
     reach = 10.0 * math.sqrt(mean) + 40.0
     n = np.arange(max(0, math.floor(mean - reach)), math.ceil(mean + reach) + 1)
     weights = np.exp(xlogy(n, mean) - mean - gammaln(n + 1.0))
@@ -180,6 +181,7 @@ def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
 
 def _conditional_cdfs(y: np.ndarray, counts: np.ndarray) -> np.ndarray:
     """P{W(t) <= w | N = n} for the column ``y`` of (w/ct + 1)/2 and each count n."""
+    from scipy.special import betainc  # imported here: only the CDF needs scipy
     a, b = (counts + 2) // 2, (counts + 1) // 2
     odd = counts % 2 == 1
     even = (counts > 0) & ~odd
@@ -199,13 +201,15 @@ def w_cdf(params: TelegraphParams, t: float, w):
         P{W(t) <= w | N} = [I_y(a, b) + I_y(b, a)] / 2,
 
     which is 1/2 on [-ct, ct) when N = 0: the lower endpoint atom. Accepts a
-    scalar or an array of ``w``. The (point, term) pairs are evaluated in
-    blocks of whole rows, at most 2^16 pairs or one row, so memory beyond the
-    O(sqrt(lam t)) terms does not grow with the number of points; each row is
-    summed on its own, so a point's value does not depend on the others.
+    scalar or an array of ``w``; -inf and +inf give 0 and 1, and NaN is
+    refused by name. The (point, term) pairs are evaluated in blocks of whole
+    rows, at most 2^16 pairs or one row, so memory beyond the O(sqrt(lam t))
+    terms does not grow with the number of points; each row is summed on its
+    own, so a point's value does not depend on the others. The first call in a
+    process imports ``scipy.special``.
     """
     t = _positive("t", t, allow_zero=True)
-    arr = np.asarray(w, dtype=float)
+    arr = _not_nan("w", w)
     ct = params.c * t
     mix = np.zeros(arr.size)
     if t > 0.0:

@@ -397,14 +397,100 @@ def test_cli_import_leaves_out_scipy_integrate():
     assert result.stdout.strip() == "False"
 
 
+def scipy_after(probe: str, *argv: str) -> dict:
+    """Run ``probe`` (with ``argv`` as sys.argv[1:]) in a fresh process; its ``out`` and scipy modules.
+
+    The probe leaves what it reports in a variable ``out``.
+    """
+    report = (
+        "\nimport json, sys\nprint(json.dumps({'out': out, 'scipy': sorted("
+        "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))}))"
+    )
+    result = subprocess.run(
+        [sys.executable, "-c", probe + report, *argv],
+        env=src_env(), capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    return json.loads(result.stdout.splitlines()[-1])
+
+
+@pytest.mark.parametrize("module", ["telhaz", "telhaz.cli"])
+def test_import_leaves_out_scipy(module):
+    # scipy.special is ~0.35 s of a CLI process; only estimation and w_cdf call it
+    assert scipy_after(f"import {module}; out = None")["scipy"] == []
+
+
+PROCESS_COMMANDS = {
+    **{f"reproduce-{target}": ("reproduce", target, "--output-dir", "{tmp}")
+       for target in ("fig1", "fig2", "fig3", "fig4")},
+    "simulate-w": ("simulate-w", "--output", "{tmp}/w.csv"),
+    "simulate-x": ("simulate-x", "--hazard", "preset:polynomial_c1", "--output", "{tmp}/x.csv"),
+    "band": ("band", "--hazard", "preset:polynomial_c1", "--points", "5", "--output", "{tmp}/b.csv"),
+    "moments": ("moments", "--hazard", "preset:polynomial_c1", "--points", "5",
+                "--output", "{tmp}/m.csv"),
+    "density-w": ("density", "--process", "w", "--points", "5", "--output", "{tmp}/dw.csv"),
+    "density-x": ("density", "--process", "x", "--hazard", "preset:polynomial_c1", "--t", "0.5",
+                  "--points", "5", "--output", "{tmp}/dx.csv"),
+}
+ESTIMATING_COMMANDS = {
+    "reproduce-app1": ("reproduce", "app1", "--output-dir", "{tmp}"),
+    "estimate": ("estimate", "--data", "preset:melanoma_46", "--bandwidth", "6",
+                 "--output", "{tmp}/e.csv"),
+}
+
+
+def scipy_after_main(argv, tmp_path) -> list:
+    """The scipy modules a fresh process holds after ``cli.main(argv)`` exits 0."""
+    probe = "import sys, telhaz.cli; out = telhaz.cli.main(sys.argv[1:])"
+    run = scipy_after(probe, *(arg.format(tmp=tmp_path) for arg in argv))
+    assert run["out"] == 0
+    return run["scipy"]
+
+
+@pytest.mark.parametrize("argv", PROCESS_COMMANDS.values(), ids=PROCESS_COMMANDS)
+def test_process_commands_leave_out_scipy(argv, tmp_path):
+    assert scipy_after_main(argv, tmp_path) == []
+
+
+@pytest.mark.parametrize("argv", ESTIMATING_COMMANDS.values(), ids=ESTIMATING_COMMANDS)
+def test_estimating_commands_load_scipy_special(argv, tmp_path):
+    assert "scipy.special" in scipy_after_main(argv, tmp_path)
+
+
 def test_export_list_resolves():
     assert len(set(telhaz.__all__)) == len(telhaz.__all__)
     assert [name for name in telhaz.__all__ if not hasattr(telhaz, name)] == []
-    probe = "from telhaz import *"
+    # a lazily exported module's name still imports the submodule
+    probe = "from telhaz import *; from telhaz import datasets, estimation; assert kde is estimation.kde"
     result = subprocess.run(
         [sys.executable, "-c", probe], env=src_env(), capture_output=True, text=True, timeout=120
     )
     assert result.returncode == 0, result.stderr
+
+
+def test_exports_are_their_modules_objects():
+    layers = {f"telhaz.{m}" for m in ("datasets", "estimation", "hazard", "perturbed", "telegraph")}
+    for name in telhaz.__all__:
+        exported = getattr(telhaz, name)
+        home = exported.__module__  # EPANECHNIKOV, an instance, reads its class's
+        assert home in layers, name
+        assert getattr(sys.modules[home], name) is exported, name
+
+
+def test_unknown_export_named():
+    with pytest.raises(AttributeError, match=r"^module 'telhaz' has no attribute 'no_such_name'$"):
+        telhaz.no_such_name
+
+
+def test_first_w_cdf_call_loads_scipy_special():
+    probe = (
+        "import sys, telhaz\n"
+        "before = 'scipy.special' in sys.modules\n"
+        "out = [before, repr(telhaz.w_cdf(telhaz.TelegraphParams(1.0, 2.0), 1.5, 0.3))]"
+    )
+    run = scipy_after(probe)
+    assert run["out"] == [False, repr(telhaz.w_cdf(telhaz.TelegraphParams(1.0, 2.0), 1.5, 0.3))]
+    assert "scipy.special" in run["scipy"]
 
 
 class TestHazardFileAndConfig:

@@ -199,6 +199,14 @@ class TestKde:
         lo, hi = sorted((a, b))
         assert kde(sample, 6.0, lo)[1] <= kde(sample, 6.0, hi)[1] + 1e-15
 
+    def test_nan_refused_by_name_inf_exact(self, melanoma):
+        for t in (math.nan, [math.nan, 50.0]):
+            for estimate in (kde, hazard_estimate):
+                with pytest.raises(ValueError, match=r"^t must not be NaN$"):
+                    estimate(melanoma, 5.0, t)
+        f, F = kde(melanoma, 5.0, [-math.inf, math.inf])
+        assert (f.tolist(), F.tolist()) == ([0.0, 0.0], [0.0, 1.0])
+
 
 class TestHazardEstimate:
     def test_upper_tail_refused(self, melanoma):

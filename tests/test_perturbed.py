@@ -225,6 +225,13 @@ class TestCdf:
         ):
             model.cdf(0.5, 1.0)
 
+    def test_nan_refused_by_name_inf_exact(self, fig_model):
+        for x in (math.nan, [0.5, math.nan]):
+            with pytest.raises(ValueError, match=r"^x must not be NaN$"):
+                fig_model.cdf(x, 0.5)
+        assert fig_model.cdf([-math.inf, math.inf], 0.5).tolist() == [0.0, 1.0]
+        assert (fig_model.cdf(-math.inf, 0.0), fig_model.cdf(math.inf, 0.0)) == (0.0, 1.0)
+
     def test_convergence_in_probability_to_one(self, fig_model):
         threshold = 1.0 - 1e-4
         probs = [fig_model.cdf(threshold, t) for t in (0.75, 1.0, 1.5, 2.0)]

@@ -361,6 +361,14 @@ class TestCdfBlocks:
         assert abs(cdf[w.size] - 0.5) <= 1e-15
         assert np.max(np.abs(cdf[:w.size] + cdf[w.size + 1:] - 1.0)) <= 1e-15
 
+    def test_nan_refused_by_name_inf_exact(self):
+        p = TelegraphParams(c=1.0, lam=1.0)
+        for w in (math.nan, [math.nan, 0.5], [[0.5, math.nan]]):
+            with pytest.raises(ValueError, match=r"^w must not be NaN$"):
+                w_cdf(p, 1.0, w)
+        assert w_cdf(p, 1.0, [-math.inf, math.inf]).tolist() == [0.0, 1.0]
+        assert (w_cdf(p, 0.0, -math.inf), w_cdf(p, 0.0, math.inf)) == (0.0, 1.0)
+
     @pytest.mark.parametrize("lam", [1e12, 1e300])
     def test_switch_budget_named(self, lam):
         # the CDF shares the paths' 2**30 budget and is refused before any term is formed
