@@ -26,7 +26,8 @@ import numpy as np
 
 from . import presets
 from .hazard import (
-    _alpha, _config_entries, _count, _interior, _positive, _read_file, _times, load_hazard_config
+    _alpha, _config_entries, _count, _interior_grid, _positive, _read_file, _times,
+    load_hazard_config,
 )
 from .perturbed import PerturbedModel
 from .telegraph import TelegraphParams, _expected_switches, sample_path, w_density
@@ -109,8 +110,7 @@ def _x_density(model: PerturbedModel, t: float, points: int):
     """``points`` interior x values of X(t)'s band and the density there."""
     band = model.band(t)
     # a late t rounds a(t) and b(t) to within a few ulps of 1, or both to 1
-    xs = np.linspace(band.a, band.b, points + 2)[1:-1]
-    _interior(xs, band.a, band.b, f"--t {t!r} (band of X(t))")
+    xs = _interior_grid(band.a, band.b, points, f"--t {t!r} (band of X(t))")
     return xs, model.density(xs, t)
 
 
@@ -133,6 +133,12 @@ def _defensibility_rows(report) -> list:
 # -- subcommands --------------------------------------------------------------
 
 
+def _support_grid(model: PerturbedModel, end: float, count: int, flag: str) -> np.ndarray:
+    """``count`` uniform times on [0, end]; ``flag`` names ``end`` if it leaves the support."""
+    _times(end, model.hazard.support_end, flag)
+    return np.linspace(0.0, end, count)
+
+
 def cmd_simulate_w(args) -> int:
     params = TelegraphParams(c=args.c, lam=args.lam)
     grid = np.linspace(0.0, args.horizon, args.grid_size)
@@ -144,8 +150,7 @@ def cmd_simulate_w(args) -> int:
 
 def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
-    horizon = min(args.horizon, model.hazard.support_end * (1.0 - 1e-12))
-    grid = np.linspace(0.0, horizon, args.grid_size)
+    grid = _support_grid(model, args.horizon, args.grid_size, "--horizon")
     _expected_switches(model.noise, grid[-1])  # refused before the output is opened
     _write_csv(args.output, _path_rows("x", model.sample_path_values, grid, args.paths, args.seed))
     return 0
@@ -155,8 +160,7 @@ def cmd_density(args) -> int:
     if args.process == "w":
         params = TelegraphParams(c=args.c, lam=args.lam)
         ct = params.c * args.t
-        xs = np.linspace(-ct, ct, args.points + 2)[1:-1]
-        _interior(xs, -ct, ct, f"--t {args.t!r} (support of W(t))")
+        xs = _interior_grid(-ct, ct, args.points, f"--t {args.t!r} (support of W(t))")
         f = w_density(params, args.t, xs)
     else:
         if args.hazard is None:
@@ -169,10 +173,9 @@ def cmd_density(args) -> int:
 
 
 def _model_and_grid(args) -> tuple[PerturbedModel, np.ndarray]:
-    """The model and the ``--points`` grid on [0, --t-max]; --t-max must lie inside the support."""
+    """The model and the ``--points`` grid on [0, --t-max]."""
     model = _model_from_args(args)
-    _times(args.t_max, model.hazard.support_end, "--t-max")
-    return model, np.linspace(0.0, args.t_max, args.points)
+    return model, _support_grid(model, args.t_max, args.points, "--t-max")
 
 
 def cmd_moments(args) -> int:

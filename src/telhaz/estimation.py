@@ -15,7 +15,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import ndtri
 
-from .hazard import HazardSpec, _alpha, _count, _interior, _not_nan, _positive
+from .hazard import HazardSpec, _alpha, _count, _interior_grid, _not_nan, _positive
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
@@ -124,34 +124,25 @@ def hazard_estimate(sample: Sample, h: float, t):
 
 @dataclass(frozen=True)
 class BandConfig:
-    """Bandwidth, tail level and evaluation grid for the confidence band.
+    """Bandwidth, tail level and evaluation grid size for the confidence band.
 
-    When ``grid`` is omitted, evaluation uses ``grid_size`` uniform points
-    strictly between the 1st and (n-1)-th order statistics (one grid step
-    trimmed at each end). Either grid must be strictly increasing and lie
-    strictly inside that interval.
+    Evaluation uses ``grid_size`` uniform points strictly between the 1st and
+    (n-1)-th order statistics (one grid step trimmed at each end).
     """
 
     h: float
     alpha: float
     grid_size: int = 512
-    grid: np.ndarray | None = None
 
     def __post_init__(self):
         _positive("bandwidth", self.h)
         object.__setattr__(self, "alpha", _alpha("alpha", self.alpha))
         object.__setattr__(self, "grid_size", _count("grid_size", self.grid_size, 2))
-        if self.grid is not None:
-            arr = np.asarray(self.grid, dtype=float)
-            if arr.ndim != 1 or arr.size == 0:
-                raise ValueError("explicit grid must be a non-empty 1-d sequence")
-            object.__setattr__(self, "grid", arr)
 
     def resolve_grid(self, sample: Sample) -> np.ndarray:
         lo = float(sample.values[0])
         hi = float(sample.values[-2])
-        grid = np.linspace(lo, hi, self.grid_size + 2)[1:-1] if self.grid is None else self.grid
-        return _interior(grid, lo, hi, "grid for this sample")
+        return _interior_grid(lo, hi, self.grid_size, "grid for this sample")
 
 
 @dataclass(frozen=True)

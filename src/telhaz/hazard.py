@@ -122,9 +122,13 @@ def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
     return arr
 
 
-def _interior(points, lo: float, hi: float, label: str) -> np.ndarray:
-    """``points`` as floats if strictly increasing inside the open (lo, hi); label opens errors."""
-    arr = np.asarray(points, dtype=float)
+def _interior_grid(lo: float, hi: float, count: int, label: str) -> np.ndarray:
+    """``count`` uniform points strictly inside the open (lo, hi), one step in from each end.
+
+    Refused, with ``label`` opening the error, where double precision cannot
+    keep them strictly increasing inside (lo, hi).
+    """
+    arr = np.linspace(lo, hi, count + 2)[1:-1]
     # increasing and interior at both ends puts every point inside; NaN fails both
     if not (np.all(np.diff(arr) > 0.0) and lo < arr[0] and arr[-1] < hi):
         raise ValueError(f"{label}: {arr.size} points must increase strictly inside ({lo}, {hi})")
@@ -172,8 +176,12 @@ class PolynomialHazard(HazardSpec):
         return self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
 
     def _cumulative(self, arr):
-        poly = arr**4 / 4.0 - 2.0 * arr**3 / 3.0 + arr**2 / 2.0
-        return self.alpha * poly + (self.c_ref + self.beta) * arr
+        # past t ~ 5.6e102 both t**4 and t**3 overflow and their difference is
+        # inf - inf; the true R(t) is far beyond the double range there
+        with np.errstate(over="ignore", invalid="ignore"):
+            poly = arr**4 / 4.0 - 2.0 * arr**3 / 3.0 + arr**2 / 2.0
+            out = self.alpha * poly + (self.c_ref + self.beta) * arr
+        return np.where(np.isnan(out), np.inf, out)
 
     def critical_points(self) -> tuple[float, ...]:
         return (1.0 / 3.0, 1.0)

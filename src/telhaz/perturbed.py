@@ -92,8 +92,7 @@ class PerturbedModel:
 
     def terminal_band_width(self) -> float:
         """Limit of the band width at the end of the support: exp(-nu)."""
-        nu = self.total_excess_hazard
-        return 0.0 if math.isinf(nu) else math.exp(-nu)
+        return math.exp(-self.total_excess_hazard)
 
     def band(self, t: float) -> SupportBand:
         """Endpoints a(t) <= b(t) of the almost-sure band and its width."""
@@ -176,7 +175,7 @@ class PerturbedModel:
         """E[X(t)] = 1 - survival(t) * M(-1, t), evaluated overflow-free."""
         cum = self.hazard.cumulative(t)
         out = 1.0 - scaled_mgf(self.noise, -1.0, t, cum)
-        return float(out) if np.ndim(t) == 0 else np.asarray(out)
+        return float(out) if np.ndim(t) == 0 else out
 
     def variance(self, t):
         """Var[X(t)] = survival^2 * (M(-2,t) - M(-1,t)^2), floored at 0."""

@@ -93,6 +93,13 @@ class TestCumulative:
         expected = 15.0 * (t**4 / 4 - 2 * t**3 / 3 + t**2 / 2) + 1.001 * t
         assert spec.cumulative(t) == pytest.approx(expected, rel=1e-15)
 
+    def test_polynomial_overflow_is_inf(self):
+        # t**4 overflows past ~1e77 and t**3 past ~5.6e102, where inf - inf gave NaN
+        spec = PolynomialHazard(15.0, 0.001, 1.0)
+        assert spec.cumulative([1e80, 1e103, 1e308]).tolist() == [math.inf] * 3
+        assert spec.cumulative(1e103) == math.inf
+        assert spec.cdf(1e103) == 1.0 and spec.survival(1e103) == 0.0
+
 
 class TestDistribution:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)

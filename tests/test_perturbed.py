@@ -6,7 +6,7 @@ from scipy import integrate
 
 from telhaz.hazard import ConstantHazard, PiecewiseLinearHazard, PolynomialHazard
 from telhaz.perturbed import PerturbedModel
-from telhaz.presets import FIG3_TIMES, model_fig1, model_fig2, model_fig3
+from telhaz.presets import FIG3_TIMES, HAZARDS, model_fig1, model_fig2, model_fig3
 from conftest import oracle_path
 from telhaz.telegraph import (
     TelegraphParams,
@@ -231,6 +231,14 @@ class TestCdf:
                 fig_model.cdf(x, 0.5)
         assert fig_model.cdf([-math.inf, math.inf], 0.5).tolist() == [0.0, 1.0]
         assert (fig_model.cdf(-math.inf, 0.0), fig_model.cdf(math.inf, 0.0)) == (0.0, 1.0)
+
+    def test_overflowed_cumulative_gives_the_limits(self):
+        # R(1e103) overflows to inf: a degenerate band at 1 and X(t) = 1 surely
+        model = PerturbedModel(HAZARDS["polynomial_c1"], TelegraphParams(0.5, 1e-100))
+        band = model.band(1e103)
+        assert (band.a, band.b, band.width) == (1.0, 1.0, 0.0)
+        assert model.cdf(0.5, 1e103) == 0.0
+        assert (model.mean(1e103), model.variance(1e103)) == (1.0, 0.0)
 
     def test_convergence_in_probability_to_one(self, fig_model):
         threshold = 1.0 - 1e-4
