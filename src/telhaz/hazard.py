@@ -173,7 +173,8 @@ class PolynomialHazard(HazardSpec):
         object.__setattr__(self, "c_ref", _positive("c_ref", self.c_ref, allow_zero=True))
 
     def _rate(self, arr):
-        return self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
+        with np.errstate(over="ignore"):  # past t ~ 5.6e102 the rate is inf
+            return self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
 
     def _cumulative(self, arr):
         # past t ~ 5.6e102 both t**4 and t**3 overflow and their difference is

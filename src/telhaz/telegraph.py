@@ -21,7 +21,7 @@ from .special import scaled_bessel
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
 _POISSON_TAIL = 1e-16
-# (point, Poisson term) pairs w_cdf evaluates at once, or one row of terms if more.
+# (point, k) pairs w_cdf evaluates at once, or one row of terms if more.
 _CDF_BLOCK = 1 << 16
 # Exponential gaps sample_path draws at once, and the most switches it expects.
 _GAP_BLOCK = 1 << 16
@@ -41,13 +41,18 @@ class TelegraphParams:
 
 
 def _expected_switches(params: TelegraphParams, horizon: float, name: str = "grid[-1]") -> float:
-    """``lam * horizon``, the noise law's budget for paths and the CDF; at most 2^30."""
+    """``lam * horizon``, the paths' and the CDF's budget: at most 2^30, and c * horizon finite."""
     horizon = float(horizon)
     expected = params.lam * horizon
     if expected > _MAX_SWITCHES:
         raise ValueError(
             f"lam = {params.lam!r} up to {name} = {horizon!r} expects {expected!r} "
             "switches; at most 2**30 are supported"
+        )
+    if not math.isfinite(params.c * horizon):
+        raise ValueError(
+            f"c = {params.c!r} up to {name} = {horizon!r} lets |W| reach c * {name} = inf; "
+            "it must be finite"
         )
     return expected
 
@@ -93,22 +98,22 @@ def sample_path(params: TelegraphParams, grid, seed: int) -> np.ndarray:
 def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.ndarray:
     """Vectorized draw of W(t) for ``n_paths`` independent trajectories.
 
-    Given N ~ Poisson(lam t) switches, the N + 1 segment lengths are t times
-    a flat Dirichlet vector, so the time spent on the starting side is t B
-    with B ~ Beta(ceil((N+1)/2), floor((N+1)/2)) and W(t) = +-ct (2B - 1);
-    B = 1 when N = 0. This is distributionally identical to the last value of
-    :func:`sample_path` (the tests cross-check the two samplers) and
-    needs O(n_paths) memory whatever ``lam * t``.
+    Given N ~ Poisson(lam t) switches, the N + 1 segment lengths are t times a
+    flat Dirichlet vector, so W(t) = ct (2B - 1) with B ~ Beta(k, k) and
+    k = ceil(N/2): for N = 2k, the starting side's Beta(k + 1, k) mirrored by
+    the sign coin has that law, as [I_y(k+1, k) + I_y(k, k+1)]/2 = I_y(k, k)
+    (DLMF §8.17(iv)). When N = 0, B is 0 or 1 by the coin. The draws match the
+    last value of :func:`sample_path` in law (the tests cross-check the two
+    samplers), in O(n_paths) memory whatever ``lam * t``.
     """
     t = _positive("t", t)
     n_paths = _count("n_paths", n_paths, 0)
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(params.lam * t, size=n_paths)
-    signs = np.where(rng.random(n_paths) < 0.5, 1.0, -1.0)
-    b = np.ones(n_paths)
-    switched = counts > 0
-    b[switched] = rng.beta((counts[switched] + 2) // 2, (counts[switched] + 1) // 2)
-    return params.c * t * signs * (2.0 * b - 1.0)
+    k = (rng.poisson(params.lam * t, size=n_paths) + 1) // 2
+    b = np.where(rng.random(n_paths) < 0.5, 1.0, 0.0)
+    switched = k > 0
+    b[switched] = rng.beta(k[switched], k[switched])
+    return params.c * t * (2.0 * b - 1.0)
 
 
 def w_atom_prob(params: TelegraphParams, t: float) -> float:
@@ -179,30 +184,18 @@ def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
     return n[keep], weights[keep] / weights[keep].sum()
 
 
-def _conditional_cdfs(y: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """P{W(t) <= w | N = n} for the column ``y`` of (w/ct + 1)/2 and each count n."""
-    from scipy.special import betainc  # imported here: only the CDF needs scipy
-    a, b = (counts + 2) // 2, (counts + 1) // 2
-    odd = counts % 2 == 1
-    even = (counts > 0) & ~odd
-    out = np.full((y.shape[0], counts.size), 0.5)  # N = 0: the lower atom
-    # for odd n, a = b and the two incomplete betas coincide: 0.5 * (I + I) == I
-    out[:, odd] = betainc(a[odd], a[odd], y)
-    out[:, even] = 0.5 * (betainc(a[even], b[even], y) + betainc(b[even], a[even], y))
-    return out
-
-
 def w_cdf(params: TelegraphParams, t: float, w):
     """P{W(t) <= w} as a Poisson mixture of incomplete-beta laws.
 
-    With N switches, W(t) = +-ct (2B - 1) and B ~ Beta(a, b), a = ceil((N+1)/2),
-    b = floor((N+1)/2) (see :func:`sample_w`), so with y = (w/ct + 1)/2
+    Given N switches, W(t) = ct (2B - 1) with B ~ Beta(k, k), k = ceil(N/2)
+    (see :func:`sample_w`), so with y = (w/ct + 1)/2
 
-        P{W(t) <= w | N} = [I_y(a, b) + I_y(b, a)] / 2,
+        P{W(t) <= w | N} = I_y(k, k),
 
-    which is 1/2 on [-ct, ct) when N = 0: the lower endpoint atom. Accepts a
+    which is 1/2 on [-ct, ct) when N = 0: the lower endpoint atom. The counts
+    2k - 1 and 2k share a law, so their Poisson weights are merged. Accepts a
     scalar or an array of ``w``; -inf and +inf give 0 and 1, and NaN is
-    refused by name. The (point, term) pairs are evaluated in blocks of whole
+    refused by name. The (point, k) pairs are evaluated in blocks of whole
     rows, at most 2^16 pairs or one row, so memory beyond the O(sqrt(lam t))
     terms does not grow with the number of points; each row is summed on its
     own, so a point's value does not depend on the others. The first call in a
@@ -213,11 +206,16 @@ def w_cdf(params: TelegraphParams, t: float, w):
     ct = params.c * t
     mix = np.zeros(arr.size)
     if t > 0.0:
+        from scipy.special import betainc  # imported here: only the CDF needs scipy
         y = np.clip(0.5 * (arr.reshape(-1) / ct + 1.0), 0.0, 1.0)
         counts, weights = _poisson_terms(_expected_switches(params, t, "t"))
-        rows = max(1, _CDF_BLOCK // counts.size)
+        half = (counts + 1) // 2  # the kept counts are contiguous: every k is present
+        k = np.arange(half[0], half[-1] + 1)
+        weights = np.bincount(half - half[0], weights)
+        rows = max(1, _CDF_BLOCK // k.size)
         for start in range(0, y.size, rows):
-            block = _conditional_cdfs(y[start:start + rows, None], counts)
+            # betainc(0, 0, y) is NaN, which the k = 0 atom replaces
+            block = np.where(k > 0, betainc(k, k, y[start:start + rows, None]), 0.5)
             # a row sum, not block @ weights: BLAS rounds a one-row product differently
             mix[start:start + rows] = (block * weights).sum(axis=-1)
     mix = np.minimum(mix.reshape(arr.shape), 1.0)

@@ -9,7 +9,8 @@ any faster evaluator of the library's vectorized ``kde``; ``matrix_kde`` is
 the one-matrix evaluator that ``kde`` must reproduce bit for bit. The Bessel
 series keep their allocating loops with a whole-array stop test, which the
 library's in-place loops must reproduce bit for bit, and the W(t) CDF keeps
-its one-term-at-a-time Poisson mixture.
+its one-term-at-a-time Poisson mixture over switch counts, in double and in
+40-digit precision.
 """
 
 from __future__ import annotations
@@ -116,6 +117,29 @@ def loop_w_cdf(params, t: float, w, counts, weights) -> np.ndarray:
         a, b = (n + 2) // 2, (n + 1) // 2
         mix += p * (0.5 * (betainc(a, b, y) + betainc(b, a, y)) if n else 0.5)
     return np.where(arr >= ct, 1.0, np.where(arr < -ct, 0.0, np.minimum(mix, 1.0)))
+
+
+def mp_w_cdf(params, t: float, w: float) -> float:
+    """P{W(t) <= w} at 40 digits, summing [I_y(a,b) + I_y(b,a)]/2 over every N (oracle).
+
+    The Poisson weights run from N = 0 to mean + 20 sqrt(mean) + 60, past
+    which less than 1e-40 of the mass lies; the caller skips without mpmath.
+    """
+    import mpmath
+
+    with mpmath.workdps(40):
+        mean = mpmath.mpf(params.lam) * t
+        y = (mpmath.mpf(w) / (mpmath.mpf(params.c) * t) + 1) / 2
+        weight = mpmath.exp(-mean)
+        total = weight / 2  # N = 0: the lower atom
+        for n in range(1, int(mean + 20 * mpmath.sqrt(mean) + 60)):
+            weight *= mean / n
+            a, b = (n + 2) // 2, (n + 1) // 2
+            pair = mpmath.betainc(a, b, 0, y, regularized=True) + mpmath.betainc(
+                b, a, 0, y, regularized=True
+            )
+            total += weight * pair / 2
+        return float(total)
 
 
 def direct_kde(values, h: float, t: float) -> tuple[float, float]:

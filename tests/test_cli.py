@@ -271,6 +271,18 @@ class TestValidationErrors:
         assert "switches; at most 2**30" in err
         assert not target.exists()
 
+    def test_overflowing_bound_leaves_no_table(self, capsys, tmp_path):
+        # c * horizon past the double range once printed w = -inf with a RuntimeWarning
+        argv = ["simulate-w", "--c", "1e300", "--lam", "3.6e-253", "--horizon", "1.4e65"]
+        target = tmp_path / "paths.csv"
+        for extra in ([], ["--output", str(target)]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, *argv, *extra)
+            assert (code, out) == (2, "")
+            assert err.startswith("error: c = 1e+300 up to grid[-1] = 1.4e+65 lets |W| reach ")
+        assert not target.exists()
+
     def test_tiny_t_w_density_names_t(self, capsys):
         # the 40000 x values collapse onto a few subnormals inside (-1e-320, 1e-320)
         code, out, err = run(capsys, "density", "--process", "w", "--t", "1e-320",

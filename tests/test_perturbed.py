@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -111,6 +112,16 @@ class TestBand:
     def test_width_condition_rejects_origin(self, fig_model):
         with pytest.raises(ValueError):
             fig_model.band_width_nondecreasing(0.0)
+
+    def test_width_condition_past_rate_overflow(self):
+        # alpha t (t - 1)^2 overflows past t ~ 5.6e102: the rate is inf, silently
+        hazard = HAZARDS["polynomial_c1"]
+        model = PerturbedModel(hazard, TelegraphParams(0.5, 1e-100))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert hazard.rate(1e103) == math.inf
+            assert hazard.min_slack(0.5, 1.0, 1e103) == (hazard.rate(1.0) - 0.5, 1.0)
+            assert not model.band_width_nondecreasing(1e103)
 
     def test_bimodal_width_has_two_local_maxima(self):
         model = model_fig2("a")

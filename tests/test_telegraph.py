@@ -8,7 +8,7 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from conftest import (
-    brute_force_w, ks_distance, ks_critical, loop_w_cdf, oracle_path, walk_integral
+    brute_force_w, ks_distance, ks_critical, loop_w_cdf, mp_w_cdf, oracle_path, walk_integral
 )
 from telhaz import telegraph
 from telhaz.telegraph import (
@@ -55,6 +55,15 @@ class TestSampling:
         for lam, end in ((1e300, 1.0), (2.0**30, math.nextafter(1.0, 2.0))):
             with pytest.raises(ValueError, match=r"^lam = .* switches; at most 2\*\*30"):
                 sample_path(TelegraphParams(c=1.0, lam=lam), [0.0, end], seed=1)
+
+    def test_overflowing_bound_named(self):
+        # c * grid[-1] past the double range would give W = -+inf; refused by name
+        p = TelegraphParams(c=1e300, lam=3.6e-253)
+        with pytest.raises(ValueError, match=r"^c = 1e\+300 up to grid\[-1\] = 1\.4e\+65 lets"):
+            sample_path(p, [0.0, 1.4e65], seed=1)
+        with pytest.raises(ValueError, match=r"^c = 1e\+300 up to t = 1\.4e\+65 lets"):
+            w_cdf(p, 1.4e65, 0.0)
+        assert np.isfinite(sample_path(p, [0.0, 1e8], seed=1)).all()
 
     def test_event_count_poisson_gof(self):
         # chi-square goodness of fit of N(1) against Poisson(15) over 1e4 seeds
@@ -320,7 +329,8 @@ class TestCdfBlocks:
     def spanning_points(p, t, blocks=3):
         # enough points for ``blocks`` whole row blocks plus a partial one
         counts, weights = telegraph._poisson_terms(p.lam * t)
-        rows = max(1, telegraph._CDF_BLOCK // counts.size)
+        # counts 2k - 1 and 2k share one column k of the block
+        rows = max(1, telegraph._CDF_BLOCK // np.unique((counts + 1) // 2).size)
         ct = p.c * t
         w = np.random.default_rng(rows).uniform(-1.05 * ct, 1.05 * ct, blocks * rows + 7)
         return w, counts, weights
@@ -361,6 +371,29 @@ class TestCdfBlocks:
         assert abs(cdf[w.size] - 0.5) <= 1e-15
         assert np.max(np.abs(cdf[:w.size] + cdf[w.size + 1:] - 1.0)) <= 1e-15
 
+    def test_pair_law_is_symmetric_beta(self):
+        # [I_y(k+1, k) + I_y(k, k+1)]/2 = I_y(k, k): N = 2k and N = 2k - 1 share a law
+        k = np.arange(1.0, 501.0)[:, None]
+        y = np.linspace(0.0, 1.0, 2001)
+        pair = 0.5 * (special.betainc(k + 1, k, y) + special.betainc(k, k + 1, y))
+        assert np.max(np.abs(pair - special.betainc(k, k, y))) <= 1e-14
+
+    @pytest.mark.parametrize("lam_t", [10.0, 100.0])
+    def test_monotone_on_dense_grid(self, lam_t):
+        # a fixed-order sum of monotone terms: not one step down on 40,003 points
+        cdf = w_cdf(TelegraphParams(c=1.0, lam=lam_t), 1.0, np.linspace(-1.0, 1.0, 40_003))
+        assert np.all(np.diff(cdf) >= 0.0)
+
+    @pytest.mark.parametrize("lam_t", [1.0, 10.0, 100.0])
+    def test_matches_40_digit_oracle(self, lam_t):
+        # absolute error: the 1e-16 Poisson cut bounds relative accuracy in the far
+        # lower tail (F(-0.9) ~ 1.5e-26 at lam*t = 100)
+        pytest.importorskip("mpmath")
+        p = TelegraphParams(c=1.0, lam=lam_t)
+        w = np.array([-0.9, -0.55, -0.2, 0.0, 0.35, 0.8])
+        oracle = [mp_w_cdf(p, 1.0, x) for x in w.tolist()]
+        assert np.max(np.abs(w_cdf(p, 1.0, w) - oracle)) <= 1e-15
+
     def test_nan_refused_by_name_inf_exact(self):
         p = TelegraphParams(c=1.0, lam=1.0)
         for w in (math.nan, [math.nan, 0.5], [[0.5, math.nan]]):
@@ -379,10 +412,11 @@ class TestCdfBlocks:
             w_cdf(p, 1.0, 0.0)
 
     def test_memory_bounded(self):
-        # 2000 points at lam*t = 1e3 keep 526 Poisson terms; one unblocked
-        # (point, term) temporary would take 2000 * 526 * 8 B ~ 8.4 MB
+        # 2000 points at lam*t = 1e3 keep 526 Poisson terms, 263 once merged by
+        # k; one unblocked (point, k) temporary would take 2000 * 263 * 8 B ~ 4.2 MB
         p = TelegraphParams(c=1.0, lam=1e3)
-        assert telegraph._poisson_terms(1e3)[0].size == 526
+        counts = telegraph._poisson_terms(1e3)[0]
+        assert (counts.size, np.unique((counts + 1) // 2).size) == (526, 263)
         w = np.linspace(-1.0, 1.0, 2000)
         tracemalloc.start()
         try:
