@@ -152,6 +152,7 @@ def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
     grid = _support_grid(model, args.horizon, args.grid_size, "--horizon")
     _expected_switches(model.noise, grid[-1])  # refused before the output is opened
+    model._cumulative(grid)  # so is R(t) < c*t past the checked horizon
     _write_csv(args.output, _path_rows("x", model.sample_path_values, grid, args.paths, args.seed))
     return 0
 

@@ -20,10 +20,12 @@ import numpy as np
 class HazardSpec:
     """Base interface: positive rate on [0, support_end) with exact R(t).
 
-    A family supplies ``_rate`` and ``_cumulative`` on a checked time array.
+    A family supplies ``_rate`` and ``_cumulative`` on a checked time array and where r can
+    bottom out (``_turning_points``, or its own ``_slack_candidates``); r and R go inf on overflow.
     """
 
     support_end: float = math.inf
+    _turning_points: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.support_end > 0.0:  # NaN fails the comparison too
@@ -32,18 +34,16 @@ class HazardSpec:
     def rate(self, t):
         """Instantaneous hazard r(t); scalar or array input."""
         arr = _times(t, self.support_end)
-        out = self._rate(arr)
+        with np.errstate(over="ignore"):  # past the double range r is inf
+            out = self._rate(arr)
         return float(out) if arr.ndim == 0 else out
 
     def cumulative(self, t):
         """Exact cumulative hazard R(t) = integral of r over [0, t]."""
         arr = _times(t, self.support_end)
-        out = self._cumulative(arr)
+        with np.errstate(over="ignore"):  # past the double range R is inf
+            out = self._cumulative(arr)
         return float(out) if arr.ndim == 0 else out
-
-    def critical_points(self) -> tuple[float, ...]:
-        """Interior points where r may attain extrema."""
-        return ()
 
     def min_slack(self, c: float, lo: float, hi: float) -> tuple[float, float]:
         """Infimum of r - c over (lo, hi] and the t where it is reached or approached.
@@ -55,14 +55,14 @@ class HazardSpec:
         hi = float(_times(hi, self.support_end, name="hi"))
         if not lo < hi:
             raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
-        pts, rates = self._slack_candidates(lo, hi)
+        with np.errstate(over="ignore"):  # past the double range r is inf
+            pts, rates = self._slack_candidates(lo, hi)
         i = int(np.argmin(rates))
         return float(rates[i] - c), float(pts[i])
 
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        # r is monotone between critical points, so its infimum over (lo, hi]
-        # is reached at one of them or approached at lo
-        pts = np.array([lo, *(p for p in self.critical_points() if lo < p < hi), hi])
+        # r is monotone between turning points: its infimum is at one of them, hi, or near lo
+        pts = np.array([lo, *(p for p in self._turning_points if lo < p < hi), hi])
         return pts, self._rate(pts)
 
     def cdf(self, t):
@@ -128,9 +128,11 @@ def _interior_grid(lo: float, hi: float, count: int, label: str) -> np.ndarray:
     Refused, with ``label`` opening the error, where double precision cannot
     keep them strictly increasing inside (lo, hi).
     """
-    arr = np.linspace(lo, hi, count + 2)[1:-1]
-    # increasing and interior at both ends puts every point inside; NaN fails both
-    if not (np.all(np.diff(arr) > 0.0) and lo < arr[0] and arr[-1] < hi):
+    with np.errstate(over="ignore", invalid="ignore"):  # inf or NaN points are refused below
+        arr = np.linspace(lo, hi, count + 2)[1:-1]
+        # increasing and interior at both ends puts every point inside; NaN fails both
+        inside = np.all(np.diff(arr) > 0.0) and lo < arr[0] and arr[-1] < hi
+    if not inside:
         raise ValueError(f"{label}: {arr.size} points must increase strictly inside ({lo}, {hi})")
     return arr
 
@@ -165,6 +167,7 @@ class PolynomialHazard(HazardSpec):
     beta: float
     c_ref: float
     support_end: float = math.inf
+    _turning_points = (1.0 / 3.0, 1.0)  # not a field: where r' = 0
 
     def __post_init__(self):
         super().__post_init__()
@@ -173,19 +176,15 @@ class PolynomialHazard(HazardSpec):
         object.__setattr__(self, "c_ref", _positive("c_ref", self.c_ref, allow_zero=True))
 
     def _rate(self, arr):
-        with np.errstate(over="ignore"):  # past t ~ 5.6e102 the rate is inf
-            return self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
+        return self.alpha * arr * (arr - 1.0) ** 2 + self.c_ref + self.beta
 
     def _cumulative(self, arr):
         # past t ~ 5.6e102 both t**4 and t**3 overflow and their difference is
         # inf - inf; the true R(t) is far beyond the double range there
-        with np.errstate(over="ignore", invalid="ignore"):
+        with np.errstate(invalid="ignore"):
             poly = arr**4 / 4.0 - 2.0 * arr**3 / 3.0 + arr**2 / 2.0
             out = self.alpha * poly + (self.c_ref + self.beta) * arr
         return np.where(np.isnan(out), np.inf, out)
-
-    def critical_points(self) -> tuple[float, ...]:
-        return (1.0 / 3.0, 1.0)
 
 
 @dataclass(frozen=True)
@@ -203,9 +202,7 @@ class PiecewiseLinearHazard(HazardSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        segs = tuple(
-            (float(s), float(m), float(q)) for s, m, q in self.segments
-        )
+        segs = tuple((float(s), float(m), float(q)) for s, m, q in self.segments)
         if not segs:
             raise ValueError("segments must be non-empty")
         if segs[0][0] != 0.0:
@@ -216,28 +213,23 @@ class PiecewiseLinearHazard(HazardSpec):
         if any(not all(map(math.isfinite, seg)) for seg in segs):
             raise ValueError("segment parameters must be finite")
         object.__setattr__(self, "segments", segs)
-        ends = starts[1:] + [self.support_end]
-        for (start, slope, intercept), end in zip(segs, ends):
-            at_start = slope * start + intercept
-            if at_start < 0.0 or (at_start == 0.0 and start > 0.0):
-                raise ValueError(f"rate is not positive at t = {start}")
-            probe = end if math.isfinite(end) else max(start + 1.0, 2.0 * start)
-            if slope * probe + intercept <= 0.0:
-                raise ValueError(f"rate is not positive on the segment from t = {start}")
-            if not math.isfinite(end) and slope < 0.0:
-                raise ValueError("last segment must have slope >= 0 on an infinite support")
+        end = self.support_end
+        if not math.isfinite(end):  # one step past the last start, even where start + 1 rounds
+            end = max(starts[-1] + 1.0, math.nextafter(starts[-1], math.inf))
+        with np.errstate(over="ignore"):  # past the double range r is inf
+            pts, rates = self._slack_candidates(0.0, end)
+        bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
+        if bad.any():
+            raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
+        if not math.isfinite(self.support_end) and segs[-1][1] < 0.0:
+            raise ValueError("last segment must have slope >= 0 on an infinite support")
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        starts = np.array([s for s, _, _ in self.segments])
-        slopes = np.array([m for _, m, _ in self.segments])
-        intercepts = np.array([q for _, _, q in self.segments])
+        starts, slopes, intercepts = (np.array(column) for column in zip(*self.segments))
         # cumulative hazard accumulated up to the start of each segment
-        offsets = np.zeros(len(self.segments))
-        for i in range(1, len(self.segments)):
-            s0, m, q = self.segments[i - 1]
-            s1 = self.segments[i][0]
-            offsets[i] = offsets[i - 1] + 0.5 * m * (s1**2 - s0**2) + q * (s1 - s0)
+        pieces = _line_integral(starts[:-1], slopes[:-1], intercepts[:-1], starts[1:])
+        offsets = np.cumsum(np.append(0.0, pieces))
         return starts, slopes, intercepts, offsets
 
     def _segment_index(self, arr: np.ndarray, starts: np.ndarray) -> np.ndarray:
@@ -253,13 +245,7 @@ class PiecewiseLinearHazard(HazardSpec):
     def _cumulative(self, arr):
         starts, slopes, intercepts, offsets = self._arrays
         idx = self._segment_index(arr, starts)
-        s0 = starts[idx]
-        return offsets[idx] + 0.5 * slopes[idx] * (arr**2 - s0**2) + intercepts[idx] * (
-            arr - s0
-        )
-
-    def critical_points(self) -> tuple[float, ...]:
-        return tuple(s for s, _, _ in self.segments if s > 0.0)
+        return offsets[idx] + _line_integral(starts[idx], slopes[idx], intercepts[idx], arr)
 
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         # each piece's own line at both ends of its part of (lo, hi], so a
@@ -274,7 +260,7 @@ class PiecewiseLinearHazard(HazardSpec):
 
 @dataclass(frozen=True)
 class CustomHazard(HazardSpec):
-    """Caller-supplied closed-form pair (r, R); both must be vectorized.
+    """Caller-supplied closed-form pair (r, R), both taking a float array of times.
 
     No differentiation or integration happens here: supplying an exact
     antiderivative is the contract, which keeps the hot path quadrature-free.
@@ -291,15 +277,18 @@ class CustomHazard(HazardSpec):
     def _cumulative(self, arr):
         return np.asarray(self.cumulative_fn(arr), dtype=float)
 
-    def critical_points(self) -> tuple[float, ...]:
-        return self.interior_points
-
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         # nothing is known about r between points: 2048 uniform points past lo
         # plus the declared interior points, so a dip between them goes unseen
         pts = np.linspace(lo, hi, 2049)[1:]
         pts = np.union1d(pts, [p for p in self.interior_points if lo < p < hi])
         return pts, self._rate(pts)
+
+
+def _line_integral(start, slope, intercept, t):
+    """Integral of slope * u + intercept over [start, t]: length times the mean of r, never NaN."""
+    length = t - start
+    return length * (slope * start + intercept + 0.5 * slope * length)
 
 
 def time_horizon(spec: HazardSpec) -> float:

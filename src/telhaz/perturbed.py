@@ -94,9 +94,19 @@ class PerturbedModel:
         """Limit of the band width at the end of the support: exp(-nu)."""
         return math.exp(-self.total_excess_hazard)
 
+    def _cumulative(self, t):
+        """R(t), refused below c*t: then r < c somewhere on (0, t], past the checked horizon."""
+        cum = self.hazard.cumulative(t)  # also validates the domain
+        times = np.asarray(t, dtype=float)
+        short = times[cum < self.noise.c * times]
+        if short.size:
+            first, c = short.min(), self.noise.c
+            raise ValueError(f"dominance r(t) > c fails before t = {first:.6g} (c = {c})")
+        return cum
+
     def band(self, t: float) -> SupportBand:
         """Endpoints a(t) <= b(t) of the almost-sure band and its width."""
-        cum = self.hazard.cumulative(t)  # also validates the domain
+        cum = self._cumulative(t)
         ct = self.noise.c * float(t)
         a = -math.expm1(ct - cum)
         b = -math.expm1(-(ct + cum))
@@ -141,6 +151,8 @@ class PerturbedModel:
                 f"x must lie strictly inside the band ({band.a}, {band.b}); "
                 "the endpoints carry atoms"
             )
+        if band.b == 1.0:  # the log below would divide by 1 - b(t) = 0
+            raise ValueError(f"t = {band.t!r}: b(t) rounds to 1, so the density cannot be resolved")
         one_minus = 1.0 - arr
         u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
         out = _bessel_density(self.noise, band.t, u, one_minus)
@@ -173,14 +185,15 @@ class PerturbedModel:
 
     def mean(self, t):
         """E[X(t)] = 1 - survival(t) * M(-1, t), evaluated overflow-free."""
-        cum = self.hazard.cumulative(t)
+        cum = self._cumulative(t)
         out = 1.0 - scaled_mgf(self.noise, -1.0, t, cum)
         return float(out) if np.ndim(t) == 0 else out
 
     def variance(self, t):
         """Var[X(t)] = survival^2 * (M(-2,t) - M(-1,t)^2), floored at 0."""
-        cum = self.hazard.cumulative(t)
-        second = scaled_mgf(self.noise, -2.0, t, 2.0 * cum)
+        cum = self._cumulative(t)
+        with np.errstate(over="ignore"):  # a 2R past the double range is inf, as R would be
+            second = scaled_mgf(self.noise, -2.0, t, 2.0 * cum)
         first = scaled_mgf(self.noise, -1.0, t, cum)
         out = np.maximum(np.asarray(second) - np.asarray(first) ** 2, 0.0)
         return float(out) if np.ndim(t) == 0 else out
@@ -195,5 +208,5 @@ class PerturbedModel:
         t < support_end.
         """
         grid = _times(time_grid, self.hazard.support_end, "time_grid")
-        w = sample_path(self.noise, grid, seed)
-        return -np.expm1(-(self.hazard.cumulative(grid) + w))
+        cum = self._cumulative(grid)  # refused before a path is drawn
+        return -np.expm1(-(cum + sample_path(self.noise, grid, seed)))

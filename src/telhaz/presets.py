@@ -26,11 +26,9 @@ def _soft_step_hazard() -> CustomHazard:
     # r(t) = 1 + 3 (1 - e^-t) / (e^t + e^-t); R has the closed form below
     # (substitute u = e^-t and integrate 3(u-1)/(1+u^2) du).
     def rate(t):
-        t = np.asarray(t, dtype=float)
         return 1.0 + 3.0 * (1.0 - np.exp(-t)) / (np.exp(t) + np.exp(-t))
 
     def cumulative(t):
-        t = np.asarray(t, dtype=float)
         u = np.exp(-t)
         return t + 3.0 * (
             0.5 * np.log1p(u * u) - 0.5 * math.log(2.0) + math.pi / 4.0 - np.arctan(u)
@@ -41,11 +39,7 @@ def _soft_step_hazard() -> CustomHazard:
 
 def _exponential_growth_hazard() -> CustomHazard:
     # r(t) = 1 + e^t, R(t) = t + e^t - 1
-    return CustomHazard(
-        rate_fn=lambda t: 1.0 + np.exp(np.asarray(t, dtype=float)),
-        cumulative_fn=lambda t: np.asarray(t, dtype=float)
-        + np.expm1(np.asarray(t, dtype=float)),
-    )
+    return CustomHazard(rate_fn=lambda t: 1.0 + np.exp(t), cumulative_fn=lambda t: t + np.expm1(t))
 
 
 # Application baselines ------------------------------------------------------

@@ -238,9 +238,10 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
     ratio = params.lam / omega
     ta = _times(t)
     shift = np.asarray(log_scale, dtype=float)
-    out = 0.5 * (1.0 + ratio) * np.exp((omega - params.lam) * ta - shift) + 0.5 * (
-        1.0 - ratio
-    ) * np.exp(-(omega + params.lam) * ta - shift)
+    with np.errstate(over="ignore"):  # an exponent past the double range is -inf: exp gives 0
+        grow = np.exp((omega - params.lam) * ta - shift)
+        decay = np.exp(-(omega + params.lam) * ta - shift)
+    out = 0.5 * (1.0 + ratio) * grow + 0.5 * (1.0 - ratio) * decay
     return float(out) if ta.ndim == 0 and shift.ndim == 0 else out
 
 

@@ -1,5 +1,7 @@
+import contextlib
 import csv
 import hashlib
+import io
 import json
 import math
 import os
@@ -10,10 +12,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import telhaz
 from telhaz.cli import build_parser, main
-from telhaz.presets import model_fig3
+from telhaz.presets import HAZARDS, model_fig3
 
 
 RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reproduce_sha256.json"
@@ -143,6 +147,56 @@ class TestTables:
         rows = [line.split(",") for line in out.strip().splitlines()[1:]]
         assert len(rows) == 3
         assert all(math.isfinite(float(cell)) for row in rows for cell in row)
+
+    @pytest.mark.parametrize(
+        "command, extra, last",
+        [
+            ("band", ["--t-max", "1e200", "--points", "3"], ["1.0", "1.0", "0.0"]),
+            ("moments", ["--t-max", "1e200", "--points", "3"], ["1.0", "0.0"]),
+            ("simulate-x", ["--lam", "1e-200", "--horizon", "1e200", "--grid-size", "3",
+                            "--paths", "1"], ["1.0"]),
+        ],
+    )
+    def test_flat_piece_past_overflow_finite(self, capsys, tmp_path, command, extra, last):
+        # t**2 overflows past ~1.3e154, where a flat piece's 0 * inf once printed nan rows
+        hazard = tmp_path / "flat.cfg"
+        hazard.write_text("kind = piecewise\nsegments = 0:0:2\n")
+        code, out, err = run(capsys, command, "--hazard", str(hazard), *extra)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[-len(last):] for row in rows[1:]] == [last, last]
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["band", "--t-max", "800", "--points", "3"],
+            ["moments", "--t-max", "800", "--points", "3"],
+            ["simulate-x", "--horizon", "800", "--grid-size", "3", "--paths", "1"],
+        ],
+    )
+    def test_exponential_growth_past_overflow_quiet(self, capsys, argv):
+        # expm1(t) overflows past t ~ 709; it once printed a RuntimeWarning
+        code, out, err = run(capsys, *argv, "--hazard", "preset:exponential_growth")
+        assert (code, err) == (0, "")
+        cells = [cell for line in out.strip().splitlines()[1:] for cell in line.split(",")]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # (omega + lam) * t overflows; exp(-inf) = 0 is already the limit
+            ["--hazard", "preset:app1_constant", "--c", "0.0004", "--lam", "1e300",
+             "--t-max", "1e300", "--points", "3"],
+            # R(8e76) = 1.5e308 is finite but the variance's 2R is not
+            ["--hazard", "preset:polynomial_c2", "--c", "1.2e-292", "--lam", "5.3e80",
+             "--t-max", "1.6e77", "--points", "3"],
+        ],
+    )
+    def test_moments_past_mgf_overflow(self, capsys, argv):
+        code, out, err = run(capsys, "moments", *argv)
+        assert (code, err) == (0, "")
+        rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+        assert [row[1:] for row in rows[1:]] == [["1.0", "0.0"], ["1.0", "0.0"]]
 
     def test_band_columns(self, capsys):
         code, out, _ = run(capsys, "band", "--hazard", "preset:soft_step",
@@ -281,6 +335,42 @@ class TestValidationErrors:
                 code, out, err = run(capsys, *argv, *extra)
             assert (code, out) == (2, "")
             assert err.startswith("error: c = 1e+300 up to grid[-1] = 1.4e+65 lets |W| reach ")
+        assert not target.exists()
+
+    def test_infinite_w_support_named_without_warning(self, capsys):
+        # c * t = inf; the grid on (-inf, inf) once warned before it was refused
+        code, out, err = run(capsys, "density", "--c", "1e300", "--lam", "1", "--t", "1e10",
+                             "--points", "3")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: --t 10000000000.0 (support of W(t))")
+        assert "Warning" not in err
+
+    def test_x_density_with_b_at_one_named(self, capsys):
+        # b(t) rounds to 1 though a(t) does not; 1 / (1 - b) once warned and
+        # the run blamed an overflow
+        code, out, err = run(capsys, "density", "--process", "x", "--hazard", "preset:soft_step",
+                             "--c", "0.624", "--lam", "24.3", "--t", "51.7", "--points", "5")
+        assert (code, out) == (2, "")
+        assert err == "error: t = 51.7: b(t) rounds to 1, so the density cannot be resolved\n"
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["band", "--t-max", "2000", "--points", "2"],
+            ["moments", "--t-max", "2000", "--points", "2"],
+            ["simulate-x", "--lam", "0.001", "--horizon", "2000", "--grid-size", "2"],
+        ],
+    )
+    def test_dominance_past_horizon_leaves_no_table(self, capsys, tmp_path, argv):
+        # r = 0.5 < c past t = 100, beyond the horizon checked at build: a(t)
+        # once overflowed math.expm1, and the variance read 4e74
+        hazard = tmp_path / "dip.cfg"
+        hazard.write_text("kind = piecewise\nsegments = 0:0:2; 100:0:0.5\n")
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, *argv, "--hazard", str(hazard), "--c", "1",
+                             "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == "error: dominance r(t) > c fails before t = 2000 (c = 1.0)\n"
         assert not target.exists()
 
     def test_tiny_t_w_density_names_t(self, capsys):
@@ -717,3 +807,56 @@ def test_closed_pipe_exits_quietly():
         err = proc.stderr.read()
         assert proc.wait(timeout=120) == 1
     assert err == b""
+
+
+@pytest.fixture(scope="module")
+def flat_piece_file(tmp_path_factory):
+    path = tmp_path_factory.mktemp("hazard") / "flat.cfg"
+    path.write_text("kind = piecewise\nsegments = 0:0:2\n")
+    return str(path)
+
+
+_MAGNITUDES = st.floats(-300.0, 300.0)  # log10 of a flag value
+
+
+@st.composite
+def process_argv(draw, flat_piece_file):
+    """argv of a process command: numeric flags log-uniform in [1e-300, 1e300], tiny grids."""
+    number = lambda: repr(10.0 ** draw(_MAGNITUDES))  # noqa: E731
+    hazard = ["--hazard", draw(st.sampled_from([*(f"preset:{h}" for h in HAZARDS),
+                                                flat_piece_file]))]
+    command = draw(st.sampled_from(["density-w", "density-x", "moments", "band",
+                                    "simulate-w", "simulate-x"]))
+    noise = ["--c", number(), "--lam", number()]
+    count = str(draw(st.integers(1, 5)))
+    if command.startswith("density"):
+        process = ["--process", command[-1], *(hazard if command == "density-x" else [])]
+        return ["density", *process, *noise, "--t", number(), "--points", count]
+    if command in ("moments", "band"):
+        return [command, *hazard, *noise, "--t-max", number(), "--points", count]
+    # paths: lam * horizon at most 1e5 switches
+    horizon = draw(_MAGNITUDES)
+    lam = draw(st.floats(-300.0, min(300.0, 5.0 - horizon)))
+    flags = ["--c", number(), "--lam", repr(10.0**lam), "--horizon", repr(10.0**horizon),
+             "--grid-size", count, "--paths", str(draw(st.integers(0, 3)))]
+    return [command, *(hazard if command == "simulate-x" else []), *flags]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_process_commands_report_or_print_finite(flat_piece_file, data):
+    # nothing turns into NaN or inf unreported: a run prints finite cells or
+    # refuses by name, and numpy warns of no overflow or invalid value on the way
+    argv = data.draw(process_argv(flat_piece_file))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    if code == 0:
+        cells = [cell for line in out.getvalue().splitlines()[1:] for cell in line.split(",")]
+        assert all(math.isfinite(float(cell)) for cell in cells)
+    if code == 2:
+        assert err.getvalue().startswith("error:")

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -72,10 +73,13 @@ class TestCumulative:
     @pytest.mark.parametrize("spec", ALL_SPECS, ids=lambda s: type(s).__name__)
     def test_matches_quadrature(self, spec):
         horizon = time_horizon(spec) if math.isinf(spec.support_end) else spec.support_end
+        # where r bends or turns: the starts of its pieces and its turning points
+        kinks = [s for s, _, _ in getattr(spec, "segments", ()) if s > 0.0]
+        kinks += spec._turning_points
         for t in np.linspace(horizon / 7, min(horizon, 2000.0), 5):
             numeric, _ = integrate.quad(
                 spec.rate, 0.0, float(t), epsabs=1e-12, epsrel=1e-12, limit=400,
-                points=[p for p in spec.critical_points() if p < t],
+                points=[p for p in kinks if p < t],
             )
             assert spec.cumulative(float(t)) == pytest.approx(numeric, abs=1e-9, rel=1e-9)
 
@@ -92,6 +96,33 @@ class TestCumulative:
         t = 1.3
         expected = 15.0 * (t**4 / 4 - 2 * t**3 / 3 + t**2 / 2) + 1.001 * t
         assert spec.cumulative(t) == pytest.approx(expected, rel=1e-15)
+
+    @pytest.mark.parametrize(
+        "spec, t, rate",
+        [
+            (ConstantHazard(2.0), 1e308, 2.0),  # rate0 * t
+            (PiecewiseLinearHazard(((0.0, 1.0, 1.0),)), 1e200, 1e200),  # t**2
+            (HAZARDS["exponential_growth"], 800.0, math.inf),  # exp(t) past t ~ 709
+        ],
+        ids=["constant", "piecewise", "exponential_growth"],
+    )
+    def test_overflow_is_inf_for_every_family(self, spec, t, rate):
+        # the suite turns numpy's overflow warning into an error
+        assert spec.rate(t) == rate
+        assert spec.cumulative(t) == math.inf
+        assert spec.cumulative([1.0, t])[1] == math.inf
+        assert spec.min_slack(0.5, 0.0, t)[0] > 0.0
+
+    def test_piece_past_overflow_not_nan(self):
+        # t**2 overflows past ~1.3e154: a flat piece's 0 * inf once gave NaN, and
+        # so did inf - inf where a piece with a negative intercept overflows both terms
+        spec = parse_hazard_config("kind = piecewise\nsegments = 0:0:2\n")
+        assert spec.cumulative(1e200) == 2e200
+        assert spec.cumulative([1e200, 1e308]).tolist() == [2e200, math.inf]
+        later = parse_hazard_config("kind = piecewise\nsegments = 0:0:2; 1e200:0:3\n")
+        assert later.cumulative(1.5e200) == 3.5e200
+        rising = parse_hazard_config("kind = piecewise\nsegments = 0:1:1; 10:1:-5\n")
+        assert rising.cumulative([1e200, 1e308]).tolist() == [math.inf, math.inf]
 
     def test_polynomial_overflow_is_inf(self):
         # t**4 overflows past ~1e77 and t**3 past ~5.6e102, where inf - inf gave NaN
@@ -264,6 +295,29 @@ class TestValidation:
             PiecewiseLinearHazard(((0.0, -1.0, 0.5),))
         with pytest.raises(ValueError):  # interior zero is not tolerated
             PiecewiseLinearHazard(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)))
+
+    @pytest.mark.parametrize(
+        "segments, t",
+        [
+            ("0:0:0", "1.0"),  # zero past t = 0, one step past the last start
+            ("0:0:1; 1:0:0", "1.0"),
+            ("0:1:1; 2:-1:2.5; 4:1:-1", "4.0"),  # the middle piece crosses zero before its end
+            ("0:0:1; 1e20:0:-1", "1e+20"),  # where start + 1 rounds to start
+        ],
+    )
+    def test_piecewise_names_first_nonpositive_t(self, segments, t):
+        with pytest.raises(ValueError, match=f"^rate is not positive at t = {re.escape(t)}$"):
+            parse_hazard_config(f"kind = piecewise\nsegments = {segments}\n")
+
+    def test_piecewise_positivity_on_finite_support(self):
+        # the last piece is checked up to support_end, not one step past its start
+        with pytest.raises(ValueError, match="^rate is not positive at t = 5.0$"):
+            PiecewiseLinearHazard(((0.0, -1.0, 4.0),), support_end=5.0)
+        assert PiecewiseLinearHazard(((0.0, -1.0, 4.0),), support_end=3.0).rate(2.9) > 0.0
+        # a zero at t = 0 is tolerated, however small the slope after it
+        assert PiecewiseLinearHazard(((0.0, 0.5, 0.0),)).rate(0.0) == 0.0
+        with pytest.raises(ValueError, match="^last segment must have slope >= 0"):
+            PiecewiseLinearHazard(((0.0, -1e-9, 1.0),))
 
     def test_custom_spec_with_finite_support(self):
         spec = CustomHazard(

@@ -68,6 +68,16 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"fails at t = 1 \("):
             PerturbedModel(hazard, TelegraphParams(c=1.0, lam=1.0))
 
+    def test_dominance_past_checked_horizon_refused(self):
+        # r(t) -> 1 < c as t grows, past the horizon and between the grid points
+        # checked at build; R(t) < c*t there once overflowed math.expm1 in band
+        model = PerturbedModel(HAZARDS["soft_step"], TelegraphParams(c=1.000002302587744, lam=1.0))
+        calls = model.band, model.mean, model.variance, lambda t: model.sample_path_values([t], 0)
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^dominance r\(t\) > c fails before t = 1e\+09 "):
+                call(1e9)
+        assert model.band(1e5).a > 0.0  # R(t) > c*t still holds there
+
 
 class TestBand:
     def test_degenerate_at_zero(self, fig_model):
