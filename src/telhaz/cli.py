@@ -81,11 +81,12 @@ def _data_and_config(args) -> tuple[NamedDataset, BandConfig]:
 
 
 # -- tables -------------------------------------------------------------------
-# Each builder returns or yields the rows of one table, header first; a
-# subcommand and the reproduce target that emits the same table share it.
-# Numpy columns become Python scalars once, through .tolist(): csv writes a
-# float as its repr, but a numpy scalar through str(), which follows numpy's
-# global print options.
+# Each builder returns the rows of one table, header first; a subcommand and
+# the reproduce target that emits the same table share it. Numpy columns
+# become Python scalars once, through .tolist(): csv writes a float as its
+# repr, but a numpy scalar through str(), which follows numpy's global print
+# options. The path tables skip csv: _write_paths formats each float with
+# repr itself, the t column once per table, and writes one path at a time.
 
 
 def _table(header: tuple, *columns) -> list:
@@ -93,17 +94,24 @@ def _table(header: tuple, *columns) -> list:
     return [header, *zip(*(column.tolist() for column in columns))]
 
 
-def _path_rows(name: str, values, grid, paths: int, seed: int):
-    """``paths`` sample paths, path ``pid`` being ``values(grid, seed + pid)``."""
-    yield "path_id", "t", name
-    times = grid.tolist()
-    for pid in range(paths):
-        yield from zip(itertools.repeat(pid), times, values(grid, seed + pid).tolist())
+def _write_paths(path, name: str, values, grid, paths: int, seed: int) -> None:
+    """Write ``paths`` sample paths to ``path``, path ``pid`` being ``values(grid, seed + pid)``.
+
+    The bytes csv would write for the rows (pid, t, value): the t column is
+    formatted once, and each path is one string, so memory is O(grid size).
+    """
+    times = [repr(t) for t in grid.tolist()]
+    with _open_output(path) as out:
+        out.write(f"path_id,t,{name}\n")
+        for pid in range(paths):
+            head = f"{pid},"
+            xs = values(grid, seed + pid).tolist()
+            out.write("".join([f"{head}{t},{x!r}\n" for t, x in zip(times, xs)]))
 
 
 def _band_rows(model: PerturbedModel, grid) -> list:
-    bands = [model.band(float(t)) for t in grid]
-    return [("t", "a", "b", "width"), *((b.t, b.a, b.b, b.width) for b in bands)]
+    band = model.band(grid)
+    return _table(("t", "a", "b", "width"), band.t, band.a, band.b, band.width)
 
 
 def _x_density(model: PerturbedModel, t: float, points: int):
@@ -144,7 +152,7 @@ def cmd_simulate_w(args) -> int:
     grid = np.linspace(0.0, args.horizon, args.grid_size)
     _expected_switches(params, grid[-1])  # refused before the output is opened
     w = functools.partial(sample_path, params)
-    _write_csv(args.output, _path_rows("w", w, grid, args.paths, args.seed))
+    _write_paths(args.output, "w", w, grid, args.paths, args.seed)
     return 0
 
 
@@ -153,7 +161,7 @@ def cmd_simulate_x(args) -> int:
     grid = _support_grid(model, args.horizon, args.grid_size, "--horizon")
     _expected_switches(model.noise, grid[-1])  # refused before the output is opened
     model._cumulative(grid)  # so is R(t) < c*t past the checked horizon
-    _write_csv(args.output, _path_rows("x", model.sample_path_values, grid, args.paths, args.seed))
+    _write_paths(args.output, "x", model.sample_path_values, grid, args.paths, args.seed)
     return 0
 
 
@@ -235,8 +243,8 @@ def _reproduce_fig1(outdir: Path, seed: int) -> None:
     model = presets.model_fig1()
     grid = np.linspace(0.0, presets.FIG1_HORIZON, 201)
     w = functools.partial(sample_path, model.noise)
-    _write_csv(outdir / "w_paths.csv", _path_rows("w", w, grid, 2, seed))
-    _write_csv(outdir / "x_paths.csv", _path_rows("x", model.sample_path_values, grid, 2, seed))
+    _write_paths(outdir / "w_paths.csv", "w", w, grid, 2, seed)
+    _write_paths(outdir / "x_paths.csv", "x", model.sample_path_values, grid, 2, seed)
     _write_csv(outdir / "f_curve.csv", _table(("t", "cdf"), grid, model.hazard.cdf(grid)))
 
 

@@ -34,14 +34,23 @@ from .telegraph import (
 _NU_CAP = 700.0
 
 
+def _each(f, values) -> np.ndarray:
+    """``f`` of each element of ``values``, through Python floats, in the shape of ``values``.
+
+    For ``math`` functions, whose bits numpy's ufuncs need not reproduce.
+    """
+    values = np.asarray(values)
+    return np.fromiter(map(f, values.ravel().tolist()), float, values.size).reshape(values.shape)
+
+
 @dataclass(frozen=True)
 class SupportBand:
-    """Almost-sure envelope of X(t) at one time point."""
+    """Almost-sure envelope of X(t): floats at one time point, arrays over an array of times."""
 
-    t: float
-    a: float
-    b: float
-    width: float
+    t: float | np.ndarray
+    a: float | np.ndarray
+    b: float | np.ndarray
+    width: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -95,23 +104,42 @@ class PerturbedModel:
         return math.exp(-self.total_excess_hazard)
 
     def _cumulative(self, t):
-        """R(t), refused below c*t: then r < c somewhere on (0, t], past the checked horizon."""
+        """R(t), refused where c*t leaves the double range and where R(t) < c*t.
+
+        R(t) < c*t means r < c somewhere on (0, t], past the checked horizon.
+        """
         cum = self.hazard.cumulative(t)  # also validates the domain
         times = np.asarray(t, dtype=float)
-        short = times[cum < self.noise.c * times]
+        c = self.noise.c
+        with np.errstate(over="ignore"):  # an infinite c*t is refused by name below
+            ct = c * times
+        endless = times[np.isinf(ct)]
+        if endless.size:
+            first = float(endless.min())
+            raise ValueError(
+                f"c = {c!r} up to t = {first!r} lets |W| reach c * t = inf; it must be finite"
+            )
+        short = times[cum < ct]
         if short.size:
-            first, c = short.min(), self.noise.c
-            raise ValueError(f"dominance r(t) > c fails before t = {first:.6g} (c = {c})")
+            raise ValueError(f"dominance r(t) > c fails before t = {short.min():.6g} (c = {c})")
         return cum
 
-    def band(self, t: float) -> SupportBand:
-        """Endpoints a(t) <= b(t) of the almost-sure band and its width."""
+    def band(self, t) -> SupportBand:
+        """Endpoints a(t) <= b(t) of the almost-sure band and its width, at a time or an array.
+
+        R(t) is evaluated once over all of ``t``; each endpoint is then one
+        ``math.expm1`` and the width two ``math.exp`` per time, so an array
+        gives the same bits as one call per time. A scalar ``t`` gives floats.
+        """
         cum = self._cumulative(t)
-        ct = self.noise.c * float(t)
-        a = -math.expm1(ct - cum)
-        b = -math.expm1(-(ct + cum))
-        width = math.exp(ct - cum) - math.exp(-(ct + cum))
-        return SupportBand(float(t), a, b, width)
+        times = np.asarray(t, dtype=float)
+        ct = self.noise.c * times
+        lower, upper = ct - cum, -(ct + cum)  # log(1 - a(t)) and log(1 - b(t))
+        a, b = -_each(math.expm1, lower), -_each(math.expm1, upper)
+        width = _each(math.exp, lower) - _each(math.exp, upper)
+        if times.ndim == 0:
+            return SupportBand(float(times), float(a), float(b), float(width))
+        return SupportBand(times, a, b, width)
 
     def band_width_nondecreasing(self, t: float) -> bool:
         """Whether the band width is non-decreasing at t: r(t) <= c*coth(c*t).

@@ -10,11 +10,17 @@ the one-matrix evaluator that ``kde`` must reproduce bit for bit. The Bessel
 series keep their allocating loops with a whole-array stop test, which the
 library's in-place loops must reproduce bit for bit, and the W(t) CDF keeps
 its one-term-at-a-time Poisson mixture over switch counts, in double and in
-40-digit precision.
+40-digit precision. The path tables keep their row generator written through
+``csv.writer``, the reference for the CLI's column-wise path writer, and the
+band keeps its one-time-point formulas, the reference for the band over an
+array of times.
 """
 
 from __future__ import annotations
 
+import csv
+import io
+import itertools
 import math
 
 import numpy as np
@@ -79,6 +85,29 @@ def walk_integral(sign: int, events, params, times) -> np.ndarray:
             event = next(events, math.inf)
         out.append(params.c * (total + sign * (t - previous)))
     return np.array(out)
+
+
+def csv_path_rows(name: str, values, grid, paths: int, seed: int):
+    """Header, then the rows (pid, t, value) of ``paths`` sample paths, one zip per path (oracle)."""
+    yield "path_id", "t", name
+    times = grid.tolist()
+    for pid in range(paths):
+        yield from zip(itertools.repeat(pid), times, values(grid, seed + pid).tolist())
+
+
+def csv_path_table(name: str, values, grid, paths: int, seed: int) -> str:
+    """:func:`csv_path_rows` through ``csv.writer``, with the CLI's line terminator (oracle)."""
+    out = io.StringIO()
+    csv.writer(out, lineterminator="\n").writerows(csv_path_rows(name, values, grid, paths, seed))
+    return out.getvalue()
+
+
+def math_band(model, t: float) -> tuple[float, float, float]:
+    """a(t), b(t) and the width at one time, one ``math`` call per term (oracle)."""
+    cum = model.hazard.cumulative(t)
+    ct = model.noise.c * t
+    return (-math.expm1(ct - cum), -math.expm1(-(ct + cum)),
+            math.exp(ct - cum) - math.exp(-(ct + cum)))
 
 
 def series_oracle(x: np.ndarray, order: int) -> np.ndarray:

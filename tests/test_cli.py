@@ -1,5 +1,6 @@
 import contextlib
 import csv
+import functools
 import hashlib
 import io
 import json
@@ -16,8 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import telhaz
-from telhaz.cli import build_parser, main
+from conftest import csv_path_table
+from telhaz.cli import _write_paths, build_parser, main
+from telhaz.perturbed import PerturbedModel
 from telhaz.presets import HAZARDS, model_fig3
+from telhaz.telegraph import TelegraphParams, sample_path
 
 
 RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reproduce_sha256.json"
@@ -112,6 +116,46 @@ class TestSimulate:
             t, x = float(t), float(x)
             band = model.band(t)
             assert band.a - 1e-12 <= x <= band.b + 1e-12
+
+
+PATH_FLAGS = ("--c", "1", "--lam", "15", "--horizon", "1", "--seed", "5")
+
+
+class TestPathWriter:
+    @pytest.mark.parametrize("grid_size", [1, 51])
+    @pytest.mark.parametrize("paths", [0, 1, 3])
+    @pytest.mark.parametrize("command", ["simulate-w", "simulate-x"])
+    def test_matches_csv_rows(self, capsys, tmp_path, command, paths, grid_size):
+        params = TelegraphParams(c=1.0, lam=15.0)
+        if command == "simulate-w":
+            name, values, hazard = "w", functools.partial(sample_path, params), []
+        else:
+            model = PerturbedModel(HAZARDS["polynomial_c1"], params)
+            name, values, hazard = "x", model.sample_path_values, ["--hazard", "preset:polynomial_c1"]
+        grid = np.linspace(0.0, 1.0, grid_size)
+        expected = csv_path_table(name, values, grid, paths, 5)
+        argv = [command, *hazard, *PATH_FLAGS, "--paths", str(paths), "--grid-size", str(grid_size)]
+        assert run(capsys, *argv) == (0, expected, "")
+        target = tmp_path / "paths.csv"
+        assert run(capsys, *argv, "--output", str(target)) == (0, "", "")
+        assert target.read_bytes() == expected.encode()
+
+    def test_float_reprs_match_csv(self, capsys, tmp_path):
+        # signed zeros, exponent-form reprs and the smallest subnormal, in both columns
+        grid = np.array([0.0, 5e-324, 1e-05, 0.1, 1e16])
+        path = np.array([-0.0, 1e-05, 1e16, 5e-324, 0.1])
+
+        def values(times, seed):
+            assert times is grid
+            return path * (-1.0) ** seed
+
+        expected = csv_path_table("x", values, grid, 3, 1)
+        assert "0,0.0,0.0\n" in expected and "1,0.0,-0.0\n" in expected  # seeds 1 and 2
+        _write_paths(None, "x", values, grid, 3, 1)
+        assert capsys.readouterr().out == expected
+        target = tmp_path / "paths.csv"
+        _write_paths(target, "x", values, grid, 3, 1)
+        assert target.read_bytes() == expected.encode()
 
 
 class TestTables:
@@ -335,6 +379,30 @@ class TestValidationErrors:
                 code, out, err = run(capsys, *argv, *extra)
             assert (code, out) == (2, "")
             assert err.startswith("error: c = 1e+300 up to grid[-1] = 1.4e+65 lets |W| reach ")
+        assert not target.exists()
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["band", "--t-max", "4.98e285", "--points", "5"],
+            ["moments", "--t-max", "4.98e285", "--points", "5"],
+            ["density", "--process", "x", "--t", "4.98e285"],
+        ],
+    )
+    def test_overflowing_ct_named_without_warning(self, capsys, tmp_path, argv):
+        # c * t past the double range once printed nan cells (band, moments) or
+        # warned of an overflow in c * t before the run was refused (density)
+        hazard = tmp_path / "steep.cfg"
+        hazard.write_text("kind = constant\nrate = 1e250\n")
+        target = tmp_path / "out.csv"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            code, out, err = run(capsys, *argv, "--hazard", str(hazard), "--c", "1.24e111",
+                                 "--lam", "2.6e-183", "--output", str(target))
+        assert [str(w.message) for w in caught] == []
+        assert (code, out) == (2, "")
+        assert err.startswith("error: c = 1.24e+111 up to t = ")
+        assert err.endswith(" lets |W| reach c * t = inf; it must be finite\n")
         assert not target.exists()
 
     def test_infinite_w_support_named_without_warning(self, capsys):

@@ -1,3 +1,4 @@
+import functools
 import math
 import warnings
 
@@ -7,8 +8,16 @@ from scipy import integrate
 
 from telhaz.hazard import ConstantHazard, PiecewiseLinearHazard, PolynomialHazard
 from telhaz.perturbed import PerturbedModel
-from telhaz.presets import FIG3_TIMES, HAZARDS, model_fig1, model_fig2, model_fig3
-from conftest import oracle_path
+from telhaz.presets import (
+    FIG1_HORIZON,
+    FIG2_HORIZONS,
+    FIG3_TIMES,
+    HAZARDS,
+    model_fig1,
+    model_fig2,
+    model_fig3,
+)
+from conftest import math_band, oracle_path
 from telhaz.telegraph import (
     TelegraphParams,
     mgf,
@@ -139,6 +148,80 @@ class TestBand:
         width = np.array([model.band(float(t)).width for t in ts])
         interior = (width[1:-1] > width[:-2]) & (width[1:-1] > width[2:])
         assert np.count_nonzero(interior) == 2
+
+
+
+# the fig1 model and the three fig2 cases, with the horizons of their figures
+FIGURE_MODELS = {
+    "fig1": (model_fig1, FIG1_HORIZON),
+    **{case: (functools.partial(model_fig2, case), FIG2_HORIZONS[case]) for case in "abc"},
+}
+
+
+def same_bits(x: np.ndarray, y: np.ndarray) -> bool:
+    return x.dtype == y.dtype == np.float64 and x.tobytes() == y.tobytes()
+
+
+class TestBandOverArray:
+    @pytest.mark.parametrize(
+        "name, points", [*((case, n) for case in "abc" for n in (401, 20_001)), ("fig1", 401)]
+    )
+    def test_figure_grids_match_scalar_calls(self, name, points):
+        build, horizon = FIGURE_MODELS[name]
+        model = build()
+        grid = np.linspace(0.0, horizon, points)
+        band = model.band(grid)
+        scalar = [model.band(t) for t in grid.tolist()]
+        assert same_bits(band.t, grid)
+        for field in ("a", "b", "width"):
+            assert same_bits(getattr(band, field), np.array([getattr(b, field) for b in scalar]))
+
+    @pytest.mark.parametrize("name", sorted(FIGURE_MODELS))
+    def test_scalar_calls_match_math_formulas(self, name):
+        build, horizon = FIGURE_MODELS[name]
+        model = build()
+        for t in np.linspace(0.0, horizon, 401).tolist():
+            band = model.band(t)
+            assert same_bits(np.array([band.a, band.b, band.width]), np.array(math_band(model, t)))
+
+    @pytest.mark.parametrize("t", [0.5, np.float64(0.5), np.array(0.5)], ids=["float", "f64", "0d"])
+    def test_scalar_time_gives_floats(self, fig_model, t):
+        band = fig_model.band(t)
+        assert all(type(value) is float for value in (band.t, band.a, band.b, band.width))
+        pair = fig_model.band(np.array([0.5, 1.0]))
+        assert (band.a, band.b, band.width) == (pair.a[0], pair.b[0], pair.width[0])
+
+    def test_shape_kept(self, fig_model):
+        times = np.linspace(0.0, 2.0, 6).reshape(2, 3)
+        band = fig_model.band(times)
+        assert band.a.shape == band.b.shape == band.width.shape == band.t.shape == (2, 3)
+        assert same_bits(band.width.ravel(), fig_model.band(times.ravel()).width)
+
+    def test_dominance_refusal_same_as_scalar(self):
+        # the model of test_dominance_past_checked_horizon_refused: R(t) < c*t at 1e9
+        model = PerturbedModel(HAZARDS["soft_step"], TelegraphParams(c=1.000002302587744, lam=1.0))
+        with pytest.raises(ValueError) as scalar:
+            model.band(1e9)
+        with pytest.raises(ValueError) as array:
+            model.band(np.array([1e5, 1e9, 1e10]))
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value).startswith("dominance r(t) > c fails before t = 1e+09 ")
+
+    def test_overflowing_ct_refusal_same_as_scalar(self):
+        # c * t passes the double range from the second point on
+        model = PerturbedModel(ConstantHazard(1e250), TelegraphParams(c=1.24e111, lam=2.6e-183))
+        grid = np.linspace(0.0, 4.98e285, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as scalar:
+                model.band(float(grid[1]))
+            with pytest.raises(ValueError) as array:
+                model.band(grid)
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value) == (
+            "c = 1.24e+111 up to t = 1.245e+285 lets |W| reach c * t = inf; it must be finite"
+        )
+        assert model.band(float(grid[0])).width == 0.0  # t = 0 stays finite
 
 
 class TestAtomsAndDensity:
