@@ -30,7 +30,7 @@ from .hazard import (
     load_hazard_config,
 )
 from .perturbed import PerturbedModel
-from .telegraph import TelegraphParams, _expected_switches, sample_path, w_density
+from .telegraph import TelegraphParams, _reach, sample_path, w_density
 
 # datasets and estimation (which loads scipy.special) are imported inside the
 # commands that estimate, so the process commands never load them.
@@ -99,13 +99,16 @@ def _write_paths(path, name: str, values, grid, paths: int, seed: int) -> None:
 
     The bytes csv would write for the rows (pid, t, value): the t column is
     formatted once, and each path is one string, so memory is O(grid size).
+    Path 0 is drawn before the output is opened, also when ``paths`` is 0, so
+    whatever ``values`` refuses leaves no header and no file.
     """
     times = [repr(t) for t in grid.tolist()]
+    first = values(grid, seed)
     with _open_output(path) as out:
         out.write(f"path_id,t,{name}\n")
         for pid in range(paths):
             head = f"{pid},"
-            xs = values(grid, seed + pid).tolist()
+            xs = (values(grid, seed + pid) if pid else first).tolist()
             out.write("".join([f"{head}{t},{x!r}\n" for t, x in zip(times, xs)]))
 
 
@@ -150,7 +153,6 @@ def _support_grid(model: PerturbedModel, end: float, count: int, flag: str) -> n
 def cmd_simulate_w(args) -> int:
     params = TelegraphParams(c=args.c, lam=args.lam)
     grid = np.linspace(0.0, args.horizon, args.grid_size)
-    _expected_switches(params, grid[-1])  # refused before the output is opened
     w = functools.partial(sample_path, params)
     _write_paths(args.output, "w", w, grid, args.paths, args.seed)
     return 0
@@ -159,8 +161,6 @@ def cmd_simulate_w(args) -> int:
 def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
     grid = _support_grid(model, args.horizon, args.grid_size, "--horizon")
-    _expected_switches(model.noise, grid[-1])  # refused before the output is opened
-    model._cumulative(grid)  # so is R(t) < c*t past the checked horizon
     _write_paths(args.output, "x", model.sample_path_values, grid, args.paths, args.seed)
     return 0
 
@@ -168,7 +168,7 @@ def cmd_simulate_x(args) -> int:
 def cmd_density(args) -> int:
     if args.process == "w":
         params = TelegraphParams(c=args.c, lam=args.lam)
-        ct = params.c * args.t
+        ct = _reach(params, args.t, "--t")
         xs = _interior_grid(-ct, ct, args.points, f"--t {args.t!r} (support of W(t))")
         f = w_density(params, args.t, xs)
     else:

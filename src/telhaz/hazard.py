@@ -22,6 +22,7 @@ class HazardSpec:
 
     A family supplies ``_rate`` and ``_cumulative`` on a checked time array and where r can
     bottom out (``_turning_points``, or its own ``_slack_candidates``); r and R go inf on overflow.
+    On an infinite support a closed-form family's r does not fall past its last turning point.
     """
 
     support_end: float = math.inf
@@ -213,9 +214,7 @@ class PiecewiseLinearHazard(HazardSpec):
         if any(not all(map(math.isfinite, seg)) for seg in segs):
             raise ValueError("segment parameters must be finite")
         object.__setattr__(self, "segments", segs)
-        end = self.support_end
-        if not math.isfinite(end):  # one step past the last start, even where start + 1 rounds
-            end = max(starts[-1] + 1.0, math.nextafter(starts[-1], math.inf))
+        end = self.support_end if math.isfinite(self.support_end) else _past(starts[-1])
         with np.errstate(over="ignore"):  # past the double range r is inf
             pts, rates = self._slack_candidates(0.0, end)
         bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
@@ -223,6 +222,11 @@ class PiecewiseLinearHazard(HazardSpec):
             raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
         if not math.isfinite(self.support_end) and segs[-1][1] < 0.0:
             raise ValueError("last segment must have slope >= 0 on an infinite support")
+
+    @property
+    def _turning_points(self) -> tuple[float, ...]:
+        # the breakpoints; _slack_candidates below reads the pieces themselves
+        return tuple(start for start, _, _ in self.segments)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -283,6 +287,11 @@ class CustomHazard(HazardSpec):
         pts = np.linspace(lo, hi, 2049)[1:]
         pts = np.union1d(pts, [p for p in self.interior_points if lo < p < hi])
         return pts, self._rate(pts)
+
+
+def _past(t: float) -> float:
+    """A time past ``t``: t + 1, or the next double where t + 1 rounds to t."""
+    return max(t + 1.0, math.nextafter(t, math.inf))
 
 
 def _line_integral(start, slope, intercept, t):

@@ -20,10 +20,11 @@ from functools import cached_property
 
 import numpy as np
 
-from .hazard import HazardSpec, _not_nan, _positive, _times, time_horizon
+from .hazard import HazardSpec, _not_nan, _past, _positive, _times, time_horizon
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
+    _reach,
     sample_path,
     scaled_mgf,
     w_atom_prob,
@@ -58,8 +59,10 @@ class PerturbedModel:
     """A baseline hazard paired with the alternating-noise parameters.
 
     Construction requires the dominance condition r > c on (0, horizon],
-    checked by :meth:`HazardSpec.min_slack`. The horizon is the hazard's
-    :func:`time_horizon`, or just short of a finite support end.
+    checked by :meth:`HazardSpec.min_slack`. The horizon is just short of a
+    finite support end; on an infinite support it is the hazard's
+    :func:`time_horizon`, or just past its last turning point if that is
+    later, since a family's r does not fall past its last turning point there.
     """
 
     hazard: HazardSpec
@@ -67,7 +70,12 @@ class PerturbedModel:
 
     def __post_init__(self):
         end = self.hazard.support_end
-        horizon = end * (1.0 - 1e-9) if math.isfinite(end) else time_horizon(self.hazard)
+        if math.isfinite(end):
+            horizon = end * (1.0 - 1e-9)
+        else:
+            horizon = time_horizon(self.hazard)
+            if self.hazard._turning_points:
+                horizon = max(horizon, _past(max(self.hazard._turning_points)))
         slack, t = self.hazard.min_slack(self.noise.c, 0.0, horizon)
         if not slack > 0.0:
             raise ValueError(f"dominance r(t) > c fails at t = {t:.6g} (c = {self.noise.c})")
@@ -104,25 +112,18 @@ class PerturbedModel:
         return math.exp(-self.total_excess_hazard)
 
     def _cumulative(self, t):
-        """R(t), refused where c*t leaves the double range and where R(t) < c*t.
+        """R(t) and c*t, floats for a scalar ``t``: the gate every time of X passes.
 
-        R(t) < c*t means r < c somewhere on (0, t], past the checked horizon.
+        Refused outside the support, where c*t is inf (``telegraph._reach``) and where
+        R(t) < c*t, which means r < c somewhere on (0, t], past the horizon checked at build.
         """
         cum = self.hazard.cumulative(t)  # also validates the domain
-        times = np.asarray(t, dtype=float)
-        c = self.noise.c
-        with np.errstate(over="ignore"):  # an infinite c*t is refused by name below
-            ct = c * times
-        endless = times[np.isinf(ct)]
-        if endless.size:
-            first = float(endless.min())
-            raise ValueError(
-                f"c = {c!r} up to t = {first!r} lets |W| reach c * t = inf; it must be finite"
-            )
-        short = times[cum < ct]
+        ct = _reach(self.noise, t)
+        short = np.asarray(t, dtype=float)[cum < ct]
         if short.size:
+            c = self.noise.c
             raise ValueError(f"dominance r(t) > c fails before t = {short.min():.6g} (c = {c})")
-        return cum
+        return cum, ct
 
     def band(self, t) -> SupportBand:
         """Endpoints a(t) <= b(t) of the almost-sure band and its width, at a time or an array.
@@ -131,9 +132,8 @@ class PerturbedModel:
         ``math.expm1`` and the width two ``math.exp`` per time, so an array
         gives the same bits as one call per time. A scalar ``t`` gives floats.
         """
-        cum = self._cumulative(t)
+        cum, ct = self._cumulative(t)
         times = np.asarray(t, dtype=float)
-        ct = self.noise.c * times
         lower, upper = ct - cum, -(ct + cum)  # log(1 - a(t)) and log(1 - b(t))
         a, b = -_each(math.expm1, lower), -_each(math.expm1, upper)
         width = _each(math.exp, lower) - _each(math.exp, upper)
@@ -155,7 +155,7 @@ class PerturbedModel:
 
     def atom_prob(self, t: float) -> float:
         """Mass P{X(t) = a(t)} = P{X(t) = b(t)} = exp(-lam*t)/2."""
-        _times(t, self.hazard.support_end)
+        self._cumulative(t)  # refused where band(t) would be
         return w_atom_prob(self.noise, t)
 
     def density(self, x, t: float):
@@ -213,13 +213,13 @@ class PerturbedModel:
 
     def mean(self, t):
         """E[X(t)] = 1 - survival(t) * M(-1, t), evaluated overflow-free."""
-        cum = self._cumulative(t)
+        cum, _ = self._cumulative(t)
         out = 1.0 - scaled_mgf(self.noise, -1.0, t, cum)
         return float(out) if np.ndim(t) == 0 else out
 
     def variance(self, t):
         """Var[X(t)] = survival^2 * (M(-2,t) - M(-1,t)^2), floored at 0."""
-        cum = self._cumulative(t)
+        cum, _ = self._cumulative(t)
         with np.errstate(over="ignore"):  # a 2R past the double range is inf, as R would be
             second = scaled_mgf(self.noise, -2.0, t, 2.0 * cum)
         first = scaled_mgf(self.noise, -1.0, t, cum)
@@ -236,5 +236,5 @@ class PerturbedModel:
         t < support_end.
         """
         grid = _times(time_grid, self.hazard.support_end, "time_grid")
-        cum = self._cumulative(grid)  # refused before a path is drawn
+        cum, _ = self._cumulative(grid)  # refused before a path is drawn
         return -np.expm1(-(cum + sample_path(self.noise, grid, seed)))

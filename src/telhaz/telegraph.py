@@ -26,6 +26,8 @@ _CDF_BLOCK = 1 << 16
 # Exponential gaps sample_path draws at once, and the most switches it expects.
 _GAP_BLOCK = 1 << 16
 _MAX_SWITCHES = 2**30
+# Below this lam * t, w_mean_var sums a series where its closed form cancels.
+_VARIANCE_SERIES_BELOW = 0.5
 
 
 @dataclass(frozen=True)
@@ -40,6 +42,21 @@ class TelegraphParams:
             object.__setattr__(self, name, _positive(name, getattr(self, name)))
 
 
+def _reach(params: TelegraphParams, t, name: str = "t"):
+    """c * t, the bound of |W(t)|, in the shape of ``t`` (a float if 0-d); refused if inf."""
+    times = np.asarray(t, dtype=float)
+    # c * t grows with t: the largest t decides, and the error quotes the smallest refused
+    if not math.isfinite(params.c * float(times.max(initial=0.0) if times.ndim else times)):
+        with np.errstate(over="ignore"):  # the overflow is the refusal
+            first = float(times[np.isinf(params.c * times)].min())
+        raise ValueError(
+            f"c = {params.c!r} up to {name} = {first!r} lets |W| reach c * {name} = inf; "
+            "it must be finite"
+        )
+    ct = params.c * times
+    return float(ct) if ct.ndim == 0 else ct
+
+
 def _expected_switches(params: TelegraphParams, horizon: float, name: str = "grid[-1]") -> float:
     """``lam * horizon``, the paths' and the CDF's budget: at most 2^30, and c * horizon finite."""
     horizon = float(horizon)
@@ -49,11 +66,7 @@ def _expected_switches(params: TelegraphParams, horizon: float, name: str = "gri
             f"lam = {params.lam!r} up to {name} = {horizon!r} expects {expected!r} "
             "switches; at most 2**30 are supported"
         )
-    if not math.isfinite(params.c * horizon):
-        raise ValueError(
-            f"c = {params.c!r} up to {name} = {horizon!r} lets |W| reach c * {name} = inf; "
-            "it must be finite"
-        )
+    _reach(params, horizon, name)
     return expected
 
 
@@ -104,16 +117,24 @@ def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.n
     the sign coin has that law, as [I_y(k+1, k) + I_y(k, k+1)]/2 = I_y(k, k)
     (DLMF §8.17(iv)). When N = 0, B is 0 or 1 by the coin. The draws match the
     last value of :func:`sample_path` in law (the tests cross-check the two
-    samplers), in O(n_paths) memory whatever ``lam * t``.
+    samplers), in O(n_paths) memory whatever ``lam * t``, up to the largest
+    Poisson mean numpy draws from (about 9.2e18).
     """
     t = _positive("t", t)
+    ct = _reach(params, t)
     n_paths = _count("n_paths", n_paths, 0)
     rng = np.random.default_rng(seed)
-    k = (rng.poisson(params.lam * t, size=n_paths) + 1) // 2
+    try:
+        k = (rng.poisson(params.lam * t, size=n_paths) + 1) // 2
+    except ValueError:  # numpy's bare "lam value too large"
+        raise ValueError(
+            f"lam = {params.lam!r} at t = {t!r} expects {params.lam * t!r} switches, "
+            "past the largest Poisson mean numpy draws from"
+        ) from None
     b = np.where(rng.random(n_paths) < 0.5, 1.0, 0.0)
     switched = k > 0
     b[switched] = rng.beta(k[switched], k[switched])
-    return params.c * t * (2.0 * b - 1.0)
+    return ct * (2.0 * b - 1.0)
 
 
 def w_atom_prob(params: TelegraphParams, t: float) -> float:
@@ -155,7 +176,7 @@ def w_density(params: TelegraphParams, t: float, x):
     form, with jacobian 1.
     """
     t = _positive("t", t)
-    ct = params.c * t
+    ct = _reach(params, t)
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) < ct):  # NaN fails too
         raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
@@ -203,9 +224,9 @@ def w_cdf(params: TelegraphParams, t: float, w):
     """
     t = _positive("t", t, allow_zero=True)
     arr = _not_nan("w", w)
-    ct = params.c * t
+    ct = _reach(params, t)
     mix = np.zeros(arr.size)
-    if t > 0.0:
+    if ct > 0.0:  # a c * t that rounds to 0 leaves all the mass at w = 0
         from scipy.special import betainc  # imported here: only the CDF needs scipy
         y = np.clip(0.5 * (arr.reshape(-1) / ct + 1.0), 0.0, 1.0)
         counts, weights = _poisson_terms(_expected_switches(params, t, "t"))
@@ -246,8 +267,19 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
 
 
 def mgf(params: TelegraphParams, s: float, t):
-    """Moment generating function E[exp(s W(t))]; symmetric in s <-> -s."""
-    return scaled_mgf(params, s, t, 0.0)
+    """Moment generating function E[exp(s W(t))]; symmetric in s <-> -s.
+
+    Where it passes the double range, a ValueError names c, lam, s and the
+    first such t.
+    """
+    out = scaled_mgf(params, s, t, 0.0)
+    endless = np.asarray(t, dtype=float)[~np.isfinite(out)]
+    if endless.size:
+        raise ValueError(
+            f"E[exp(s W(t))] overflows at c = {params.c!r}, lam = {params.lam!r}, "
+            f"s = {s!r}, t = {float(endless.min())!r}"
+        )
+    return out
 
 
 def w_mean_var(params: TelegraphParams, t: float) -> tuple[float, float]:
@@ -255,9 +287,25 @@ def w_mean_var(params: TelegraphParams, t: float) -> tuple[float, float]:
 
     The variance comes from the second s-derivative of the generating
     function at s = 0, reduced in closed form to
-    ``(c/lam)^2 (lam t - (1 - e^{-2 lam t})/2)``.
+    ``(c/lam)^2 (x - (1 - e^{-2x})/2)`` with x = lam t. Below x = 1/2, where
+    that difference cancels, it is (ct)^2 times the series of
+    (x + expm1(-2x)/2) / x^2 = sum over m >= 0 of 2 (-2x)^m / (m + 2)!. Where
+    the variance passes the double range, a ValueError names c, lam and t.
     """
     t = _positive("t", t, allow_zero=True)
-    lam = params.lam
-    variance = (params.c / lam) ** 2 * (lam * t + 0.5 * math.expm1(-2.0 * lam * t))
-    return 0.0, max(variance, 0.0)
+    c, lam = params.c, params.lam
+    x = lam * t
+    try:
+        if x < _VARIANCE_SERIES_BELOW:
+            # each term is under 1/(m + 3) of the last: 18 terms leave less than 1e-18
+            terms = [1.0]
+            for m in range(17):
+                terms.append(terms[-1] * -2.0 * x / (m + 3))
+            variance = c * t * (c * t * math.fsum(terms))
+        else:
+            variance = (c / lam) ** 2 * (x + 0.5 * math.expm1(-2.0 * x))
+    except OverflowError:  # (c / lam) ** 2 past the double range
+        variance = math.inf
+    if not math.isfinite(variance):
+        raise ValueError(f"the variance of W(t) overflows at c = {c!r}, lam = {lam!r}, t = {t!r}")
+    return 0.0, variance

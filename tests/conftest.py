@@ -10,10 +10,10 @@ the one-matrix evaluator that ``kde`` must reproduce bit for bit. The Bessel
 series keep their allocating loops with a whole-array stop test, which the
 library's in-place loops must reproduce bit for bit, and the W(t) CDF keeps
 its one-term-at-a-time Poisson mixture over switch counts, in double and in
-40-digit precision. The path tables keep their row generator written through
-``csv.writer``, the reference for the CLI's column-wise path writer, and the
-band keeps its one-time-point formulas, the reference for the band over an
-array of times.
+40-digit precision; its variance keeps the closed form at 50 digits. The path
+tables keep their row generator written through ``csv.writer``, the reference
+for the CLI's column-wise path writer, and the band keeps its one-time-point
+formulas, the reference for the band over an array of times.
 """
 
 from __future__ import annotations
@@ -169,6 +169,16 @@ def mp_w_cdf(params, t: float, w: float) -> float:
             )
             total += weight * pair / 2
         return float(total)
+
+
+def mp_w_variance(params, t: float) -> float:
+    """Var W(t) = (c/lam)^2 (x + expm1(-2x)/2), x = lam t, at 50 digits (oracle)."""
+    import mpmath
+
+    with mpmath.workdps(50):
+        c, lam = mpmath.mpf(params.c), mpmath.mpf(params.lam)
+        x = lam * mpmath.mpf(t)
+        return float((c / lam) ** 2 * (x + mpmath.expm1(-2 * x) / 2))
 
 
 def direct_kde(values, h: float, t: float) -> tuple[float, float]:

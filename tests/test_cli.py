@@ -157,6 +157,20 @@ class TestPathWriter:
         _write_paths(target, "x", values, grid, 3, 1)
         assert target.read_bytes() == expected.encode()
 
+    @pytest.mark.parametrize("paths", [0, 2])
+    def test_refused_first_path_leaves_no_table(self, capsys, tmp_path, paths):
+        # path 0 is drawn before the output is opened, also when none is written
+        def values(times, seed):
+            raise ValueError("refused")
+
+        grid = np.linspace(0.0, 1.0, 3)
+        target = tmp_path / "paths.csv"
+        for path in (None, target):
+            with pytest.raises(ValueError, match="^refused$"):
+                _write_paths(path, "w", values, grid, paths, 1)
+        assert capsys.readouterr().out == ""
+        assert not target.exists()
+
 
 class TestTables:
     def test_density_w_normalizes(self, capsys):
@@ -406,11 +420,13 @@ class TestValidationErrors:
         assert not target.exists()
 
     def test_infinite_w_support_named_without_warning(self, capsys):
-        # c * t = inf; the grid on (-inf, inf) once warned before it was refused
-        code, out, err = run(capsys, "density", "--c", "1e300", "--lam", "1", "--t", "1e10",
-                             "--points", "3")
+        # c * t = inf; the grid on (-inf, inf) once warned, then blamed --t alone
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, "density", "--c", "1e300", "--lam", "1", "--t", "1e10",
+                                 "--points", "3")
         assert (code, out) == (2, "")
-        assert err.startswith("error: --t 10000000000.0 (support of W(t))")
+        assert err.startswith("error: c = 1e+300 up to --t = 10000000000.0 lets |W| reach ")
         assert "Warning" not in err
 
     def test_x_density_with_b_at_one_named(self, capsys):
@@ -427,18 +443,20 @@ class TestValidationErrors:
             ["band", "--t-max", "2000", "--points", "2"],
             ["moments", "--t-max", "2000", "--points", "2"],
             ["simulate-x", "--lam", "0.001", "--horizon", "2000", "--grid-size", "2"],
+            ["band", "--t-max", "150", "--points", "4"],
         ],
     )
     def test_dominance_past_horizon_leaves_no_table(self, capsys, tmp_path, argv):
-        # r = 0.5 < c past t = 100, beyond the horizon checked at build: a(t)
-        # once overflowed math.expm1, and the variance read 4e74
+        # r = 0.5 < c past t = 100, beyond time_horizon; the build-time check
+        # reaches past the last breakpoint and refuses the model: a(t) once
+        # overflowed math.expm1, the variance read 4e74, and up to t = 150 the rows printed
         hazard = tmp_path / "dip.cfg"
         hazard.write_text("kind = piecewise\nsegments = 0:0:2; 100:0:0.5\n")
         target = tmp_path / "out.csv"
         code, out, err = run(capsys, *argv, "--hazard", str(hazard), "--c", "1",
                              "--output", str(target))
         assert (code, out) == (2, "")
-        assert err == "error: dominance r(t) > c fails before t = 2000 (c = 1.0)\n"
+        assert err == "error: dominance r(t) > c fails at t = 100 (c = 1.0)\n"
         assert not target.exists()
 
     def test_tiny_t_w_density_names_t(self, capsys):

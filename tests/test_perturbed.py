@@ -77,11 +77,21 @@ class TestConstruction:
         with pytest.raises(ValueError, match=r"fails at t = 1 \("):
             PerturbedModel(hazard, TelegraphParams(c=1.0, lam=1.0))
 
+    def test_dominance_checked_past_last_breakpoint(self):
+        # r = 0.5 < c after t = 100, far past time_horizon (about 6.9): once
+        # built, and its band printed up to t = 150
+        dip = PiecewiseLinearHazard(((0.0, 0.0, 2.0), (100.0, 0.0, 0.5)))
+        with pytest.raises(ValueError, match=r"^dominance r\(t\) > c fails at t = 100 "):
+            PerturbedModel(dip, TelegraphParams(c=1.0, lam=1.0))
+        step = PiecewiseLinearHazard(((0.0, 0.0, 2.0), (100.0, 0.0, 1.5)))
+        assert PerturbedModel(step, TelegraphParams(c=1.0, lam=1.0)).band(150.0).a > 0.0
+
     def test_dominance_past_checked_horizon_refused(self):
         # r(t) -> 1 < c as t grows, past the horizon and between the grid points
         # checked at build; R(t) < c*t there once overflowed math.expm1 in band
         model = PerturbedModel(HAZARDS["soft_step"], TelegraphParams(c=1.000002302587744, lam=1.0))
-        calls = model.band, model.mean, model.variance, lambda t: model.sample_path_values([t], 0)
+        calls = (model.band, model.mean, model.variance, model.atom_prob,
+                 lambda t: model.sample_path_values([t], 0))
         for call in calls:
             with pytest.raises(ValueError, match=r"^dominance r\(t\) > c fails before t = 1e\+09 "):
                 call(1e9)

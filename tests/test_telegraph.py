@@ -1,5 +1,7 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -8,7 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from conftest import (
-    brute_force_w, ks_distance, ks_critical, loop_w_cdf, mp_w_cdf, oracle_path, walk_integral
+    brute_force_w, ks_distance, ks_critical, loop_w_cdf, mp_w_cdf, mp_w_variance, oracle_path,
+    walk_integral,
 )
 from telhaz import telegraph
 from telhaz.telegraph import (
@@ -65,6 +68,19 @@ class TestSampling:
             w_cdf(p, 1.4e65, 0.0)
         assert np.isfinite(sample_path(p, [0.0, 1e8], seed=1)).all()
 
+    def test_sample_w_bounds_named(self):
+        # c * t = inf once gave five -inf draws, and a Poisson mean past numpy's
+        # limit its bare "lam value too large"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^c = 1e\+300 up to t = 10000000000\.0 lets"):
+                sample_w(TelegraphParams(c=1e300, lam=1e-300), 1e10, 5, seed=0)
+            with pytest.raises(ValueError, match=r"^lam = 1000000000\.0 at t = 10000000000\.0 "
+                                                 r"expects 1e\+19 switches, past the largest"):
+                sample_w(TelegraphParams(c=1e-300, lam=1e9), 1e10, 3, seed=0)
+            w = sample_w(TelegraphParams(c=1.0, lam=1e9), 9e9, 3, seed=0)  # lam * t = 8.1e18
+        assert np.all(np.abs(w) <= 9e9)
+
     def test_event_count_poisson_gof(self):
         # chi-square goodness of fit of N(1) against Poisson(15) over 1e4 seeds
         p = TelegraphParams(c=2.0, lam=15.0)
@@ -115,6 +131,42 @@ class TestSampling:
             with pytest.raises(ValueError, match="n_paths must be an integer >= 0"):
                 sample_w(p, 1.0, bad, seed=0)
         assert sample_w(p, 1.0, np.int64(3), seed=0).size == 3
+
+
+class TestReach:
+    def test_shape_kept(self):
+        p = TelegraphParams(c=2.0, lam=1.0)
+        assert telegraph._reach(p, 1.5) == 3.0 and type(telegraph._reach(p, 1.5)) is float
+        assert type(telegraph._reach(p, np.array(1.5))) is float
+        grid = np.linspace(0.0, 1.0, 6).reshape(2, 3)
+        assert np.array_equal(telegraph._reach(p, grid), 2.0 * grid)
+        assert telegraph._reach(p, np.array([])).shape == (0,)
+
+    def test_overflowing_ct_refusal_same_as_scalar(self):
+        # c * t passes the double range from the second point on
+        p = TelegraphParams(c=1.24e111, lam=1.0)
+        grid = np.linspace(0.0, 4.98e285, 5)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError) as scalar:
+                telegraph._reach(p, float(grid[1]))
+            with pytest.raises(ValueError) as array:
+                telegraph._reach(p, grid[::-1])
+            named = r"^c = 1\.24e\+111 up to --t = 1\.245e\+285 lets \|W\| reach c \* --t = inf"
+            with pytest.raises(ValueError, match=named):
+                telegraph._reach(p, float(grid[1]), "--t")
+        assert str(array.value) == str(scalar.value)
+        assert str(scalar.value) == (
+            "c = 1.24e+111 up to t = 1.245e+285 lets |W| reach c * t = inf; it must be finite"
+        )
+
+    def test_laws_of_w_refuse_infinite_ct(self):
+        p = TelegraphParams(c=1e300, lam=1.0)
+        calls = (lambda: w_density(p, 1e10, 0.0), lambda: w_cdf(p, 1e10, 0.0),
+                 lambda: sample_w(p, 1e10, 1, seed=0))
+        for call in calls:
+            with pytest.raises(ValueError, match=r"^c = 1e\+300 up to t = 10000000000\.0 lets"):
+                call()
 
 
 class TestIntegration:
@@ -394,6 +446,13 @@ class TestCdfBlocks:
         oracle = [mp_w_cdf(p, 1.0, x) for x in w.tolist()]
         assert np.max(np.abs(w_cdf(p, 1.0, w) - oracle)) <= 1e-15
 
+    def test_ct_rounding_to_zero_is_an_atom_at_zero(self):
+        # c * t underflows to 0: all the mass sits at w = 0, and w / (c * t) once warned
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cdf = w_cdf(TelegraphParams(c=1e-300, lam=1.0), 1e-300, [-1e-300, -0.0, 0.0, 1.0])
+        assert cdf.tolist() == [0.0, 1.0, 1.0, 1.0]
+
     def test_nan_refused_by_name_inf_exact(self):
         p = TelegraphParams(c=1.0, lam=1.0)
         for w in (math.nan, [math.nan, 0.5], [[0.5, math.nan]]):
@@ -479,6 +538,18 @@ class TestMgf:
             mgf(p, -1.0, 1.5) * math.exp(-2.0), rel=1e-12
         )
 
+    def test_overflow_named(self):
+        # E[exp(1000 W(1))] ~ exp(999) once returned inf; scaled_mgf keeps it
+        p = TelegraphParams(c=1.0, lam=1.0)
+        named = r"^E\[exp\(s W\(t\)\)\] overflows at c = 1\.0, lam = 1\.0, s = 1000\.0, t = 1\.0$"
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for t in (1.0, np.array([0.5, 800.0, 1.0])):
+                with pytest.raises(ValueError, match=named):
+                    mgf(p, 1000.0, t)
+            assert scaled_mgf(p, 1000.0, 1.0, 0.0) == math.inf
+        assert math.isfinite(mgf(p, 1000.0, 0.5))
+
     def test_domain(self):
         p = TelegraphParams(c=1.0, lam=1.0)
         with pytest.raises(ValueError):
@@ -522,3 +593,64 @@ class TestMoments:
         p = TelegraphParams(c=2.0, lam=5.0)
         _, var = w_mean_var(p, 1e-6)
         assert var == pytest.approx((2.0 * 1e-6) ** 2, rel=1e-4)
+
+    @pytest.mark.parametrize("lam_t", [1e-30, 1e-16, 1e-12, 1e-8, 0.3, 0.5, 10.0, 300.0])
+    def test_variance_matches_50_digit_oracle(self, lam_t):
+        # the closed form cancels at small lam*t: it read 0.0 at 1e-30 and was
+        # 23% off at 1e-16
+        pytest.importorskip("mpmath")
+        p = TelegraphParams(c=1.5, lam=2.0)
+        t = lam_t / 2.0
+        _, var = w_mean_var(p, t)
+        assert var == pytest.approx(mp_w_variance(p, t), rel=1e-15, abs=0.0)
+
+    def test_variance_log_uniform_sweep(self):
+        pytest.importorskip("mpmath")
+        p = TelegraphParams(c=0.7, lam=1.0)
+        for t in (10.0 ** np.random.default_rng(3).uniform(-30.0, 3.0, 400)).tolist():
+            _, var = w_mean_var(p, t)
+            assert var == pytest.approx(mp_w_variance(p, t), rel=1e-15, abs=0.0), t
+
+    @pytest.mark.parametrize("c, lam, t", [(1e300, 1e-300, 1e-10), (1e200, 1.0, 1.0),
+                                           (1e150, 1.0, 1e10)])
+    def test_variance_overflow_named(self, c, lam, t):
+        # these once gave nan, an OverflowError and a silent inf
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^the variance of W\(t\) overflows at c = "):
+                w_mean_var(TelegraphParams(c=c, lam=lam), t)
+
+
+_LOG10 = st.floats(-300.0, 300.0)  # log10 of a parameter
+_NAMED = re.compile(r"\b(c|lam|s|t) = |\(-c\*t, c\*t\)")
+
+
+@given(c=_LOG10, lam=_LOG10, t=_LOG10, s=_LOG10)
+@settings(max_examples=200, deadline=None)
+def test_public_functions_return_finite_or_refuse_by_name(c, lam, t, s):
+    # the library twin of the CLI's test_process_commands_report_or_print_finite:
+    # each call returns finite values or a ValueError naming a parameter, unwarned
+    p = TelegraphParams(c=10.0**c, lam=10.0**lam)
+    t, s = 10.0**t, 10.0**s
+    lam_t = p.lam * t
+    calls = {
+        "sample_w": lambda: sample_w(p, t, 3, seed=0),
+        "w_density": lambda: w_density(p, t, 0.0),
+        "w_atom_prob": lambda: w_atom_prob(p, t),
+        "w_mean_var": lambda: w_mean_var(p, t),
+        "mgf": lambda: mgf(p, s, t),
+    }
+    if lam_t <= 1e4:
+        calls["w_cdf"] = lambda: w_cdf(p, t, [-0.5 * p.c * t, 0.0, 0.5 * p.c * t])
+    if not 1e5 < lam_t <= 2.0**30:  # drawing up to 2^30 switches is slow, not wrong
+        calls["sample_path"] = lambda: sample_path(p, [0.0, 0.5 * t, t], seed=0)
+    for name, call in calls.items():
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                out = call()
+            except ValueError as exc:
+                assert _NAMED.search(str(exc)), (name, str(exc))
+            else:
+                assert np.all(np.isfinite(out)), name
+        assert [str(w.message) for w in caught] == [], name
