@@ -49,11 +49,14 @@ class HazardSpec:
     def min_slack(self, c: float, lo: float, hi: float) -> tuple[float, float]:
         """Infimum of r - c over (lo, hi] and the t where it is reached or approached.
 
-        Dominance r > c holds on the interval iff the slack is > 0. Exact for
-        the closed-form families; a custom pair is checked on a grid.
+        Dominance r > c holds on the interval iff the slack is > 0. ``hi = support_end`` is the
+        rest of the support: just short of a finite end, or up to t -> inf. Exact for the
+        closed-form families; a custom pair is checked on a grid, up to its :func:`time_horizon`.
         """
-        lo = float(_times(lo, self.support_end, name="lo"))
-        hi = float(_times(hi, self.support_end, name="hi"))
+        end = self.support_end
+        lo = float(_times(lo, end, name="lo"))
+        rest = hi == end and not isinstance(hi, bool)  # on an infinite support hi stays inf
+        hi = end * (1.0 - 1e-9) if rest else float(_times(hi, end, name="hi"))
         if not lo < hi:
             raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
         with np.errstate(over="ignore"):  # past the double range r is inf
@@ -214,19 +217,13 @@ class PiecewiseLinearHazard(HazardSpec):
         if any(not all(map(math.isfinite, seg)) for seg in segs):
             raise ValueError("segment parameters must be finite")
         object.__setattr__(self, "segments", segs)
-        end = self.support_end if math.isfinite(self.support_end) else _past(starts[-1])
         with np.errstate(over="ignore"):  # past the double range r is inf
-            pts, rates = self._slack_candidates(0.0, end)
+            pts, rates = self._slack_candidates(0.0, self.support_end)
         bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
         if bad.any():
             raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
         if not math.isfinite(self.support_end) and segs[-1][1] < 0.0:
             raise ValueError("last segment must have slope >= 0 on an infinite support")
-
-    @property
-    def _turning_points(self) -> tuple[float, ...]:
-        # the breakpoints; _slack_candidates below reads the pieces themselves
-        return tuple(start for start, _, _ in self.segments)
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -253,10 +250,12 @@ class PiecewiseLinearHazard(HazardSpec):
 
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         # each piece's own line at both ends of its part of (lo, hi], so a
-        # drop just right of a breakpoint counts though r(breakpoint) does not
+        # drop just right of a breakpoint counts though r(breakpoint) does not; a last piece
+        # to inf has slope >= 0, so one step past its left end will do (0 * inf is NaN)
         starts, slopes, intercepts, _ = self._arrays
         left = np.maximum(starts, lo)
-        right = np.minimum(np.append(starts[1:], np.inf), hi)
+        last = _past(max(lo, starts[-1])) if hi == math.inf else hi
+        right = np.minimum(np.append(starts[1:], last), hi)
         keep = left < right
         pts = np.concatenate([left[keep], right[keep]])
         return pts, np.tile(slopes[keep], 2) * pts + np.tile(intercepts[keep], 2)
@@ -284,6 +283,9 @@ class CustomHazard(HazardSpec):
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
         # nothing is known about r between points: 2048 uniform points past lo
         # plus the declared interior points, so a dip between them goes unseen
+        if hi == math.inf:  # the rest of an infinite support: up to the 1e-6 tail, or past lo
+            horizon = time_horizon(self)
+            hi = horizon if lo < horizon else _past(lo)
         pts = np.linspace(lo, hi, 2049)[1:]
         pts = np.union1d(pts, [p for p in self.interior_points if lo < p < hi])
         return pts, self._rate(pts)

@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hazard import HazardSpec, _not_nan, _past, _positive, _times, time_horizon
+from .hazard import HazardSpec, _not_nan, _positive, _times
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
@@ -58,25 +58,15 @@ class SupportBand:
 class PerturbedModel:
     """A baseline hazard paired with the alternating-noise parameters.
 
-    Construction requires the dominance condition r > c on (0, horizon],
-    checked by :meth:`HazardSpec.min_slack`. The horizon is just short of a
-    finite support end; on an infinite support it is the hazard's
-    :func:`time_horizon`, or just past its last turning point if that is
-    later, since a family's r does not fall past its last turning point there.
+    Construction requires the dominance condition r > c on the whole support,
+    checked by ``hazard.min_slack(c, 0.0, support_end)``.
     """
 
     hazard: HazardSpec
     noise: TelegraphParams
 
     def __post_init__(self):
-        end = self.hazard.support_end
-        if math.isfinite(end):
-            horizon = end * (1.0 - 1e-9)
-        else:
-            horizon = time_horizon(self.hazard)
-            if self.hazard._turning_points:
-                horizon = max(horizon, _past(max(self.hazard._turning_points)))
-        slack, t = self.hazard.min_slack(self.noise.c, 0.0, horizon)
+        slack, t = self.hazard.min_slack(self.noise.c, 0.0, self.hazard.support_end)
         if not slack > 0.0:
             raise ValueError(f"dominance r(t) > c fails at t = {t:.6g} (c = {self.noise.c})")
 
@@ -88,7 +78,11 @@ class PerturbedModel:
 
         Evaluated through the exact cumulative hazard, nu(T) = R(T) - c*T,
         by doubling T until the value either exceeds the underflow cap or
-        stops changing. A finite support forces nu = inf.
+        stops changing. Once c*T has no digit left at that tolerance, the
+        doubling goes on only while nu grows by more than two of its last
+        digits (it is heading for the cap); where it does not, or where T would
+        leave the double range, the difference has cancelled before nu settled,
+        and a ValueError names c and T. A finite support forces nu = inf.
         """
         if math.isfinite(self.hazard.support_end):
             return math.inf
@@ -96,16 +90,22 @@ class PerturbedModel:
         horizon = 1.0
         value = self.hazard.cumulative(horizon) - c * horizon
         stable = 0
-        for _ in range(2100):
+        while True:
             horizon *= 2.0
             nxt = self.hazard.cumulative(horizon) - c * horizon
             if not math.isfinite(nxt) or nxt > _NU_CAP:
                 return math.inf
-            stable = stable + 1 if abs(nxt - value) <= 1e-12 * max(1.0, abs(nxt)) else 0
-            value = nxt
+            change, value = nxt - value, nxt
+            tolerance = 1e-12 * max(1.0, abs(value))
+            stable = stable + 1 if abs(change) <= tolerance else 0
             if stable >= 2:
                 return value
-        return math.inf
+            noise = math.ulp(c * horizon)
+            if (noise > tolerance and change <= 2.0 * noise) or math.isinf(2.0 * horizon):
+                raise ValueError(
+                    "nu = R(T) - c*T does not converge in double precision: it has not "
+                    f"settled at c = {c!r}, T = {horizon!r}"
+                )
 
     def terminal_band_width(self) -> float:
         """Limit of the band width at the end of the support: exp(-nu)."""

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 import numbers
+import sys
 from dataclasses import dataclass
 
 import numpy as np
@@ -173,10 +174,13 @@ def w_density(params: TelegraphParams, t: float, x):
     """Density of the continuous part of W(t) on the open interval (-ct, ct).
 
     The Bessel-type density at spread2 = c^2 t^2 - x^2, taken in factored
-    form, with jacobian 1.
+    form, with jacobian 1. Where c*t rounds to 0 the interval is empty, and a
+    ValueError names c and t.
     """
     t = _positive("t", t)
     ct = _reach(params, t)
+    if ct == 0.0:  # no x fits inside: the support is empty in doubles
+        raise ValueError(f"c = {params.c!r} at t = {t!r} gives c * t = 0.0: W(t) has no interior")
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) < ct):  # NaN fails too
         raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
@@ -290,7 +294,10 @@ def w_mean_var(params: TelegraphParams, t: float) -> tuple[float, float]:
     ``(c/lam)^2 (x - (1 - e^{-2x})/2)`` with x = lam t. Below x = 1/2, where
     that difference cancels, it is (ct)^2 times the series of
     (x + expm1(-2x)/2) / x^2 = sum over m >= 0 of 2 (-2x)^m / (m + 2)!. Where
-    the variance passes the double range, a ValueError names c, lam and t.
+    (c/lam)^2 or x leaves the double range, the factors are carried as
+    mantissas and powers of 2, so the variance comes out whenever it is a
+    double. Where the variance passes the double range, a ValueError names
+    c, lam and t.
     """
     t = _positive("t", t, allow_zero=True)
     c, lam = params.c, params.lam
@@ -302,9 +309,19 @@ def w_mean_var(params: TelegraphParams, t: float) -> tuple[float, float]:
             for m in range(17):
                 terms.append(terms[-1] * -2.0 * x / (m + 3))
             variance = c * t * (c * t * math.fsum(terms))
-        else:
+        elif x < math.inf and sys.float_info.min <= (c / lam) * (c / lam) < math.inf:
             variance = (c / lam) ** 2 * (x + 0.5 * math.expm1(-2.0 * x))
-    except OverflowError:  # (c / lam) ** 2 past the double range
+        else:
+            # each factor as a mantissa times a power of 2, so that no intermediate leaves
+            # the double range unless the variance does
+            (mc, ec), (ml, el) = math.frexp(c), math.frexp(lam)
+            if x < math.inf:
+                mx, ex = math.frexp(x + 0.5 * math.expm1(-2.0 * x))
+            else:  # lam * t past the double range, where x - 1/2 rounds to x
+                mt, et = math.frexp(t)
+                mx, ex = ml * mt, el + et
+            variance = math.ldexp((mc / ml) ** 2 * mx, 2 * (ec - el) + ex)
+    except OverflowError:  # the variance past the double range
         variance = math.inf
     if not math.isfinite(variance):
         raise ValueError(f"the variance of W(t) overflows at c = {c!r}, lam = {lam!r}, t = {t!r}")

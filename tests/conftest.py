@@ -13,7 +13,9 @@ its one-term-at-a-time Poisson mixture over switch counts, in double and in
 40-digit precision; its variance keeps the closed form at 50 digits. The path
 tables keep their row generator written through ``csv.writer``, the reference
 for the CLI's column-wise path writer, and the band keeps its one-time-point
-formulas, the reference for the band over an array of times.
+formulas, the reference for the band over an array of times. The dominance
+check keeps the horizon a model was once checked up to, the reference for
+``min_slack`` over the whole support.
 """
 
 from __future__ import annotations
@@ -25,6 +27,8 @@ import math
 
 import numpy as np
 from scipy.special import betainc
+
+from telhaz.hazard import _past, time_horizon
 
 _REL_STOP = 1e-16
 
@@ -100,6 +104,23 @@ def csv_path_table(name: str, values, grid, paths: int, seed: int) -> str:
     out = io.StringIO()
     csv.writer(out, lineterminator="\n").writerows(csv_path_rows(name, values, grid, paths, seed))
     return out.getvalue()
+
+
+def horizon_min_slack(hazard, c: float) -> tuple[float, float]:
+    """``min_slack`` on (0, horizon], the stretch a model's dominance was once checked on (oracle).
+
+    The horizon is just short of a finite support end. On an infinite support it
+    is ``time_horizon``, or one step past the last breakpoint or turning point if
+    that is later.
+    """
+    end = hazard.support_end
+    if math.isfinite(end):
+        return hazard.min_slack(c, 0.0, end * (1.0 - 1e-9))
+    turns = [start for start, _, _ in getattr(hazard, "segments", ())] or hazard._turning_points
+    horizon = time_horizon(hazard)
+    if turns:
+        horizon = max(horizon, _past(max(turns)))
+    return hazard.min_slack(c, 0.0, horizon)
 
 
 def math_band(model, t: float) -> tuple[float, float, float]:

@@ -335,6 +335,12 @@ class TestDefensibility:
         for c in (mac * 0.5, mac * 0.1):
             assert defensibility_test(melanoma, config, baseline, c).holds
 
+    def test_no_usable_grid_point_refused(self):
+        # h = 1e-6 leaves the density estimate 0 at every point of the grid
+        sample = Sample.from_values([1.0, 2.0, 3.0, 1000.0])
+        with pytest.raises(ValueError, match="^no usable grid points"):
+            defensibility_test(sample, BandConfig(h=1e-6, alpha=0.025), ConstantHazard(1.0), 0.5)
+
     def test_dominance_precondition(self, melanoma):
         config = BandConfig(h=6.0, alpha=0.025)
         with pytest.raises(ValueError):

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from conftest import horizon_min_slack
 from telhaz.hazard import (
     ConstantHazard,
     CustomHazard,
@@ -167,6 +168,36 @@ class TestDistribution:
         assert np.all(cdf > bound)
 
 
+# each preset hazard at the amplitude c of the figure or application that uses it
+_FIGURE_C = [("polynomial_c1", 1.0), ("polynomial_c2", 2.0), ("exponential_growth", 1.0),
+             ("soft_step", 1.0), ("app1_constant", 0.0004), ("app2_piecewise", 0.00025)]
+
+
+@st.composite
+def _hazards(draw):
+    """A constant, polynomial or piecewise hazard on a finite or an infinite support."""
+    end = draw(st.one_of(st.just(math.inf), st.floats(0.01, 1e3)))
+    rate = st.floats(1e-3, 10.0)
+    kind = draw(st.sampled_from(["constant", "polynomial", "piecewise"]))
+    if kind == "constant":
+        return ConstantHazard(draw(rate), support_end=end)
+    if kind == "polynomial":
+        return PolynomialHazard(draw(rate), draw(rate), draw(st.floats(0.0, 10.0)), support_end=end)
+    # lines through positive end rates: on an infinite support the last one is flat or
+    # rising, and a finite support ends inside the pieces, so r > 0 on the support
+    pieces = draw(st.lists(st.tuples(st.floats(0.01, 100.0), rate, rate), min_size=1, max_size=5))
+    segments, start = [], 0.0
+    for i, (length, left, right) in enumerate(pieces):
+        if i == len(pieces) - 1 and end == math.inf:
+            right = max(left, right)
+        slope = (right - left) / length
+        segments.append((start, slope, left - slope * start))
+        start += length
+    if end < math.inf:
+        end = start * draw(st.floats(0.05, 1.0))
+    return PiecewiseLinearHazard(tuple(segments), support_end=end)
+
+
 class TestDominance:
     def test_accepts_and_reports(self):
         assert ConstantHazard(0.0125).min_slack(0.0004, 1.0, 100.0)[0] > 0.0
@@ -255,18 +286,44 @@ class TestDominance:
 
     def test_interval_is_checked(self):
         spec = ConstantHazard(1.0, support_end=2.0)
-        for lo, hi in ((1.0, 1.0), (-0.1, 1.0), (0.0, 2.0), (0.0, math.nan)):
+        # hi = support_end is the rest of the support; past it, or inf, is refused
+        assert spec.min_slack(0.5, 0.0, 2.0) == (0.5, 0.0)
+        for lo, hi in ((1.0, 1.0), (-0.1, 1.0), (0.0, 2.5), (0.0, math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError):
                 spec.min_slack(0.5, lo, hi)
         for lo, hi, name in ((True, 1.5, "lo"), (0.0, True, "hi"), ("0", 1.5, "lo")):
             with pytest.raises(ValueError, match=f"^{name} must be a real number"):
                 spec.min_slack(0.5, lo, hi)
 
+    @pytest.mark.parametrize("name,c", _FIGURE_C)
+    def test_whole_support_matches_checked_horizon(self, name, c):
+        spec = HAZARDS[name]
+        assert spec.min_slack(c, 0.0, spec.support_end) == horizon_min_slack(spec, c)
+
+    @given(_hazards(), st.floats(1e-3, 10.0))
+    @settings(max_examples=200, deadline=None)
+    def test_whole_support_matches_checked_horizon_drawn(self, spec, c):
+        assert spec.min_slack(c, 0.0, spec.support_end) == horizon_min_slack(spec, c)
+
+    def test_rest_of_infinite_support_from_any_lo(self):
+        # lo past the last breakpoint, and past a custom pair's 1e-6 horizon
+        rising = PiecewiseLinearHazard(((0.0, 0.0, 2.0), (1.0, 1.0, 0.5)))
+        assert rising.min_slack(1.0, 5.0, math.inf) == (4.5, 5.0)
+        soft = HAZARDS["soft_step"]
+        assert 100.0 < soft.min_slack(1.0, 100.0, math.inf)[1] <= 101.0
+
     def test_time_horizon_reaches_tail(self):
         for spec in ALL_SPECS:
             horizon = time_horizon(spec)
             if math.isinf(spec.support_end):
                 assert spec.survival(horizon) <= 1e-6 * (1.0 + 1e-9)
+            else:
+                assert horizon == spec.support_end
+
+    def test_time_horizon_refuses_slow_growth(self):
+        slow = CustomHazard(lambda t: np.full_like(t, 1e-30), lambda t: 1e-30 * t)
+        with pytest.raises(ValueError, match="^cumulative hazard grows too slowly"):
+            time_horizon(slow)
 
 
 class TestValidation:
@@ -308,6 +365,10 @@ class TestValidation:
     def test_piecewise_names_first_nonpositive_t(self, segments, t):
         with pytest.raises(ValueError, match=f"^rate is not positive at t = {re.escape(t)}$"):
             parse_hazard_config(f"kind = piecewise\nsegments = {segments}\n")
+
+    def test_piecewise_parameters_must_be_finite(self):
+        with pytest.raises(ValueError, match="^segment parameters must be finite$"):
+            parse_hazard_config("kind = piecewise\nsegments = 0:0:1; 1:0:inf\n")
 
     def test_piecewise_positivity_on_finite_support(self):
         # the last piece is checked up to support_end, not one step past its start

@@ -1,12 +1,13 @@
 import functools
 import math
+import re
 import warnings
 
 import numpy as np
 import pytest
 from scipy import integrate
 
-from telhaz.hazard import ConstantHazard, PiecewiseLinearHazard, PolynomialHazard
+from telhaz.hazard import ConstantHazard, CustomHazard, PiecewiseLinearHazard, PolynomialHazard
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import (
     FIG1_HORIZON,
@@ -86,6 +87,10 @@ class TestConstruction:
         step = PiecewiseLinearHazard(((0.0, 0.0, 2.0), (100.0, 0.0, 1.5)))
         assert PerturbedModel(step, TelegraphParams(c=1.0, lam=1.0)).band(150.0).a > 0.0
 
+    def test_unknown_band_case_refused(self):
+        with pytest.raises(ValueError, match="^unknown band case 'd'; expected 'a', 'b' or 'c'$"):
+            model_fig2("d")
+
     def test_dominance_past_checked_horizon_refused(self):
         # r(t) -> 1 < c as t grows, past the horizon and between the grid points
         # checked at build; R(t) < c*t there once overflowed math.expm1 in band
@@ -96,6 +101,19 @@ class TestConstruction:
             with pytest.raises(ValueError, match=r"^dominance r\(t\) > c fails before t = 1e\+09 "):
                 call(1e9)
         assert model.band(1e5).a > 0.0  # R(t) > c*t still holds there
+
+
+# R(t) = t + a part whose excess nu over c = 1 converges slowly (to 1.3, 0.7) or not at
+# all: R(T) - T cancels to its last digits long before it settles, and once read 0.0,
+# 0.699999988, 36.0 and 3.5
+_CANCELLING = {
+    "nu-1.3": (lambda t: 1.0 + 1.3 / (1.0 + t) ** 2, lambda t: t + 1.3 * t / (1.0 + t)),
+    "nu-0.7": (lambda t: 1.0 + 0.7 / (1.0 + t) ** 2, lambda t: t + 0.7 * t / (1.0 + t)),
+    "log1p": (lambda t: 1.0 + 1.0 / (1.0 + t), lambda t: t + np.log1p(t)),
+    "loglog": (lambda t: 1.0 + 1.0 / ((np.e + t) * np.log(np.e + t)),
+               lambda t: t + np.log(np.log(np.e + t))),
+}
+_NOT_SETTLED = r"^nu = R\(T\) - c\*T does not converge in double precision: it has not settled at "
 
 
 class TestBand:
@@ -118,6 +136,34 @@ class TestBand:
         nu_exact = 3.0 * math.pi / 4.0 - 1.5 * math.log(2.0)  # closed-form integral
         assert soft.total_excess_hazard == pytest.approx(nu_exact, rel=1e-10)
         assert soft.terminal_band_width() == pytest.approx(math.exp(-nu_exact), rel=1e-10)
+
+    def test_excess_hazard_of_finite_support_is_infinite(self):
+        model = PerturbedModel(ConstantHazard(1.0, support_end=5.0), TelegraphParams(0.5, 1.0))
+        assert model.total_excess_hazard == math.inf
+
+    @pytest.mark.parametrize("c", [0.999, 0.9999, 1.0 - 1e-10])
+    def test_slowly_diverging_excess_hazard_is_infinite(self, c):
+        # nu = (1 - c) T reaches the cap long after c*T has lost its 1e-12 digit
+        model = PerturbedModel(ConstantHazard(1.0), TelegraphParams(c=c, lam=1.0))
+        assert model.total_excess_hazard == math.inf
+
+    @pytest.mark.parametrize("name", sorted(_CANCELLING))
+    def test_excess_hazard_refused_where_it_cancels(self, name):
+        rate, cumulative = _CANCELLING[name]
+        model = PerturbedModel(CustomHazard(rate, cumulative), TelegraphParams(c=1.0, lam=1.0))
+        with pytest.raises(ValueError, match=_NOT_SETTLED + r"c = 1\.0, T = \d+\.0$"):
+            model.total_excess_hazard
+
+    def test_excess_hazard_refused_before_horizon_overflows(self):
+        # c * T keeps its digits up to the largest power of 2, where nu = 10 sqrt(log1p(T))
+        # still grows; the next doubling would ask for R(inf)
+        c = 5e-324
+        hazard = CustomHazard(lambda t: c + 5.0 / ((1.0 + t) * np.sqrt(np.log1p(t))),
+                              lambda t: c * t + 10.0 * np.sqrt(np.log1p(t)))
+        model = PerturbedModel(hazard, TelegraphParams(c=c, lam=1.0))
+        last = re.escape(f"c = 5e-324, T = {2.0**1023!r}")
+        with pytest.raises(ValueError, match=_NOT_SETTLED + last + "$"):
+            model.total_excess_hazard
 
     def test_band_approaches_its_limits(self):
         soft = model_fig2("c")

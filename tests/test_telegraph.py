@@ -307,6 +307,12 @@ class TestAtomAndDensity:
         with pytest.raises(ValueError, match=r"^t must be finite and > 0, got 0\.0$"):
             w_density(p, 0.0, 0.0)
 
+    def test_ct_rounding_to_zero_names_c_and_t(self):
+        # no x is inside (-c*t, c*t) = (0, 0); c and t are at fault, not x
+        p = TelegraphParams(c=1e-300, lam=1.0)
+        with pytest.raises(ValueError, match=r"^c = 1e-300 at t = 1e-300 gives c \* t = 0\.0"):
+            w_density(p, 1e-300, 0.0)
+
     @pytest.mark.parametrize("c,lam,t", [(1.0, 1.0, 1.0), (0.5, 15.0, 2.0), (2.0, 5.0, 0.25)])
     def test_normalization(self, c, lam, t):
         p = TelegraphParams(c=c, lam=lam)
@@ -610,6 +616,16 @@ class TestMoments:
         for t in (10.0 ** np.random.default_rng(3).uniform(-30.0, 3.0, 400)).tolist():
             _, var = w_mean_var(p, t)
             assert var == pytest.approx(mp_w_variance(p, t), rel=1e-15, abs=0.0), t
+
+    @pytest.mark.parametrize("c, lam, t", [(1e-200, 1.0, 1e250), (1e-100, 1e300, 1e300),
+                                           (1e-300, 1e300, 1e300)])
+    def test_variance_past_the_range_of_its_factors(self, c, lam, t):
+        # (c/lam)^2 or lam*t leaves the double range while the variance does not, or
+        # underflows: these once read 0.0 for 1e-150 and were refused as overflows
+        pytest.importorskip("mpmath")
+        p = TelegraphParams(c=c, lam=lam)
+        _, var = w_mean_var(p, t)
+        assert var == pytest.approx(mp_w_variance(p, t), rel=1e-15, abs=0.0)
 
     @pytest.mark.parametrize("c, lam, t", [(1e300, 1e-300, 1e-10), (1e200, 1.0, 1.0),
                                            (1e150, 1.0, 1e10)])
