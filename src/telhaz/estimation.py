@@ -91,22 +91,55 @@ def kde(sample: Sample, h: float, t):
     """(f_hat, F_hat) at ``t``: (nh)^-1 sum k(u_i) and n^-1 sum K(u_i), u_i = (t - T_i)/h.
 
     K is the kernel antiderivative, so f_hat integrates to one over the real
-    line. A scalar ``t`` gives two floats; NaN in ``t`` is refused by name.
-    The grid is walked in blocks of at most ``_BLOCK`` pairs (one grid point
-    per block at least), so memory is O(n) whatever the grid size; each
-    point's sum is the same as over the whole matrix, bit for bit.
+    line. A scalar ``t`` gives two floats; NaN in ``t`` is refused by name, and
+    so is a bandwidth so small that f_hat overflows. The grid is walked in
+    blocks of at most ``_BLOCK`` pairs (one grid point per block at least), so
+    memory is O(n) whatever the grid size. A block evaluates the kernel only on
+    its window, the slice of the sorted sample its kernels can reach: within
+    ``reach`` >= (support radius)*h of its grid points, with a rounding margin
+    that makes the window a proven superset of the kernel's support mask. Off
+    the window every term is k = 0 and K = 1 (left) or 0 (right), so each sum
+    still runs over the whole row and matches the whole matrix, bit for bit.
     """
     h = _positive("bandwidth", h)
     ta = _not_nan("t", t)
     flat = ta.reshape(-1)
+    values = sample.values
+    n = sample.n
     f = np.empty_like(flat)
     F = np.empty_like(flat)
-    step = max(1, _BLOCK // sample.n)
-    for start in range(0, flat.size, step):
-        rows = slice(start, start + step)
-        k, K = EPANECHNIKOV.evaluate((flat[rows, None] - sample.values) / h)
-        f[rows] = k.mean(axis=-1) / h
-        F[rows] = K.mean(axis=-1)
+    step = max(1, _BLOCK // n)
+    # reach >= rho*h exactly (the product rounded, then one double up, also for a
+    # subnormal h), rho the double above the radius. A T below lo = min(t) - reach
+    # is <= min(t) - reach exactly, since lo is the double nearest to it, so every
+    # t of the block has t - T >= reach in any rounding and u >= rho: past the
+    # mask, K = 1. T above max(t) + reach mirrors it, K = 0; k = 0 on both sides.
+    # (An infinite reach makes a bound of a block of infinities NaN, which sorts
+    # past every T: all left of +inf, the whole row for -inf, both as the mask.)
+    rho = math.nextafter(EPANECHNIKOV.support_radius, math.inf)
+    reach = math.nextafter(rho * h, math.inf)
+    # padded rows: k_row is 0 and K_row 1 left of the last window [a0, b0), both 0 right of it
+    k_row = np.zeros((min(step, flat.size), n))
+    K_row = np.zeros_like(k_row)
+    a0 = b0 = 0
+    with np.errstate(over="ignore"):  # an overflowed u is +-inf, outside on its own side
+        for start in range(0, flat.size, step):
+            rows = slice(start, start + step)
+            block = flat[rows]
+            a = int(np.searchsorted(values, float(block.min()) - reach, "left"))
+            b = int(np.searchsorted(values, float(block.max()) + reach, "right"))
+            k, K = EPANECHNIKOV.evaluate((block[:, None] - values[a:b]) / h)
+            if b - a < n:
+                k_row[:, a0:a], K_row[:, a0:a] = 0.0, 1.0
+                k_row[:, b:b0], K_row[:, b:b0] = 0.0, 0.0
+                k_row[: block.size, a:b], K_row[: block.size, a:b] = k, K
+                k, K, a0, b0 = k_row[: block.size], K_row[: block.size], a, b
+            f[rows] = k.mean(axis=-1) / h
+            F[rows] = K.mean(axis=-1)
+    over = np.isinf(f)
+    if over.any():
+        at = float(flat[np.argmax(over)])
+        raise ValueError(f"bandwidth {h!r} is too small: f_hat overflows at t = {at:.6g}")
     if ta.ndim == 0:
         return float(f[0]), float(F[0])
     return f.reshape(ta.shape), F.reshape(ta.shape)
@@ -173,18 +206,25 @@ def confidence_band(sample: Sample, config: BandConfig) -> ConfidenceBand:
     f, F = kde(sample, config.h, grid)
     usable = (f >= _TAIL_EPS) & (F <= 1.0 - _TAIL_EPS)
     z = -float(ndtri(config.alpha))
-    with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         rate = np.where(usable, f / (1.0 - F), np.nan)
         half = np.where(
             usable,
             np.sqrt(EPANECHNIKOV.l2_constant / (sample.n * config.h * f)) * rate * z,
             np.nan,
         )
+        upper = rate + half
+    over = usable & ~np.isfinite(upper)
+    if over.any():
+        at = float(grid[np.argmax(over)])
+        raise ValueError(
+            f"bandwidth {config.h!r} is too small: the band overflows at t = {at:.6g}"
+        )
     return ConfidenceBand(
         grid=grid,
         rate=rate,
         lower=rate - half,
-        upper=rate + half,
+        upper=upper,
         density=f,
         cdf=F,
         usable=usable,

@@ -502,6 +502,22 @@ class TestValidationErrors:
         assert out == ""
         assert "grid for this sample" in err and "(5.0, 5.0)" in err
 
+    @pytest.mark.parametrize("command", ["estimate", "defensibility"])
+    def test_overflowing_density_estimate_leaves_no_table(self, capsys, tmp_path, command):
+        # at h = 1e-320 the kernel on the observation 1.5 is ~3e319: the grid point
+        # t = 1.5 once wrote 1.5,inf,0.375,inf,nan,nan and stayed usable
+        data = tmp_path / "four.txt"
+        data.write_text("1.0 1.5 2.0 3.0\n")
+        target = tmp_path / "table.csv"
+        argv = [command, "--data", str(data), "--bandwidth", "1e-320", "--grid-size", "3",
+                "--output", str(target)]
+        if command == "defensibility":
+            argv += ["--hazard", "preset:app1_constant", "--c", "0.001"]
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == "error: bandwidth 1e-320 is too small: f_hat overflows at t = 1.5\n"
+        assert not target.exists()
+
     def test_argparse_error_exit_two(self, capsys):
         assert main(["simulate-w", "--paths", "not-an-int"]) == 2
 

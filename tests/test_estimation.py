@@ -1,9 +1,11 @@
 import math
+import re
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -13,6 +15,7 @@ from telhaz.estimation import (
     _BLOCK,
     EPANECHNIKOV,
     BandConfig,
+    Kernel,
     Sample,
     UpperTailError,
     confidence_band,
@@ -24,6 +27,23 @@ from telhaz.hazard import ConstantHazard, PiecewiseLinearHazard
 from telhaz.presets import APP1, APP2
 
 SQRT5 = math.sqrt(5.0)
+# bandwidths log-uniform over the positive doubles the estimator meets, with a
+# share of everyday ones, where kernels reach neighbouring observations
+BANDWIDTHS = st.one_of(
+    st.floats(math.log(5e-324), math.log(1e300)).map(lambda x: max(math.exp(x), 5e-324)),
+    st.floats(1e-2, 1e2),
+)
+LIFETIMES = st.lists(st.floats(1e-3, 1e3), min_size=3, max_size=200)
+
+
+def rowwise_matrix_kde(values, h: float, t):
+    """:func:`matrix_kde` a few MB of rows at a time; each row's sum is its own, bits and all."""
+    ta = np.asarray(t, dtype=float)
+    if ta.ndim == 0:
+        return matrix_kde(values, h, t)
+    parts = np.array_split(ta.reshape(-1), max(1, ta.size * len(values) // 2**21))
+    pieces = [matrix_kde(values, h, part) for part in parts]
+    return tuple(np.concatenate([p[i] for p in pieces]).reshape(ta.shape) for i in (0, 1))
 
 
 @pytest.fixture(scope="module")
@@ -167,18 +187,152 @@ class TestKde:
         np.testing.assert_allclose(f, direct[:, 0], rtol=1e-12, atol=0.0)
         np.testing.assert_allclose(F, direct[:, 1], rtol=1e-12, atol=0.0)
 
-    @pytest.mark.parametrize("name, h", [("melanoma_46", 6.0), ("service_86", 75.0), ("exp_1e4", 20.0)])
-    def test_bit_identical_to_matrix_kde(self, name, h):
+    @staticmethod
+    def _bit_case(name, h):
+        """The sample and the grids (any shape, sorted or not) of one bit-identity case."""
         if name == "exp_1e4":
             sample = Sample.from_values(np.random.default_rng(5).exponential(80.0, size=10_000))
+        elif name == "exp_1e5":
+            sample = Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
+            return sample, [BandConfig(h=h, alpha=0.025).resolve_grid(sample)]
+        elif name == "exp_2e4_unsorted":
+            # 13 grid points per block: shuffled blocks with wide windows, blocks left
+            # and right of the sample with empty windows, and +-inf alone and mixed in
+            rng = np.random.default_rng(9)
+            sample = Sample.from_values(rng.exponential(size=20_000))
+            inf = math.inf
+            flat = np.concatenate([
+                rng.permutation(np.linspace(-1.0, 12.0, 65)),
+                np.linspace(-5.0, -1.0, 13),
+                np.linspace(50.0, 40.0, 13),
+                np.full(13, inf),
+                np.full(13, -inf),
+                rng.permutation([-inf, inf, *np.linspace(0.0, 3.0, 11)]),
+            ])
+            return sample, [flat.reshape(10, 13)]
+        elif name == "edges":
+            # observations on and one to three doubles either side of t0 -+ sqrt(5) h
+            t0 = 10.0
+            edges = []
+            for edge in (t0 - SQRT5 * h, t0 + SQRT5 * h):
+                for _ in range(3):
+                    edge = math.nextafter(edge, -math.inf)
+                for _ in range(7):
+                    edges.append(edge)
+                    edge = math.nextafter(edge, math.inf)
+            sample = Sample.from_values(edges)
+            near = [math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf)]
+            return sample, [t0, np.array(near), np.array([near[0]]), np.array([near[2]])]
         else:
-            sample = builtin(name).sample
+            sample = builtin(name.removesuffix("_2e5")).sample
         reach = 3.0 * SQRT5 * h  # past both ends of the sample's kernel support
-        ts = np.linspace(sample.values[0] - reach, sample.values[-1] + reach, 301)
-        for t in (ts, ts[:300].reshape(20, 15), float(ts[150])):
-            got, want = kde(sample, h, t), matrix_kde(sample.values, h, t)
+        lo, hi = sample.values[0] - reach, sample.values[-1] + reach
+        if name.endswith("_2e5"):
+            return sample, [np.linspace(lo, hi, 200_000)]
+        ts = np.linspace(lo, hi, 301)
+        return sample, [ts, ts[:300].reshape(20, 15), float(ts[150])]
+
+    @pytest.mark.parametrize(
+        "name, h",
+        [
+            ("melanoma_46", 6.0),
+            ("service_86", 75.0),
+            ("exp_1e4", 20.0),
+            ("exp_1e5", 0.02),
+            ("exp_1e5", 0.2),
+            ("melanoma_46_2e5", 6.0),
+            ("exp_2e4_unsorted", 0.05),
+            ("exp_2e4_unsorted", 1e308),
+            ("edges", 0.3),
+            ("edges", 7e-3),
+        ],
+    )
+    def test_bit_identical_to_matrix_kde(self, name, h):
+        sample, grids = self._bit_case(name, h)
+        for t in grids:
+            got, want = kde(sample, h, t), rowwise_matrix_kde(sample.values, h, t)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert np.shape(got[0]) == np.shape(want[0])
+
+    def test_kernel_evaluated_only_within_reach(self, monkeypatch):
+        # at h = 0.02 under 9% of the sample lies inside any band point's support
+        sample = Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
+        grid = BandConfig(h=0.02, alpha=0.025).resolve_grid(sample)
+        evaluate = Kernel.evaluate
+        pairs = []
+
+        def counted(self, u):
+            pairs.append(np.size(u))
+            return evaluate(self, u)
+
+        monkeypatch.setattr(Kernel, "evaluate", counted)
+        kde(sample, 0.02, grid)
+        assert 0 < sum(pairs) < sample.n * grid.size / 5
+
+    def test_overflowing_density_refused_by_bandwidth(self):
+        sample = Sample.from_values([1.0, 1.5, 2.0, 3.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            # u = 0.25/1e-320 overflows to +inf: outside the support, on its own side
+            assert kde(sample, 1e-320, 1.25) == (0.0, 0.25)
+            message = r"^bandwidth 1e-320 is too small: f_hat overflows at t = 1\.5$"
+            with pytest.raises(ValueError, match=message):
+                kde(sample, 1e-320, [1.25, 1.75, 1.5, 2.0])
+            with pytest.raises(ValueError, match=message):
+                confidence_band(sample, BandConfig(h=1e-320, alpha=0.025, grid_size=3))
+            # f_hat = 4.2e307 is finite, its band is not
+            message = r"^bandwidth 2e-309 is too small: the band overflows at t = 1\.5$"
+            with pytest.raises(ValueError, match=message):
+                confidence_band(sample, BandConfig(h=2e-309, alpha=0.025, grid_size=3))
+
+    @given(LIFETIMES, BANDWIDTHS, st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_finite_and_bit_identical_or_bandwidth_refused(self, raw, h, data):
+        sample = Sample.from_values(raw)
+        near = st.tuples(st.sampled_from(sample.values.tolist()), st.floats(-3.0, 3.0))
+        points = st.one_of(
+            st.sampled_from([-math.inf, math.inf]),
+            st.floats(-2e3, 2e3),  # past both ends of the sample, and between
+            near.map(lambda pair: pair[0] + pair[1] * h),  # on the kernels' edges
+        )
+        t = np.array(data.draw(st.lists(points, min_size=1, max_size=30)))
+        with np.errstate(over="ignore"):
+            want = matrix_kde(sample.values, h, t)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            over = np.isinf(want[0])
+            if over.any():
+                at = float(t[np.argmax(over)])
+                message = f"bandwidth {h!r} is too small: f_hat overflows at t = {at:.6g}"
+                with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+                    kde(sample, h, t)
+                return
+            f, F = kde(sample, h, t)
+        assert np.array_equal(f, want[0]) and np.array_equal(F, want[1])
+        assert np.all(np.isfinite(f) & (f >= 0.0)) and np.all((F >= 0.0) & (F <= 1.0))
+
+    @given(LIFETIMES, BANDWIDTHS, st.integers(2, 40))
+    @settings(max_examples=100, deadline=None)
+    def test_band_finite_and_bit_identical_or_bandwidth_refused(self, raw, h, size):
+        sample = Sample.from_values(raw)
+        config = BandConfig(h=h, alpha=0.025, grid_size=size)
+        try:
+            grid = config.resolve_grid(sample)
+        except ValueError:
+            assume(False)
+        with np.errstate(over="ignore"):
+            f, F = matrix_kde(sample.values, h, grid)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                band = confidence_band(sample, config)
+            except ValueError as exc:
+                overflow = "f_hat overflows" if np.isinf(f).any() else "the band overflows"
+                assert str(exc).startswith(f"bandwidth {h!r} is too small: {overflow} at t = ")
+                return
+        assert np.array_equal(band.density, f) and np.array_equal(band.cdf, F)
+        assert np.all(np.isfinite(f) & (f >= 0.0)) and np.all((F >= 0.0) & (F <= 1.0))
+        assert np.all(np.isfinite(band.upper[band.usable]))
 
     def test_bit_identical_with_one_row_blocks(self):
         # n above _BLOCK: every block holds a single grid point

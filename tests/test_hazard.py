@@ -276,7 +276,9 @@ class TestDominance:
         if not lo < hi:
             return
         slack, t = spec.min_slack(c, lo, hi)
-        grid = np.linspace(lo, hi, 4001)[1:]
+        # a jump can hide a dip shorter than one step, so each breakpoint in (lo, hi] is a point too
+        breaks = [first for first, _, _ in segments if lo < first <= hi]
+        grid = np.sort(np.concatenate([np.linspace(lo, hi, 4001)[1:], breaks]))
         values = spec.rate(grid) - c
         step = (hi - lo) / 4000
         steepest = max(abs(m) for _, m, _ in segments)
