@@ -15,7 +15,6 @@ from .hazard import (
     PolynomialHazard,
     load_hazard_config,
     parse_hazard_config,
-    time_horizon,
 )
 from .perturbed import PerturbedModel, SupportBand
 from .telegraph import (
@@ -81,7 +80,6 @@ __all__ = [
     "sample_w",
     "save",
     "scaled_mgf",
-    "time_horizon",
     "w_atom_prob",
     "w_cdf",
     "w_density",

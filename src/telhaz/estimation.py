@@ -136,23 +136,31 @@ def kde(sample: Sample, h: float, t):
                 k, K, a0, b0 = k_row[: block.size], K_row[: block.size], a, b
             f[rows] = k.mean(axis=-1) / h
             F[rows] = K.mean(axis=-1)
-    over = np.isinf(f)
-    if over.any():
-        at = float(flat[np.argmax(over)])
-        raise ValueError(f"bandwidth {h!r} is too small: f_hat overflows at t = {at:.6g}")
+    _refuse_overflow(h, "f_hat", flat, f)
     if ta.ndim == 0:
         return float(f[0]), float(F[0])
     return f.reshape(ta.shape), F.reshape(ta.shape)
 
 
 def hazard_estimate(sample: Sample, h: float, t):
-    """Estimated hazard f_hat / (1 - F_hat); refuses the unstable upper tail."""
+    """Estimated hazard f_hat / (1 - F_hat); refuses the unstable upper tail and an overflow."""
     f, F = kde(sample, h, t)
     if np.any(np.asarray(F) > 1.0 - _TAIL_EPS):
         raise UpperTailError(
             "estimated CDF is within 1e-12 of 1; the hazard ratio is unstable there"
         )
-    return f / (1.0 - F)
+    with np.errstate(over="ignore"):  # an overflowed ratio is refused below
+        rate = f / (1.0 - F)
+    _refuse_overflow(h, "the hazard estimate", t, rate)
+    return rate
+
+
+def _refuse_overflow(h: float, what: str, t, values) -> None:
+    """Refuse a bandwidth so small that ``what`` overflows: inf in ``values`` at the times ``t``."""
+    over = np.isinf(values)
+    if over.any():
+        at = float(np.asarray(t, dtype=float)[over][0])
+        raise ValueError(f"bandwidth {h!r} is too small: {what} overflows at t = {at:.6g}")
 
 
 @dataclass(frozen=True)
@@ -214,12 +222,7 @@ def confidence_band(sample: Sample, config: BandConfig) -> ConfidenceBand:
             np.nan,
         )
         upper = rate + half
-    over = usable & ~np.isfinite(upper)
-    if over.any():
-        at = float(grid[np.argmax(over)])
-        raise ValueError(
-            f"bandwidth {config.h!r} is too small: the band overflows at t = {at:.6g}"
-        )
+    _refuse_overflow(config.h, "the band", grid, upper)  # NaN where not usable
     return ConfidenceBand(
         grid=grid,
         rate=rate,
@@ -262,9 +265,9 @@ def defensibility_test(
     """
     c = _positive("c", c)
     band = confidence_band(sample, config)
-    slack, t = baseline.min_slack(c, float(band.grid[0]), float(band.grid[-1]))
-    if not slack > 0.0:
-        raise ValueError(f"baseline hazard fails r(t) > c at t = {t:.6g}")
+    dominance = baseline.min_slack(c, float(band.grid[0]), float(band.grid[-1]))
+    if not dominance.holds:
+        raise ValueError(f"baseline hazard fails r(t) > c at t = {dominance.t:.6g}")
     if not np.any(band.usable):
         raise ValueError("no usable grid points: density estimate vanishes everywhere")
     baseline_rate = np.asarray(baseline.rate(band.grid), dtype=float)

@@ -10,23 +10,36 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
+
+
+class Slack(NamedTuple):
+    """Infimum of r - c over an interval and the t where it is reached or approached."""
+
+    value: float
+    t: float
+    attained: bool  # False where the infimum is only a limit at an open end
+
+    @property
+    def holds(self) -> bool:
+        """Dominance r > c on the interval: a slack > 0, or a slack of 0 only as a limit."""
+        return self.value > 0.0 or (self.value == 0.0 and not self.attained)
 
 
 class HazardSpec:
     """Base interface: positive rate on [0, support_end) with exact R(t).
 
-    A family supplies ``_rate`` and ``_cumulative`` on a checked time array and where r can
-    bottom out (``_turning_points``, or its own ``_slack_candidates``); r and R go inf on overflow.
-    On an infinite support a closed-form family's r does not fall past its last turning point.
+    A family supplies ``_rate`` and ``_cumulative`` on a checked time array, and the
+    ``turning_points`` of r: it is flat or strictly monotone between them. r and R go inf on
+    overflow, and ``_rate`` at support_end (inf on an infinite support) is the limit of r there.
     """
 
     support_end: float = math.inf
-    _turning_points: tuple[float, ...] = ()
+    turning_points: tuple[float, ...] = ()
 
     def __post_init__(self):
         if not self.support_end > 0.0:  # NaN fails the comparison too
@@ -46,28 +59,37 @@ class HazardSpec:
             out = self._cumulative(arr)
         return float(out) if arr.ndim == 0 else out
 
-    def min_slack(self, c: float, lo: float, hi: float) -> tuple[float, float]:
-        """Infimum of r - c over (lo, hi] and the t where it is reached or approached.
+    def min_slack(self, c: float, lo: float, hi: float) -> Slack:
+        """Infimum of r - c over (lo, hi], exact for every family; ``hi = support_end`` is the rest.
 
-        Dominance r > c holds on the interval iff the slack is > 0. ``hi = support_end`` is the
-        rest of the support: just short of a finite end, or up to t -> inf. Exact for the
-        closed-form families; a custom pair is checked on a grid, up to its :func:`time_horizon`.
+        The open ends, lo+ and the end of the support, are limits; the turning points, a ``hi``
+        inside the support and a probe inside each gap between these are attained. A tie at
+        slack 0 goes to an attained point, any other to the first of lo, turns, hi and probes.
         """
         end = self.support_end
         lo = float(_times(lo, end, name="lo"))
-        rest = hi == end and not isinstance(hi, bool)  # on an infinite support hi stays inf
-        hi = end * (1.0 - 1e-9) if rest else float(_times(hi, end, name="hi"))
+        if hi != end or isinstance(hi, bool):  # on an infinite support the rest keeps hi = inf
+            hi = float(_times(hi, end, name="hi"))
         if not lo < hi:
             raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
-        with np.errstate(over="ignore"):  # past the double range r is inf
-            pts, rates = self._slack_candidates(lo, hi)
-        i = int(np.argmin(rates))
-        return float(rates[i] - c), float(pts[i])
+        with np.errstate(all="ignore"):  # inf past the double range or at a pole; NaN refused
+            pts, rates, attained = self._slack_candidates(lo, hi)
+        if np.isnan(rates).any():
+            raise ValueError(f"rate is NaN at t = {float(pts[np.isnan(rates)][0])!r}")
+        slack = rates - c
+        zero = (slack == 0.0) & attained
+        i = int(np.argmax(zero) if zero.any() and slack.min() == 0.0 else np.argmin(slack))
+        return Slack(float(slack[i]), float(pts[i]), bool(attained[i]))
 
-    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        # r is monotone between turning points: its infimum is at one of them, hi, or near lo
-        pts = np.array([lo, *(p for p in self._turning_points if lo < p < hi), hi])
-        return pts, self._rate(pts)
+    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # lo, the turning points, hi, then one probe inside each gap between them (one step
+        # past the last for an infinite gap), which sees a stretch where r is flat
+        ends = np.unique([lo, *(p for p in self.turning_points if lo < p < hi), hi]).tolist()
+        probes = [_past(a) if b == math.inf else a + 0.5 * (b - a) for a, b in zip(ends, ends[1:])]
+        pts = np.concatenate([ends, probes])
+        attained = pts < self.support_end
+        attained[0] = False  # lo+
+        return pts, self._rate(pts), attained
 
     def cdf(self, t):
         """Lifetime distribution function 1 - exp(-R(t))."""
@@ -171,7 +193,7 @@ class PolynomialHazard(HazardSpec):
     beta: float
     c_ref: float
     support_end: float = math.inf
-    _turning_points = (1.0 / 3.0, 1.0)  # not a field: where r' = 0
+    turning_points = (1.0 / 3.0, 1.0)  # not a field: where r' = 0
 
     def __post_init__(self):
         super().__post_init__()
@@ -218,8 +240,9 @@ class PiecewiseLinearHazard(HazardSpec):
             raise ValueError("segment parameters must be finite")
         object.__setattr__(self, "segments", segs)
         with np.errstate(over="ignore"):  # past the double range r is inf
-            pts, rates = self._slack_candidates(0.0, self.support_end)
+            pts, rates, _ = self._slack_candidates(0.0, self.support_end)
         bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
+        bad[2 * bad.size // 3 :] = False  # both ends of each piece count, the probes do not
         if bad.any():
             raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
         if not math.isfinite(self.support_end) and segs[-1][1] < 0.0:
@@ -248,47 +271,47 @@ class PiecewiseLinearHazard(HazardSpec):
         idx = self._segment_index(arr, starts)
         return offsets[idx] + _line_integral(starts[idx], slopes[idx], intercepts[idx], arr)
 
-    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        # each piece's own line at both ends of its part of (lo, hi], so a
-        # drop just right of a breakpoint counts though r(breakpoint) does not; a last piece
-        # to inf has slope >= 0, so one step past its left end will do (0 * inf is NaN)
+    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        # each piece's own line at both ends of its part of (lo, hi] and midway: its left end
+        # is a limit, so a drop just right of a breakpoint counts though r(breakpoint) does not;
+        # a last piece to inf has slope >= 0, so one step past its left end will do (0*inf: NaN)
         starts, slopes, intercepts, _ = self._arrays
         left = np.maximum(starts, lo)
         last = _past(max(lo, starts[-1])) if hi == math.inf else hi
         right = np.minimum(np.append(starts[1:], last), hi)
         keep = left < right
-        pts = np.concatenate([left[keep], right[keep]])
-        return pts, np.tile(slopes[keep], 2) * pts + np.tile(intercepts[keep], 2)
+        left, right = left[keep], right[keep]
+        pts = np.concatenate([left, right, left + 0.5 * (right - left)])
+        attained = pts < self.support_end
+        attained[: left.size] = False
+        return pts, np.tile(slopes[keep], 3) * pts + np.tile(intercepts[keep], 3), attained
 
 
 @dataclass(frozen=True)
 class CustomHazard(HazardSpec):
     """Caller-supplied closed-form pair (r, R), both taking a float array of times.
 
-    No differentiation or integration happens here: supplying an exact
-    antiderivative is the contract, which keeps the hot path quadrature-free.
+    No differentiation or integration happens here: the contract is an exact antiderivative,
+    which keeps the hot path quadrature-free, and ``turning_points``, the times in
+    (0, support_end) between which r is flat or strictly monotone, with ``rate_fn`` at
+    support_end (inf on an infinite support) the limit of r there.
     """
 
     rate_fn: Callable
     cumulative_fn: Callable
     support_end: float = math.inf
-    interior_points: tuple[float, ...] = field(default=())
+    turning_points: tuple[float, ...] = ()
+
+    def __post_init__(self):
+        super().__post_init__()
+        if 0.0 in _times(self.turning_points, self.support_end, "turning_points"):
+            raise ValueError(f"turning_points must lie in (0, {self.support_end}), got 0.0")
 
     def _rate(self, arr):
         return np.asarray(self.rate_fn(arr), dtype=float)
 
     def _cumulative(self, arr):
         return np.asarray(self.cumulative_fn(arr), dtype=float)
-
-    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray]:
-        # nothing is known about r between points: 2048 uniform points past lo
-        # plus the declared interior points, so a dip between them goes unseen
-        if hi == math.inf:  # the rest of an infinite support: up to the 1e-6 tail, or past lo
-            horizon = time_horizon(self)
-            hi = horizon if lo < horizon else _past(lo)
-        pts = np.linspace(lo, hi, 2049)[1:]
-        pts = np.union1d(pts, [p for p in self.interior_points if lo < p < hi])
-        return pts, self._rate(pts)
 
 
 def _past(t: float) -> float:
@@ -300,32 +323,6 @@ def _line_integral(start, slope, intercept, t):
     """Integral of slope * u + intercept over [start, t]: length times the mean of r, never NaN."""
     length = t - start
     return length * (slope * start + intercept + 0.5 * slope * length)
-
-
-def time_horizon(spec: HazardSpec) -> float:
-    """Smallest convenient T with survival(T) <= 1e-6.
-
-    Returns support_end for finite supports. For infinite supports the
-    cumulative hazard is bracketed by doubling and then bisected.
-    """
-    if math.isfinite(spec.support_end):
-        return spec.support_end
-    target = -math.log(1e-6)
-    hi = 1.0
-    for _ in range(80):
-        if spec.cumulative(hi) >= target:
-            break
-        hi *= 2.0
-    else:
-        raise ValueError("cumulative hazard grows too slowly to reach the 1e-6 tail")
-    lo = hi / 2.0 if hi > 1.0 else 0.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        if spec.cumulative(mid) >= target:
-            hi = mid
-        else:
-            lo = mid
-    return hi
 
 
 def parse_hazard_config(text: str) -> HazardSpec:
@@ -366,14 +363,12 @@ def parse_hazard_config(text: str) -> HazardSpec:
     elif kind == "piecewise":
         segments = []
         for chunk in need("segments").split(";"):
-            parts = chunk.strip().split(":")
-            bad = ValueError(f"bad segment {chunk.strip()!r}; expected start:slope:intercept")
-            if len(parts) != 3:
-                raise bad
-            try:
-                segments.append(tuple(number("segments", p) for p in parts))
+            try:  # three numbers, or a ValueError from float or from the unpacking
+                start, slope, intercept = map(float, chunk.split(":"))
             except ValueError:
-                raise bad from None
+                expected = "expected start:slope:intercept"
+                raise ValueError(f"bad segment {chunk.strip()!r}; {expected}") from None
+            segments.append((start, slope, intercept))
         spec = PiecewiseLinearHazard(tuple(segments), support_end=support)
     else:
         raise ValueError(f"unknown hazard kind {kind!r}")

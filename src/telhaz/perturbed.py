@@ -20,7 +20,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .hazard import HazardSpec, _not_nan, _positive, _times
+from .hazard import HazardSpec, Slack, _not_nan, _positive, _times
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
@@ -59,16 +59,21 @@ class PerturbedModel:
     """A baseline hazard paired with the alternating-noise parameters.
 
     Construction requires the dominance condition r > c on the whole support,
-    checked by ``hazard.min_slack(c, 0.0, support_end)``.
+    checked by ``hazard.min_slack(c, 0.0, support_end)`` and kept as ``slack``.
     """
 
     hazard: HazardSpec
     noise: TelegraphParams
 
     def __post_init__(self):
-        slack, t = self.hazard.min_slack(self.noise.c, 0.0, self.hazard.support_end)
-        if not slack > 0.0:
-            raise ValueError(f"dominance r(t) > c fails at t = {t:.6g} (c = {self.noise.c})")
+        if not self.slack.holds:
+            c, t = self.noise.c, self.slack.t
+            raise ValueError(f"dominance r(t) > c fails at t = {t:.6g} (c = {c})")
+
+    @cached_property
+    def slack(self) -> Slack:
+        """Infimum of r - c over the whole support, where it lies, and whether it is attained."""
+        return self.hazard.min_slack(self.noise.c, 0.0, self.hazard.support_end)
 
     # -- band geometry ------------------------------------------------------
 
@@ -82,9 +87,10 @@ class PerturbedModel:
         doubling goes on only while nu grows by more than two of its last
         digits (it is heading for the cap); where it does not, or where T would
         leave the double range, the difference has cancelled before nu settled,
-        and a ValueError names c and T. A finite support forces nu = inf.
+        and a ValueError names c and T. A finite support or a slack > 0 (r - c
+        stays above it for ever) forces nu = inf; only a slack of 0 is doubled for.
         """
-        if math.isfinite(self.hazard.support_end):
+        if math.isfinite(self.hazard.support_end) or self.slack.value > 0.0:
             return math.inf
         c = self.noise.c
         horizon = 1.0
@@ -114,8 +120,8 @@ class PerturbedModel:
     def _cumulative(self, t):
         """R(t) and c*t, floats for a scalar ``t``: the gate every time of X passes.
 
-        Refused outside the support, where c*t is inf (``telegraph._reach``) and where
-        R(t) < c*t, which means r < c somewhere on (0, t], past the horizon checked at build.
+        Refused outside the support, where c*t is inf (``telegraph._reach``), and where R(t) < c*t:
+        r < c somewhere on (0, t], past the build check only for a pair that breaks its contract.
         """
         cum = self.hazard.cumulative(t)  # also validates the domain
         ct = _reach(self.noise, t)

@@ -34,12 +34,8 @@ def _soft_step_hazard() -> CustomHazard:
             0.5 * np.log1p(u * u) - 0.5 * math.log(2.0) + math.pi / 4.0 - np.arctan(u)
         )
 
-    return CustomHazard(rate_fn=rate, cumulative_fn=cumulative)
-
-
-def _exponential_growth_hazard() -> CustomHazard:
-    # r(t) = 1 + e^t, R(t) = t + e^t - 1
-    return CustomHazard(rate_fn=lambda t: 1.0 + np.exp(t), cumulative_fn=lambda t: t + np.expm1(t))
+    # r' has the sign of 1 - sinh t: r rises from 1 to its peak at asinh(1), then falls back to 1
+    return CustomHazard(rate_fn=rate, cumulative_fn=cumulative, turning_points=(math.asinh(1.0),))
 
 
 # Application baselines ------------------------------------------------------
@@ -57,7 +53,8 @@ APP2_BASELINE: HazardSpec = PiecewiseLinearHazard(
 HAZARDS: dict[str, HazardSpec] = {
     "polynomial_c1": PolynomialHazard(alpha=15.0, beta=0.001, c_ref=1.0),
     "polynomial_c2": PolynomialHazard(alpha=15.0, beta=0.001, c_ref=2.0),
-    "exponential_growth": _exponential_growth_hazard(),
+    # r(t) = 1 + e^t, R(t) = t + e^t - 1
+    "exponential_growth": CustomHazard(lambda t: 1.0 + np.exp(t), lambda t: t + np.expm1(t)),
     "soft_step": _soft_step_hazard(),
     "app1_constant": APP1_BASELINE,
     "app2_piecewise": APP2_BASELINE,

@@ -28,7 +28,7 @@ import math
 import numpy as np
 from scipy.special import betainc
 
-from telhaz.hazard import _past, time_horizon
+from telhaz.hazard import Slack, _past
 
 _REL_STOP = 1e-16
 
@@ -106,17 +106,44 @@ def csv_path_table(name: str, values, grid, paths: int, seed: int) -> str:
     return out.getvalue()
 
 
-def horizon_min_slack(hazard, c: float) -> tuple[float, float]:
+def time_horizon(spec) -> float:
+    """Smallest convenient T with survival(T) <= 1e-6: support_end on a finite support (oracle).
+
+    On an infinite support the cumulative hazard is bracketed by doubling and then bisected.
+    """
+    if math.isfinite(spec.support_end):
+        return spec.support_end
+    target = -math.log(1e-6)
+    hi = 1.0
+    for _ in range(80):
+        if spec.cumulative(hi) >= target:
+            break
+        hi *= 2.0
+    else:
+        raise ValueError("cumulative hazard grows too slowly to reach the 1e-6 tail")
+    lo = hi / 2.0 if hi > 1.0 else 0.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        if spec.cumulative(mid) >= target:
+            hi = mid
+        else:
+            lo = mid
+    return hi
+
+
+def horizon_min_slack(hazard, c: float):
     """``min_slack`` on (0, horizon], the stretch a model's dominance was once checked on (oracle).
 
-    The horizon is just short of a finite support end. On an infinite support it
-    is ``time_horizon``, or one step past the last breakpoint or turning point if
-    that is later.
+    The horizon is just short of a finite support end, joined by the limit of r
+    there where that is lower. On an infinite support it is ``time_horizon``, or
+    one step past the last breakpoint or turning point if that is later.
     """
     end = hazard.support_end
     if math.isfinite(end):
-        return hazard.min_slack(c, 0.0, end * (1.0 - 1e-9))
-    turns = [start for start, _, _ in getattr(hazard, "segments", ())] or hazard._turning_points
+        near = hazard.min_slack(c, 0.0, end * (1.0 - 1e-9))
+        limit = float(hazard._rate(np.array(end))) - c
+        return near if near.value <= limit else Slack(limit, end, False)
+    turns = [start for start, _, _ in getattr(hazard, "segments", ())] or hazard.turning_points
     horizon = time_horizon(hazard)
     if turns:
         horizon = max(horizon, _past(max(turns)))

@@ -447,7 +447,7 @@ class TestValidationErrors:
         ],
     )
     def test_dominance_past_horizon_leaves_no_table(self, capsys, tmp_path, argv):
-        # r = 0.5 < c past t = 100, beyond time_horizon; the build-time check
+        # r = 0.5 < c past t = 100, beyond the 1e-6 tail of R; the build-time check
         # reaches past the last breakpoint and refuses the model: a(t) once
         # overflowed math.expm1, the variance read 4e74, and up to t = 150 the rows printed
         hazard = tmp_path / "dip.cfg"
@@ -457,6 +457,16 @@ class TestValidationErrors:
                              "--output", str(target))
         assert (code, out) == (2, "")
         assert err == "error: dominance r(t) > c fails at t = 100 (c = 1.0)\n"
+        assert not target.exists()
+
+    @pytest.mark.parametrize("c", ["1.000000000001", "1.000002"])
+    def test_soft_step_above_its_limits_leaves_no_table(self, capsys, tmp_path, c):
+        # r(t) -> 1 < c as t grows: refused at build, before any row
+        target = tmp_path / "out.csv"
+        code, out, err = run(capsys, "band", "--hazard", "preset:soft_step", "--c", c,
+                             "--t-max", "40", "--points", "5", "--output", str(target))
+        assert (code, out) == (2, "")
+        assert err == f"error: dominance r(t) > c fails at t = 0 (c = {c})\n"
         assert not target.exists()
 
     def test_tiny_t_w_density_names_t(self, capsys):

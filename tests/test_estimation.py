@@ -379,6 +379,16 @@ class TestHazardEstimate:
         rates = hazard_estimate(sample, 20.0, grid)
         assert float(np.max(np.abs(rates - 0.0125))) / 0.0125 < 0.30
 
+    @pytest.mark.parametrize("t", [1.5, [1.0, 1.5, 2.0]], ids=["scalar", "array"])
+    def test_overflowing_ratio_refused(self, t):
+        # f_hat(1.5) ~ 1.2e308 stays finite, f_hat / (1 - F_hat) does not: a scalar once
+        # returned inf and an array raised numpy's overflow warning
+        sample = Sample.from_values([1.0, 1.5, 2.0, 3.0])
+        with pytest.raises(ValueError, match=(
+            r"^bandwidth 7e-310 is too small: the hazard estimate overflows at t = 1\.5$"
+        )):
+            hazard_estimate(sample, 7e-310, t)
+
 
 class TestConfidenceBand:
     def test_ordering_and_default_grid(self, melanoma):

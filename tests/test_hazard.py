@@ -7,14 +7,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import horizon_min_slack
+from conftest import horizon_min_slack, time_horizon
 from telhaz.hazard import (
     ConstantHazard,
     CustomHazard,
     PiecewiseLinearHazard,
     PolynomialHazard,
     parse_hazard_config,
-    time_horizon,
 )
 from telhaz.presets import APP2_BASELINE, HAZARDS
 
@@ -76,7 +75,7 @@ class TestCumulative:
         horizon = time_horizon(spec) if math.isinf(spec.support_end) else spec.support_end
         # where r bends or turns: the starts of its pieces and its turning points
         kinks = [s for s, _, _ in getattr(spec, "segments", ()) if s > 0.0]
-        kinks += spec._turning_points
+        kinks += spec.turning_points
         for t in np.linspace(horizon / 7, min(horizon, 2000.0), 5):
             numeric, _ = integrate.quad(
                 spec.rate, 0.0, float(t), epsabs=1e-12, epsrel=1e-12, limit=400,
@@ -201,9 +200,9 @@ def _hazards(draw):
 class TestDominance:
     def test_accepts_and_reports(self):
         assert ConstantHazard(0.0125).min_slack(0.0004, 1.0, 100.0)[0] > 0.0
-        slack, t = ConstantHazard(0.0125).min_slack(0.02, 1.0, 100.0)
+        slack, t, attained = ConstantHazard(0.0125).min_slack(0.02, 1.0, 100.0)
         assert slack == pytest.approx(0.0125 - 0.02)
-        assert t == 1.0
+        assert (t, attained) == (1.0, False)
 
     def test_polynomial_boundary_amplitude(self):
         # min of the rate is c_ref + beta, so c = c_ref still passes
@@ -211,18 +210,18 @@ class TestDominance:
         assert spec.min_slack(1.0, 0.0, 3.0)[0] > 0.0
         assert not spec.min_slack(1.001, 0.0, 3.0)[0] > 0.0
         # the interior minimum is reached exactly at the stationary point t = 1
-        assert spec.min_slack(1.0, 0.5, 3.0) == (spec.rate(1.0) - 1.0, 1.0)
+        assert spec.min_slack(1.0, 0.5, 3.0) == (spec.rate(1.0) - 1.0, 1.0, True)
 
     def test_default_grid_contains_critical_points(self):
-        # a custom rate with a dip at a declared point off the uniform grid;
-        # the grid leaves out lo itself, where r may touch c
+        # a custom rate with a dip at a declared turning point; at lo itself r is
+        # only approached, from the right
         spec = CustomHazard(
             rate_fn=lambda t: 1.0 + 100.0 * np.abs(np.asarray(t) - 0.3001),
             cumulative_fn=lambda t: np.asarray(t),  # unused here
-            interior_points=(0.3001,),
+            turning_points=(0.3001,),
         )
-        assert spec.min_slack(0.5, 0.0, 1.0) == (0.5, 0.3001)
-        assert spec.min_slack(0.5, 0.3001, 1.0)[1] > 0.3001
+        assert spec.min_slack(0.5, 0.0, 1.0) == (0.5, 0.3001, True)
+        assert spec.min_slack(0.5, 0.3001, 1.0) == (0.5, 0.3001, False)
 
     @pytest.mark.parametrize(
         "name,c",
@@ -234,7 +233,7 @@ class TestDominance:
         horizon = time_horizon(spec)
         points = np.linspace(0.0, horizon, 10**6 + 1)
         rates = spec.rate(points)
-        slack, t = spec.min_slack(c, 0.0, horizon)
+        slack, t, _ = spec.min_slack(c, 0.0, horizon)
         grid_min = float(np.min(rates[1:])) - c
         # r moves by at most max |r(t_k+1) - r(t_k)| within one grid step
         assert slack <= grid_min <= slack + float(np.max(np.abs(np.diff(rates))))
@@ -244,7 +243,7 @@ class TestDominance:
     def test_drop_just_after_breakpoint(self, segments):
         # r(1) = 2 belongs to the left piece; r falls below c = 1 just after it
         spec = parse_hazard_config(f"kind = piecewise\nsegments = {segments}\n")
-        assert spec.min_slack(1.0, 0.0, 10.0) == (-0.5, 1.0)
+        assert spec.min_slack(1.0, 0.0, 10.0) == (-0.5, 1.0, False)
         assert spec.rate(1.0) == 2.0 and spec.rate(1.00001) < 1.0
 
     @given(
@@ -275,7 +274,7 @@ class TestDominance:
         lo, hi = sorted((u * start, v * start))
         if not lo < hi:
             return
-        slack, t = spec.min_slack(c, lo, hi)
+        slack, t, _ = spec.min_slack(c, lo, hi)
         # a jump can hide a dip shorter than one step, so each breakpoint in (lo, hi] is a point too
         breaks = [first for first, _, _ in segments if lo < first <= hi]
         grid = np.sort(np.concatenate([np.linspace(lo, hi, 4001)[1:], breaks]))
@@ -289,7 +288,7 @@ class TestDominance:
     def test_interval_is_checked(self):
         spec = ConstantHazard(1.0, support_end=2.0)
         # hi = support_end is the rest of the support; past it, or inf, is refused
-        assert spec.min_slack(0.5, 0.0, 2.0) == (0.5, 0.0)
+        assert spec.min_slack(0.5, 0.0, 2.0) == (0.5, 0.0, False)
         for lo, hi in ((1.0, 1.0), (-0.1, 1.0), (0.0, 2.5), (0.0, math.inf), (0.0, math.nan)):
             with pytest.raises(ValueError):
                 spec.min_slack(0.5, lo, hi)
@@ -305,14 +304,19 @@ class TestDominance:
     @given(_hazards(), st.floats(1e-3, 10.0))
     @settings(max_examples=200, deadline=None)
     def test_whole_support_matches_checked_horizon_drawn(self, spec, c):
-        assert spec.min_slack(c, 0.0, spec.support_end) == horizon_min_slack(spec, c)
+        whole, near = spec.min_slack(c, 0.0, spec.support_end), horizon_min_slack(spec, c)
+        if near.value == 0.0 and near.attained:  # r = c on a flat stretch: each check
+            assert not whole.holds  # refuses it at a probe of its own
+        else:
+            assert whole == near
 
     def test_rest_of_infinite_support_from_any_lo(self):
-        # lo past the last breakpoint, and past a custom pair's 1e-6 horizon
+        # lo past the last breakpoint, and past a custom pair's last turning point;
+        # r(101) of soft_step rounds to 1.0 = c, so the probe there reads slack 0
         rising = PiecewiseLinearHazard(((0.0, 0.0, 2.0), (1.0, 1.0, 0.5)))
-        assert rising.min_slack(1.0, 5.0, math.inf) == (4.5, 5.0)
+        assert rising.min_slack(1.0, 5.0, math.inf) == (4.5, 5.0, False)
         soft = HAZARDS["soft_step"]
-        assert 100.0 < soft.min_slack(1.0, 100.0, math.inf)[1] <= 101.0
+        assert soft.min_slack(1.0, 100.0, math.inf) == (0.0, 101.0, True)
 
     def test_time_horizon_reaches_tail(self):
         for spec in ALL_SPECS:
@@ -381,6 +385,35 @@ class TestValidation:
         assert PiecewiseLinearHazard(((0.0, 0.5, 0.0),)).rate(0.0) == 0.0
         with pytest.raises(ValueError, match="^last segment must have slope >= 0"):
             PiecewiseLinearHazard(((0.0, -1e-9, 1.0),))
+
+    @pytest.mark.parametrize(
+        "points, message",
+        [
+            ((0.5, -1.0), r"must lie in \[0, 2.0\), got -1.0"),
+            ((2.0,), r"must lie in \[0, 2.0\), got 2.0"),
+            ((math.nan,), r"must lie in \[0, 2.0\), got nan"),
+            ((True,), r"must be a real number, got True"),
+            ((0.0, 1.0), r"must lie in \(0, 2.0\), got 0.0"),
+        ],
+    )
+    def test_custom_turning_points_checked(self, points, message):
+        with pytest.raises(ValueError, match=f"^turning_points {message}$"):
+            CustomHazard(np.exp, np.expm1, support_end=2.0, turning_points=points)
+        # in any order, repeated or not, they are the same turning points: r = 1 at t = 1 and 2
+        def rate(t):
+            return 1.0 + np.abs((t - 1.0) * (t - 2.0))
+
+        spec = CustomHazard(rate, np.exp, turning_points=(2.0, 1.0, 1.5, 2.0))
+        ordered = CustomHazard(rate, np.exp, turning_points=(1.0, 1.5, 2.0))
+        assert spec.min_slack(0.5, 0.0, 3.0) == ordered.min_slack(0.5, 0.0, 3.0) == (0.5, 1.0, True)
+
+    def test_custom_nan_rate_refused_by_name(self):
+        # r = 1 + t exp(-t) turns at t = 1; at t = inf it is inf * 0
+        spec = CustomHazard(lambda t: 1.0 + t * np.exp(-t),
+                            lambda t: t + 1.0 - (1.0 + t) * np.exp(-t), turning_points=(1.0,))
+        with pytest.raises(ValueError, match="^rate is NaN at t = inf$"):
+            spec.min_slack(0.5, 0.0, math.inf)
+        assert spec.min_slack(0.5, 0.0, 10.0) == (0.5, 0.0, False)
 
     def test_custom_spec_with_finite_support(self):
         spec = CustomHazard(

@@ -7,7 +7,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
-from telhaz.hazard import ConstantHazard, CustomHazard, PiecewiseLinearHazard, PolynomialHazard
+from telhaz.hazard import (
+    ConstantHazard,
+    CustomHazard,
+    PiecewiseLinearHazard,
+    PolynomialHazard,
+    parse_hazard_config,
+)
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import (
     FIG1_HORIZON,
@@ -79,7 +85,7 @@ class TestConstruction:
             PerturbedModel(hazard, TelegraphParams(c=1.0, lam=1.0))
 
     def test_dominance_checked_past_last_breakpoint(self):
-        # r = 0.5 < c after t = 100, far past time_horizon (about 6.9): once
+        # r = 0.5 < c after t = 100, far past the 1e-6 tail of R (about t = 6.9): once
         # built, and its band printed up to t = 150
         dip = PiecewiseLinearHazard(((0.0, 0.0, 2.0), (100.0, 0.0, 0.5)))
         with pytest.raises(ValueError, match=r"^dominance r\(t\) > c fails at t = 100 "):
@@ -91,10 +97,30 @@ class TestConstruction:
         with pytest.raises(ValueError, match="^unknown band case 'd'; expected 'a', 'b' or 'c'$"):
             model_fig2("d")
 
+    @pytest.mark.parametrize("c", [1.0 + 1e-12, 1.000002])
+    def test_soft_step_refused_above_its_limits(self, c):
+        # r(0) = 1 and r(t) -> 1 as t grows: c = 1 builds (fig2 (c)), no c above it does
+        message = rf"^dominance r\(t\) > c fails at t = 0 \(c = {re.escape(repr(c))}\)$"
+        with pytest.raises(ValueError, match=message):
+            PerturbedModel(HAZARDS["soft_step"], TelegraphParams(c=c, lam=1.0))
+
+    def test_flat_rate_at_c_refused_by_probe(self):
+        # r = c everywhere: both open ends are limits at c, the probe between them is not
+        for hazard, t in ((ConstantHazard(1.0), "1"), (ConstantHazard(1.0, support_end=4.0), "2")):
+            with pytest.raises(ValueError, match=rf"^dominance r\(t\) > c fails at t = {t} "):
+                PerturbedModel(hazard, TelegraphParams(c=1.0, lam=1.0))
+
+    @pytest.mark.parametrize("segments, t", [("0:1:1", 0.0), ("0:0:2; 1:1:0", 1.0)])
+    def test_rate_at_c_only_as_a_limit_accepted(self, segments, t):
+        # r = 1 + t; and r = 2, then r = t past t = 1: r -> c = 1 as t -> 0+ or 1+, never reached
+        hazard = parse_hazard_config(f"kind = piecewise\nsegments = {segments}\n")
+        model = PerturbedModel(hazard, TelegraphParams(c=1.0, lam=1.0))
+        assert model.slack == (0.0, t, False) and model.slack.holds
+
     def test_dominance_past_checked_horizon_refused(self):
-        # r(t) -> 1 < c as t grows, past the horizon and between the grid points
-        # checked at build; R(t) < c*t there once overflowed math.expm1 in band
-        model = PerturbedModel(HAZARDS["soft_step"], TelegraphParams(c=1.000002302587744, lam=1.0))
+        # a pair that breaks its contract passes the check at build; R(t) < c*t
+        # at 1e9 once overflowed math.expm1 in band
+        model = PerturbedModel(_BROKEN, TelegraphParams(c=_BROKEN_C, lam=1.0))
         calls = (model.band, model.mean, model.variance, model.atom_prob,
                  lambda t: model.sample_path_values([t], 0))
         for call in calls:
@@ -102,6 +128,11 @@ class TestConstruction:
                 call(1e9)
         assert model.band(1e5).a > 0.0  # R(t) > c*t still holds there
 
+
+# a pair that breaks its contract: r = 2 > c, but R is soft_step's, which falls below
+# c*t between t = 1e5 and 1e9
+_BROKEN = CustomHazard(lambda t: np.full_like(t, 2.0), HAZARDS["soft_step"].cumulative_fn)
+_BROKEN_C = 1.000002302587744
 
 # R(t) = t + a part whose excess nu over c = 1 converges slowly (to 1.3, 0.7) or not at
 # all: R(T) - T cancels to its last digits long before it settles, and once read 0.0,
@@ -136,6 +167,11 @@ class TestBand:
         nu_exact = 3.0 * math.pi / 4.0 - 1.5 * math.log(2.0)  # closed-form integral
         assert soft.total_excess_hazard == pytest.approx(nu_exact, rel=1e-10)
         assert soft.terminal_band_width() == pytest.approx(math.exp(-nu_exact), rel=1e-10)
+
+    def test_excess_hazard_of_positive_slack_is_infinite(self):
+        # r - c = 1e-15 for ever: nu = inf at once, where the doubling once settled at 4.0e-15
+        model = PerturbedModel(ConstantHazard(1.0), TelegraphParams(c=1.0 - 1e-15, lam=1.0))
+        assert model.total_excess_hazard == math.inf
 
     def test_excess_hazard_of_finite_support_is_infinite(self):
         model = PerturbedModel(ConstantHazard(1.0, support_end=5.0), TelegraphParams(0.5, 1.0))
@@ -195,7 +231,7 @@ class TestBand:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             assert hazard.rate(1e103) == math.inf
-            assert hazard.min_slack(0.5, 1.0, 1e103) == (hazard.rate(1.0) - 0.5, 1.0)
+            assert hazard.min_slack(0.5, 1.0, 1e103) == (hazard.rate(1.0) - 0.5, 1.0, False)
             assert not model.band_width_nondecreasing(1e103)
 
     def test_bimodal_width_has_two_local_maxima(self):
@@ -255,7 +291,7 @@ class TestBandOverArray:
 
     def test_dominance_refusal_same_as_scalar(self):
         # the model of test_dominance_past_checked_horizon_refused: R(t) < c*t at 1e9
-        model = PerturbedModel(HAZARDS["soft_step"], TelegraphParams(c=1.000002302587744, lam=1.0))
+        model = PerturbedModel(_BROKEN, TelegraphParams(c=_BROKEN_C, lam=1.0))
         with pytest.raises(ValueError) as scalar:
             model.band(1e9)
         with pytest.raises(ValueError) as array:
