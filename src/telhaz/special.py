@@ -66,6 +66,12 @@ def scaled_bessel(z):
     The density needs both at one argument: the time derivative of I0 is I1 over a
     vanishing square root, and the series for I1(z)/z removes that 0/0. ``z`` must
     be finite and >= 0; it is not checked, as its one caller builds it so.
+
+    A value depends only on its own argument, bit for bit: the loops run until
+    the slowest argument stops, but the first term past an argument's own stop
+    is at most ~1.2e-17 (series) or ~2.2e-17 (asymptotic) of its total, under
+    2^-54, so it and every smaller one after it round away. A caller may
+    therefore split its arguments into blocks.
     """
     arr = np.asarray(z, dtype=float)
     small = arr <= _SERIES_CUTOFF

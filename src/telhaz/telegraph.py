@@ -24,6 +24,8 @@ from .special import scaled_bessel
 _POISSON_TAIL = 1e-16
 # (point, k) pairs w_cdf evaluates at once, or one row of terms if more.
 _CDF_BLOCK = 1 << 16
+# Points the Bessel density evaluates at once.
+_DENSITY_BLOCK = 1 << 14
 # Exponential gaps sample_path draws at once, and the most switches it expects.
 _GAP_BLOCK = 1 << 16
 _MAX_SWITCHES = 2**30
@@ -154,17 +156,27 @@ def _bessel_density(params: TelegraphParams, t: float, spread2, jacobian):
         exp(z - lam t) * [lam I0e(z) + lam^2 t (I1(z)/z) e^{-z}] / (2c * jacobian)
 
     with z = (lam/c) sqrt(spread2), a negative spread2 from roundoff read as 0.
-    Where z or the density overflows, a ValueError names c, lam and t.
+    The broadcast ``spread2`` and ``jacobian`` are walked in blocks of 2^14
+    points, each written into its slice of one output, so the temporaries are
+    O(2^14) whatever the number of points. Each value keeps the bits of a
+    whole-array evaluation: a value of ``scaled_bessel`` depends only on its
+    own argument (see there). Where z or the density overflows, a ValueError
+    names c, lam and t.
     """
     c, lam = params.c, params.lam
     overflow = f"the density overflows at c = {c!r}, lam = {lam!r}, t = {t!r}"
+    spread2, jacobian = np.broadcast_arrays(spread2, jacobian)
+    out = np.empty(spread2.shape)
+    flat, spread2, jacobian = out.reshape(-1), spread2.reshape(-1), jacobian.reshape(-1)
     with np.errstate(all="ignore"):  # a non-finite z or result is reported below
-        z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
-        if not np.all(np.isfinite(z)):
-            raise ValueError(overflow)
-        i0e, i1e_over_z = scaled_bessel(z)
-        bracket = lam * i0e + lam * lam * t * i1e_over_z
-        out = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
+        for start in range(0, flat.size, _DENSITY_BLOCK):
+            block = slice(start, start + _DENSITY_BLOCK)
+            z = (lam / c) * np.sqrt(np.maximum(spread2[block], 0.0))
+            if not np.all(np.isfinite(z)):
+                raise ValueError(overflow)
+            i0e, i1e_over_z = scaled_bessel(z)
+            bracket = lam * i0e + lam * lam * t * i1e_over_z
+            flat[block] = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian[block])
     if not np.all(np.isfinite(out)):
         raise ValueError(overflow)
     return out

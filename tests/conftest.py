@@ -8,14 +8,16 @@ them. The kernel estimates are plain per-observation sums, the reference for
 any faster evaluator of the library's vectorized ``kde``; ``matrix_kde`` is
 the one-matrix evaluator that ``kde`` must reproduce bit for bit. The Bessel
 series keep their allocating loops with a whole-array stop test, which the
-library's in-place loops must reproduce bit for bit, and the W(t) CDF keeps
-its one-term-at-a-time Poisson mixture over switch counts, in double and in
-40-digit precision; its variance keeps the closed form at 50 digits. The path
-tables keep their row generator written through ``csv.writer``, the reference
-for the CLI's column-wise path writer, and the band keeps its one-time-point
-formulas, the reference for the band over an array of times. The dominance
-check keeps the horizon a model was once checked up to, the reference for
-``min_slack`` over the whole support.
+library's in-place loops must reproduce bit for bit, and the Bessel density
+keeps its whole-array evaluation, which the library's block walk must
+reproduce bit for bit. The W(t) CDF keeps its one-term-at-a-time Poisson
+mixture over switch counts, in double and in 40-digit precision; its
+variance keeps the closed form at 50 digits. The path tables keep their row
+generator written through ``csv.writer``, the reference for the CLI's
+column-wise path writer, and the band keeps its one-time-point formulas, the
+reference for the band over an array of times. The dominance check keeps the
+horizon a model was once checked up to, the reference for ``min_slack`` over
+the whole support.
 """
 
 from __future__ import annotations
@@ -29,6 +31,7 @@ import numpy as np
 from scipy.special import betainc
 
 from telhaz.hazard import Slack, _past
+from telhaz.special import scaled_bessel
 
 _REL_STOP = 1e-16
 
@@ -182,6 +185,22 @@ def asymptotic_oracle(x: np.ndarray, order: int) -> np.ndarray:
         if np.all(np.abs(term) <= _REL_STOP * np.abs(total)):
             break
     return total / np.sqrt(2.0 * math.pi * x)
+
+
+def bessel_density_oracle(params, t: float, spread2, jacobian):
+    """The Bessel-type density of W(t) and X(t) over the whole array at once (oracle)."""
+    c, lam = params.c, params.lam
+    overflow = f"the density overflows at c = {c!r}, lam = {lam!r}, t = {t!r}"
+    with np.errstate(all="ignore"):
+        z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
+        if not np.all(np.isfinite(z)):
+            raise ValueError(overflow)
+        i0e, i1e_over_z = scaled_bessel(z)
+        bracket = lam * i0e + lam * lam * t * i1e_over_z
+        out = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
+    if not np.all(np.isfinite(out)):
+        raise ValueError(overflow)
+    return out
 
 
 def loop_w_cdf(params, t: float, w, counts, weights) -> np.ndarray:

@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -24,7 +25,8 @@ from telhaz.presets import (
     model_fig2,
     model_fig3,
 )
-from conftest import math_band, oracle_path
+from conftest import bessel_density_oracle, math_band, oracle_path
+from telhaz import telegraph
 from telhaz.telegraph import (
     TelegraphParams,
     mgf,
@@ -375,6 +377,40 @@ class TestAtomsAndDensity:
         ]
         assert errors[0] > errors[1] > errors[2]
         assert errors[2] < 0.01
+
+
+class TestDensityBlocks:
+    """The model density's block walk against the whole-array oracle, byte for byte."""
+
+    BLOCK = telegraph._DENSITY_BLOCK
+
+    @pytest.mark.parametrize("t", [0.5, 2.0])  # z up to 7.5 and 30
+    @pytest.mark.parametrize(
+        "shape", [(BLOCK - 1,), (BLOCK,), (BLOCK + 1,), (3 * BLOCK + 5,), (129, 131)],
+        ids=lambda shape: "x".join(map(str, shape)),
+    )
+    def test_matches_oracle_bytes(self, fig_model, shape, t):
+        band = fig_model.band(t)
+        x = np.random.default_rng(shape[0]).uniform(band.a, band.b, shape)
+        # u and the jacobian 1 - x as the density forms them
+        one_minus = 1.0 - x
+        u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
+        got = fig_model.density(x, t)
+        want = bessel_density_oracle(fig_model.noise, band.t, u, one_minus)
+        assert got.shape == want.shape == shape
+        assert got.tobytes() == want.tobytes()
+
+    def test_memory_bounded(self, fig_model):
+        # the whole-array evaluation peaked at ~10.1x the output's 8 MB
+        band = fig_model.band(0.5)
+        x = np.random.default_rng(1).uniform(band.a, band.b, 1_000_000)
+        tracemalloc.start()
+        try:
+            out = fig_model.density(x, 0.5)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 5 * out.nbytes
 
 
 class TestCdf:

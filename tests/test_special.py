@@ -8,7 +8,7 @@ from scipy import special, stats
 
 from telhaz.estimation import EPANECHNIKOV, BandConfig, Sample, confidence_band
 
-from telhaz.special import _asymptotic_scaled, _series, scaled_bessel
+from telhaz.special import _REL_STOP, _asymptotic_scaled, _series, scaled_bessel
 
 from conftest import asymptotic_oracle, series_oracle
 
@@ -33,6 +33,48 @@ def oracle_inputs(lo, hi, slowest):
 
 SERIES_INPUTS = {**oracle_inputs(0.0, 30.0, 30.0), "smallest_subnormal": np.array([5e-324])}
 ASYMPTOTIC_INPUTS = oracle_inputs(30.0, 600.0, 30.0)
+
+
+# dense grids of each side of the cutoff, on which to measure the stop margin
+DENSE_INPUTS = {
+    "series": np.linspace(0.0, 30.0, 300_001),
+    "asymptotic": np.geomspace(np.nextafter(30.0, math.inf), 1e8, 300_001),
+}
+
+# arguments next to a neighbour on their own side of the cutoff that converges later or earlier
+SAME_SIDE = {
+    "later": [(0.0, 0.5), (1e-9, 0.5), (0.5, 29.99), (75.0, 30.01), (800.0, 75.0)],
+    "earlier": [(0.5, 1e-9), (29.99, 0.5), (30.0, 0.5), (30.01, 75.0), (75.0, 800.0),
+                (800.0, 1e6)],
+}
+
+
+def terms_past_own_stop(x, order, asymptotic):
+    """Each argument's own stop k, and the largest |term / total| its loop adds after it.
+
+    The loop is ``_series``'s or ``_asymptotic_scaled``'s with its stop test
+    made per argument. It runs until every argument has taken one term past
+    its own stop; ``kept`` is False where a term past the stop moved the total.
+    """
+    mu = 4.0 * order * order
+    q = 0.25 * x * x
+    term, total = np.ones_like(x), np.ones_like(x)
+    stop = np.zeros(x.shape, dtype=int)
+    worst = np.zeros_like(x)
+    kept = np.ones(x.shape, dtype=bool)
+    for k in range(1, 30 if asymptotic else 400):
+        if asymptotic:
+            term = term * ((2 * k - 1) ** 2 - mu) / (8.0 * k * x)
+        else:
+            term = term * q / (k * (k + order))
+        past = stop > 0
+        worst[past] = np.maximum(worst[past], np.abs(term[past] / total[past]))
+        kept &= ~past | (total + term == total)
+        total = total + term
+        if past.all():
+            break
+        stop[~past & (np.abs(term) <= _REL_STOP * np.abs(total))] = k
+    return stop, worst, kept
 
 
 def oracle_pair(z):
@@ -85,13 +127,38 @@ class TestBessel:
                 value[0] for value in scaled_bessel(np.array([x]))
             ]
 
-    @pytest.mark.parametrize("x", [0.0, 1e-9, 0.5, 29.99, 30.0, 30.01, 75.0, 800.0])
-    def test_scalar_matches_array_bits(self, x):
-        # a value does not depend on its neighbours; the partner lies across the cutoff
-        partner = 100.0 if x <= 30.0 else 1.0
+    @pytest.mark.parametrize(
+        "x, partner",
+        [pytest.param(x, 100.0 if x <= 30.0 else 1.0, id=str(x))
+         for x in [0.0, 1e-9, 0.5, 29.99, 30.0, 30.01, 75.0, 800.0]]
+        + [pytest.param(x, partner, id=f"{x}-{when}")
+           for when, pairs in SAME_SIDE.items() for x, partner in pairs],
+    )
+    def test_scalar_matches_array_bits(self, x, partner):
+        # a value does not depend on its neighbours: one across the cutoff, or one on
+        # its own side whose loop runs past x's own stop or stops before it
         for i, scalar in enumerate(scaled_bessel(x)):
             assert scalar == scaled_bessel(np.array([x, partner]))[i][0]
             assert scalar == scaled_bessel(np.array([partner, x]))[i][1]
+
+    @pytest.mark.parametrize("when", sorted(SAME_SIDE))
+    def test_same_side_neighbours_converge_as_named(self, when):
+        for x, partner in SAME_SIDE[when]:
+            for order in (0, 1):
+                stop = terms_past_own_stop(np.array([x, partner]), order, x > 30.0)[0]
+                assert stop[1] > stop[0] if when == "later" else stop[1] < stop[0]
+
+    @pytest.mark.parametrize("order", [0, 1])
+    @pytest.mark.parametrize("side", sorted(DENSE_INPUTS))
+    def test_terms_past_own_stop_keep_every_bit(self, side, order):
+        # the density's blocks stop at their own slowest argument, so each value must
+        # not depend on how far a slower neighbour runs its loop: every term past an
+        # argument's own stop is under 2^-54 of its total, below half an ulp
+        # (at most ~1.2e-17 on the series side, ~2.2e-17 on the asymptotic one)
+        stop, worst, kept = terms_past_own_stop(DENSE_INPUTS[side], order, side == "asymptotic")
+        assert np.all(stop > 0)
+        assert worst.max() < 2.0**-54
+        assert kept.all()
 
     def test_huge_argument_stays_finite(self):
         assert all(np.isfinite(scaled_bessel(800.0)))

@@ -10,8 +10,8 @@ from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
 from conftest import (
-    brute_force_w, ks_distance, ks_critical, loop_w_cdf, mp_w_cdf, mp_w_variance, oracle_path,
-    walk_integral,
+    bessel_density_oracle, brute_force_w, ks_distance, ks_critical, loop_w_cdf, mp_w_cdf,
+    mp_w_variance, oracle_path, walk_integral,
 )
 from telhaz import telegraph
 from telhaz.telegraph import (
@@ -378,6 +378,58 @@ class TestAtomAndDensity:
         p = TelegraphParams(c=1.7, lam=4.0)
         w = sample_w(p, 2.0, 20_000, seed=9)
         assert np.all(np.abs(w) <= 1.7 * 2.0 + 1e-12)
+
+
+class TestDensityBlocks:
+    """The Bessel density's block walk against the whole-array oracle, byte for byte."""
+
+    BLOCK = telegraph._DENSITY_BLOCK
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_w_density_matches_oracle_bytes(self, n):
+        # lam c t = 40: unsorted z on [0, 40] puts both sides of the cutoff in every block
+        p = TelegraphParams(c=1.0, lam=40.0)
+        x = np.random.default_rng(n).uniform(-1.0, 1.0, n)
+        got = w_density(p, 1.0, x)
+        want = bessel_density_oracle(p, 1.0, (1.0 - x) * (1.0 + x), 1.0)
+        assert got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        for i in (0, n // 2, n - 1):
+            assert w_density(p, 1.0, float(x[i])) == got[i]
+
+    def test_w_density_2d_matches_oracle_bytes(self):
+        # 129 * 131 points: two blocks, the second cut inside a row; and the transpose
+        p = TelegraphParams(c=1.0, lam=40.0)
+        x = np.random.default_rng(2).uniform(-1.0, 1.0, (129, 131))
+        for arr in (x, x.T):
+            got = w_density(p, 1.0, arr)
+            want = bessel_density_oracle(p, 1.0, (1.0 - arr) * (1.0 + arr), 1.0)
+            assert got.shape == want.shape == arr.shape
+            assert got.tobytes() == want.tobytes()
+
+    @pytest.mark.parametrize("last", [math.inf, 1e308], ids=["z", "density"])
+    def test_overflow_in_last_block_refused_as_oracle(self, last):
+        # z is inf, or z = 1e155 is finite and the density overflows, at the last point only
+        p = TelegraphParams(c=1.0, lam=10.0)
+        spread2 = np.random.default_rng(5).uniform(0.0, 1.0, 3 * self.BLOCK + 5)
+        spread2[-1] = last
+        with pytest.raises(ValueError) as want:
+            bessel_density_oracle(p, 1.0, spread2, 1.0)
+        assert str(want.value) == "the density overflows at c = 1.0, lam = 10.0, t = 1.0"
+        with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
+            telegraph._bessel_density(p, 1.0, spread2, 1.0)
+
+    def test_memory_bounded(self):
+        # the whole-array evaluation peaked at ~9.1x the output's 8 MB
+        p = TelegraphParams(c=1.0, lam=10.0)
+        x = np.random.default_rng(1).uniform(-1.0, 1.0, 1_000_000)
+        tracemalloc.start()
+        try:
+            out = w_density(p, 1.0, x)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3 * out.nbytes
 
 
 class TestCdfBlocks:
