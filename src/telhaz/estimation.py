@@ -98,8 +98,12 @@ def kde(sample: Sample, h: float, t):
     its window, the slice of the sorted sample its kernels can reach: within
     ``reach`` >= (support radius)*h of its grid points, with a rounding margin
     that makes the window a proven superset of the kernel's support mask. Off
-    the window every term is k = 0 and K = 1 (left) or 0 (right), so each sum
-    still runs over the whole row and matches the whole matrix, bit for bit.
+    the window every term is k = 0 and K = 1 (left) or 0 (right), exactly, so
+    each row sum is replayed from the window's neighbourhood alone and matches
+    the whole matrix, bit for bit: numpy sums a row by a fixed pairwise tree,
+    so each block pads its window only to the smallest node of that tree that
+    holds it, and adds the constant sums of the nodes outside exactly as the
+    tree adds them (see ``_row_sums``).
     """
     h = _positive("bandwidth", h)
     ta = _not_nan("t", t)
@@ -118,10 +122,6 @@ def kde(sample: Sample, h: float, t):
     # past every T: all left of +inf, the whole row for -inf, both as the mask.)
     rho = math.nextafter(EPANECHNIKOV.support_radius, math.inf)
     reach = math.nextafter(rho * h, math.inf)
-    # padded rows: k_row is 0 and K_row 1 left of the last window [a0, b0), both 0 right of it
-    k_row = np.zeros((min(step, flat.size), n))
-    K_row = np.zeros_like(k_row)
-    a0 = b0 = 0
     with np.errstate(over="ignore"):  # an overflowed u is +-inf, outside on its own side
         for start in range(0, flat.size, step):
             rows = slice(start, start + step)
@@ -129,17 +129,49 @@ def kde(sample: Sample, h: float, t):
             a = int(np.searchsorted(values, float(block.min()) - reach, "left"))
             b = int(np.searchsorted(values, float(block.max()) + reach, "right"))
             k, K = EPANECHNIKOV.evaluate((block[:, None] - values[a:b]) / h)
-            if b - a < n:
-                k_row[:, a0:a], K_row[:, a0:a] = 0.0, 1.0
-                k_row[:, b:b0], K_row[:, b:b0] = 0.0, 0.0
-                k_row[: block.size, a:b], K_row[: block.size, a:b] = k, K
-                k, K, a0, b0 = k_row[: block.size], K_row[: block.size], a, b
-            f[rows] = k.mean(axis=-1) / h
-            F[rows] = K.mean(axis=-1)
+            k_sum, K_sum = _row_sums(k, K, n, a)
+            f[rows] = k_sum / n / h
+            F[rows] = K_sum / n
     _refuse_overflow(h, "f_hat", flat, f)
     if ta.ndim == 0:
         return float(f[0]), float(F[0])
     return f.reshape(ta.shape), F.reshape(ta.shape)
+
+
+def _row_sums(k, K, n: int, a: int):
+    """numpy's sums of the n-long rows that hold ``k`` and ``K`` on [a, b), bit for bit.
+
+    Left of a the rows hold k = 0 and K = 1, right of b both are 0. numpy sums
+    a contiguous float64 row by a fixed pairwise tree: up to 128 elements flat
+    (eight accumulators), a longer node split at half = m//2 - (m//2) % 8 into
+    two children whose sums are added. A node's sum depends only on its own
+    elements and length, so the rows are padded only to the smallest node
+    (lo, m) that holds [a, b), found by descending from (0, n). Every sibling
+    passed on the way is exact: its k, and K right of the window, sum to 0.0,
+    which adds nothing; K left of it sums to its length, an integer, added to
+    the node's sum deepest first, as the tree adds it.
+    """
+    b = a + k.shape[-1]
+    lo, m, left = 0, n, []
+    while m > 128:
+        half = m // 2 - (m // 2) % 8
+        if b <= lo + half:
+            m = half
+        elif a >= lo + half:
+            left.append(half)
+            lo, m = lo + half, m - half
+        else:
+            break
+    if b - a < m:
+        k_node = np.zeros(k.shape[:-1] + (m,))
+        K_node = np.zeros_like(k_node)
+        K_node[..., : a - lo] = 1.0
+        k_node[..., a - lo : b - lo], K_node[..., a - lo : b - lo] = k, K
+        k, K = k_node, K_node
+    K_sum = K.sum(axis=-1)
+    for length in reversed(left):
+        K_sum += float(length)
+    return k.sum(axis=-1), K_sum
 
 
 def hazard_estimate(sample: Sample, h: float, t):

@@ -187,9 +187,13 @@ class PerturbedModel:
             )
         if band.b == 1.0:  # the log below would divide by 1 - b(t) = 0
             raise ValueError(f"t = {band.t!r}: b(t) rounds to 1, so the density cannot be resolved")
-        one_minus = 1.0 - arr
-        u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
-        out = _bessel_density(self.noise, band.t, u, one_minus)
+
+        def spread(x):  # u and the jacobian 1 - x, for one block of points
+            one_minus = 1.0 - x
+            u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
+            return u, one_minus
+
+        out = _bessel_density(self.noise, band.t, arr, spread)
         return float(out) if arr.ndim == 0 else out
 
     def cdf(self, x, t: float):

@@ -146,7 +146,7 @@ def w_atom_prob(params: TelegraphParams, t: float) -> float:
     return 0.5 * math.exp(-params.lam * t)
 
 
-def _bessel_density(params: TelegraphParams, t: float, spread2, jacobian):
+def _bessel_density(params: TelegraphParams, t: float, x, spread):
     """The Bessel-type interior density that W(t) and X(t) share.
 
     The time derivative of I0 is expanded analytically into I1, and the
@@ -156,27 +156,28 @@ def _bessel_density(params: TelegraphParams, t: float, spread2, jacobian):
         exp(z - lam t) * [lam I0e(z) + lam^2 t (I1(z)/z) e^{-z}] / (2c * jacobian)
 
     with z = (lam/c) sqrt(spread2), a negative spread2 from roundoff read as 0.
-    The broadcast ``spread2`` and ``jacobian`` are walked in blocks of 2^14
-    points, each written into its slice of one output, so the temporaries are
-    O(2^14) whatever the number of points. Each value keeps the bits of a
-    whole-array evaluation: a value of ``scaled_bessel`` depends only on its
-    own argument (see there). Where z or the density overflows, a ValueError
-    names c, lam and t.
+    The points ``x`` (an array) are walked in blocks of 2^14, and
+    ``spread(block)`` gives the block's (spread2, jacobian), so every
+    temporary, the caller's spread included, is O(2^14) whatever the number
+    of points; each block is written into its slice of one output. Each value
+    keeps the bits of a whole-array evaluation: the spread is elementwise, and
+    a value of ``scaled_bessel`` depends only on its own argument (see there).
+    Where z or the density overflows, a ValueError names c, lam and t.
     """
     c, lam = params.c, params.lam
     overflow = f"the density overflows at c = {c!r}, lam = {lam!r}, t = {t!r}"
-    spread2, jacobian = np.broadcast_arrays(spread2, jacobian)
-    out = np.empty(spread2.shape)
-    flat, spread2, jacobian = out.reshape(-1), spread2.reshape(-1), jacobian.reshape(-1)
+    out = np.empty(x.shape)
+    flat, points = out.reshape(-1), x.reshape(-1)
     with np.errstate(all="ignore"):  # a non-finite z or result is reported below
         for start in range(0, flat.size, _DENSITY_BLOCK):
             block = slice(start, start + _DENSITY_BLOCK)
-            z = (lam / c) * np.sqrt(np.maximum(spread2[block], 0.0))
+            spread2, jacobian = spread(points[block])
+            z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
             if not np.all(np.isfinite(z)):
                 raise ValueError(overflow)
             i0e, i1e_over_z = scaled_bessel(z)
             bracket = lam * i0e + lam * lam * t * i1e_over_z
-            flat[block] = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian[block])
+            flat[block] = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
     if not np.all(np.isfinite(out)):
         raise ValueError(overflow)
     return out
@@ -196,9 +197,7 @@ def w_density(params: TelegraphParams, t: float, x):
     arr = np.asarray(x, dtype=float)
     if not np.all(np.abs(arr) < ct):  # NaN fails too
         raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
-    with np.errstate(over="ignore"):  # an infinite spread is reported by name below
-        spread2 = (ct - arr) * (ct + arr)
-    out = _bessel_density(params, t, spread2, 1.0)
+    out = _bessel_density(params, t, arr, lambda x: ((ct - x) * (ct + x), 1.0))
     return float(out) if arr.ndim == 0 else out
 
 

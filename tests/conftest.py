@@ -6,7 +6,9 @@ two constructions can cross-validate each other. The path oracle keeps every
 switch time of one trajectory, and its integral is the same kind of walk over
 them. The kernel estimates are plain per-observation sums, the reference for
 any faster evaluator of the library's vectorized ``kde``; ``matrix_kde`` is
-the one-matrix evaluator that ``kde`` must reproduce bit for bit. The Bessel
+the one-matrix evaluator that ``kde`` must reproduce bit for bit, and
+``pairwise_sum`` writes out numpy's float64 summation tree, whose nodes
+``kde`` sums its rows over. The Bessel
 series keep their allocating loops with a whole-array stop test, which the
 library's in-place loops must reproduce bit for bit, and the Bessel density
 keeps its whole-array evaluation, which the library's block walk must
@@ -288,6 +290,33 @@ def matrix_kde(values, h: float, t):
     f = full_density(u).mean(axis=-1) / h
     F = where_cdf(u).mean(axis=-1)
     return (float(f), float(F)) if ta.ndim == 0 else (f, F)
+
+
+def pairwise_sum(row) -> float:
+    """numpy's float64 sum of a contiguous row, node by node of its pairwise tree (oracle).
+
+    Below 8 elements a sequential sum; up to 128, eight interleaved accumulators
+    added in pairs, then the rest; past 128, the sums of the halves split at
+    m//2 - (m//2) % 8.
+    """
+    m = len(row)
+    if m < 8:
+        total = 0.0
+        for value in row:
+            total += value
+        return total
+    if m <= 128:
+        acc = list(row[:8])
+        tail = m - m % 8
+        for i in range(8, tail, 8):
+            for j in range(8):
+                acc[j] += row[i + j]
+        total = ((acc[0] + acc[1]) + (acc[2] + acc[3])) + ((acc[4] + acc[5]) + (acc[6] + acc[7]))
+        for value in row[tail:]:
+            total += value
+        return total
+    half = m // 2 - (m // 2) % 8
+    return pairwise_sum(row[:half]) + pairwise_sum(row[half:])
 
 
 def ks_distance(sorted_sample: np.ndarray, cdf_at_sample: np.ndarray) -> float:

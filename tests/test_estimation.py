@@ -9,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
-from conftest import direct_kde, full_density, matrix_kde, where_cdf
+from conftest import direct_kde, full_density, matrix_kde, pairwise_sum, where_cdf
 from telhaz.datasets import builtin
 from telhaz.estimation import (
     _BLOCK,
@@ -18,6 +18,7 @@ from telhaz.estimation import (
     Kernel,
     Sample,
     UpperTailError,
+    _row_sums,
     confidence_band,
     defensibility_test,
     hazard_estimate,
@@ -192,6 +193,11 @@ class TestKde:
         """The sample and the grids (any shape, sorted or not) of one bit-identity case."""
         if name == "exp_1e4":
             sample = Sample.from_values(np.random.default_rng(5).exponential(80.0, size=10_000))
+        elif name in ("exp_127", "exp_128", "exp_129"):
+            # rows of 127 and 128 are one node of numpy's pairwise sum, rows of 129 two
+            n = int(name.removeprefix("exp_"))
+            sample = Sample.from_values(np.random.default_rng(n).exponential(size=n))
+            return sample, [np.linspace(-0.5, float(sample.values[-1]) + 0.5, 64)]
         elif name == "exp_1e5":
             sample = Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
             return sample, [BandConfig(h=h, alpha=0.025).resolve_grid(sample)]
@@ -240,6 +246,10 @@ class TestKde:
             ("exp_1e4", 20.0),
             ("exp_1e5", 0.02),
             ("exp_1e5", 0.2),
+            ("exp_127", 0.3),
+            ("exp_128", 0.3),
+            ("exp_129", 0.01),
+            ("exp_129", 0.3),
             ("melanoma_46_2e5", 6.0),
             ("exp_2e4_unsorted", 0.05),
             ("exp_2e4_unsorted", 1e308),
@@ -360,6 +370,74 @@ class TestKde:
                     estimate(melanoma, 5.0, t)
         f, F = kde(melanoma, 5.0, [-math.inf, math.inf])
         assert (f.tolist(), F.tolist()) == ([0.0, 0.0], [0.0, 1.0])
+
+
+class TestRowSums:
+    """kde's row sums over one node of numpy's pairwise tree, against whole padded rows."""
+
+    @staticmethod
+    def spread_rows(rng, shape):
+        # magnitudes over twelve decades, so that any other order of additions shows
+        return rng.random(shape) * 10.0 ** rng.integers(-6, 6, shape)
+
+    @pytest.mark.parametrize("n", [1, 7, 8, 9, 127, 128, 129, 136, 1000, 100_000])
+    def test_numpy_summation_layout(self, n):
+        rows = self.spread_rows(np.random.default_rng(n), (3, n))
+        sums = rows.sum(axis=-1)
+        for row, got in zip(rows, sums.tolist()):
+            assert pairwise_sum(row.tolist()) == got == float(np.add.reduce(row)), (
+                f"numpy {np.__version__} no longer sums a float64 row by the pairwise tree "
+                "that estimation._row_sums replays; kde's bits depend on it"
+            )
+
+    @staticmethod
+    def windows(n):
+        """[a, b) windows of an n-long row: empty, whole, one element, on and across splits."""
+        splits, todo = set(), [(0, n)]
+        while todo:  # every split point of the tree
+            lo, m = todo.pop()
+            if m > 128:
+                half = m // 2 - (m // 2) % 8
+                splits.add(lo + half)
+                todo += [(lo, half), (lo + half, m - half)]
+        cases = [(0, 0), (n, n), (0, n), (0, 1), (n - 1, n), (n // 3, n // 3)]
+        root = [n // 2 - (n // 2) % 8] if n > 128 else []
+        for s in root + sorted(splits)[:: max(1, len(splits) // 6)]:
+            cases += [(s, s), (s - 1, s), (s, s + 1), (s - 5, s), (s, s + 5), (s - 3, s + 3)]
+        rng = np.random.default_rng(n)
+        for width in (w for w in (1, 2, 9, 100, 300, n // 2) if w <= n):
+            a = int(rng.integers(0, n - width + 1))
+            cases.append((a, a + width))
+        return cases
+
+    @pytest.mark.parametrize("n", [1, 127, 128, 129, 136, 1000, 4099, 100_000])
+    def test_equal_to_whole_padded_rows(self, n):
+        rng = np.random.default_rng(n + 1)
+        for a, b in self.windows(n):
+            k = self.spread_rows(rng, (2, b - a))
+            K = rng.random((2, b - a))
+            k_row = np.zeros((2, n))
+            K_row = np.zeros((2, n))
+            K_row[:, :a] = 1.0
+            k_row[:, a:b], K_row[:, a:b] = k, K
+            k_sum, K_sum = _row_sums(k, K, n, a)
+            assert k_sum.shape == K_sum.shape == (2,)
+            assert np.array_equal(k_sum / n, k_row.mean(axis=-1)), (n, a, b)
+            assert np.array_equal(K_sum / n, K_row.mean(axis=-1)), (n, a, b)
+
+    @pytest.mark.parametrize("a", [0, 10**6 - 8], ids=["first", "last"])
+    def test_padding_bounded_by_the_node(self, a):
+        # a window in the first or last leaf of a 1e6-long row: padded to <= 128
+        # elements, not to the row's 8 MB
+        rng = np.random.default_rng(4)
+        k, K = rng.random((1, 8)), rng.random((1, 8))
+        tracemalloc.start()
+        try:
+            _row_sums(k, K, 10**6, a)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**10
 
 
 class TestHazardEstimate:

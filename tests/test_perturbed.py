@@ -410,7 +410,7 @@ class TestDensityBlocks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 5 * out.nbytes
+        assert peak <= 3 * out.nbytes
 
 
 class TestCdf:

@@ -417,7 +417,8 @@ class TestDensityBlocks:
             bessel_density_oracle(p, 1.0, spread2, 1.0)
         assert str(want.value) == "the density overflows at c = 1.0, lam = 10.0, t = 1.0"
         with pytest.raises(ValueError, match=f"^{re.escape(str(want.value))}$"):
-            telegraph._bessel_density(p, 1.0, spread2, 1.0)
+            # the points are the spreads themselves, with jacobian 1
+            telegraph._bessel_density(p, 1.0, spread2, lambda s: (s, 1.0))
 
     def test_memory_bounded(self):
         # the whole-array evaluation peaked at ~9.1x the output's 8 MB
