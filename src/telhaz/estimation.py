@@ -21,6 +21,12 @@ _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
 # pairs (grid point, observation) evaluated at once by kde; bounds its memory
 _BLOCK = 1 << 18
+# pairs a kde block may always evaluate, past the sum of its rows' own windows, so
+# that rows with small windows share one block and its fixed numpy cost. kde on
+# 1e5 lifetimes and the 512-point band grid at h = 0.02 made 131 blocks in 54 ms
+# with it, against 436 in 61 ms with no floor and 59 in 57 ms at 2^14; melanoma_46
+# at h = 6 made 3 in 0.73 ms, against 62 in 2.8 ms (medians of 6, 2-vCPU host)
+_FLOOR = 1 << 12
 
 
 class UpperTailError(ValueError):
@@ -67,24 +73,35 @@ class Sample:
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.asarray(self.values, dtype=float)
-        if arr.ndim != 1 or arr.size < 3:
-            raise ValueError(f"sample needs at least 3 values, got {arr.size}")
-        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-            raise ValueError("sample values must be finite and > 0")
-        if np.any(np.diff(arr) < 0.0):
-            raise ValueError("sample values must be sorted nondecreasing")
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _frozen(np.array(self.values, dtype=float)))
 
     @classmethod
     def from_values(cls, values) -> "Sample":
-        return cls(np.sort(np.asarray(values, dtype=float)))
+        arr = np.array(values, dtype=float, ndmin=1)  # the one private copy, sorted in place
+        arr.sort()
+        sample = object.__new__(cls)
+        object.__setattr__(sample, "values", _frozen(arr))
+        return sample
 
     @property
     def n(self) -> int:
         return int(self.values.size)
+
+
+def _frozen(arr: np.ndarray) -> np.ndarray:
+    """``arr``, a private copy, checked as a sample and made read-only.
+
+    The checks build only boolean temporaries, so the copy is the one
+    full-size array.
+    """
+    if arr.ndim != 1 or arr.size < 3:
+        raise ValueError(f"sample needs at least 3 values, got {arr.size}")
+    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+        raise ValueError("sample values must be finite and > 0")
+    if np.any(arr[1:] < arr[:-1]):
+        raise ValueError("sample values must be sorted nondecreasing")
+    arr.setflags(write=False)
+    return arr
 
 
 def kde(sample: Sample, h: float, t):
@@ -92,18 +109,19 @@ def kde(sample: Sample, h: float, t):
 
     K is the kernel antiderivative, so f_hat integrates to one over the real
     line. A scalar ``t`` gives two floats; NaN in ``t`` is refused by name, and
-    so is a bandwidth so small that f_hat overflows. The grid is walked in
-    blocks of at most ``_BLOCK`` pairs (one grid point per block at least), so
-    memory is O(n) whatever the grid size. A block evaluates the kernel only on
-    its window, the slice of the sorted sample its kernels can reach: within
-    ``reach`` >= (support radius)*h of its grid points, with a rounding margin
-    that makes the window a proven superset of the kernel's support mask. Off
-    the window every term is k = 0 and K = 1 (left) or 0 (right), exactly, so
-    each row sum is replayed from the window's neighbourhood alone and matches
-    the whole matrix, bit for bit: numpy sums a row by a fixed pairwise tree,
-    so each block pads its window only to the smallest node of that tree that
-    holds it, and adds the constant sums of the nodes outside exactly as the
-    tree adds them (see ``_row_sums``).
+    so is a bandwidth so small that f_hat overflows. Each grid point's window is
+    the slice of the sorted sample its kernel can reach (see ``_windows``), a
+    proven superset of the kernel's support mask. Off the window every term is
+    k = 0 and K = 1 (left) or 0 (right), exactly, so each row sum is replayed
+    from the window's neighbourhood alone and matches the whole matrix, bit for
+    bit: numpy sums a row by a fixed pairwise tree, so each row is padded only
+    to the smallest node of that tree that holds its window, and the constant
+    sums of the nodes outside are added exactly as the tree adds them (see
+    ``_row_sums``). The grid is walked in blocks of consecutive points (see
+    ``_plan``) that share one window, the union of their own; since any
+    superset of a row's mask gives the same sum, a row's bits do not depend on
+    which rows share its block. A block's padded node holds at most ``_BLOCK``
+    pairs unless it is one grid point, so memory is O(n) whatever the grid size.
     """
     h = _positive("bandwidth", h)
     ta = _not_nan("t", t)
@@ -112,46 +130,77 @@ def kde(sample: Sample, h: float, t):
     n = sample.n
     f = np.empty_like(flat)
     F = np.empty_like(flat)
-    step = max(1, _BLOCK // n)
-    # reach >= rho*h exactly (the product rounded, then one double up, also for a
-    # subnormal h), rho the double above the radius. A T below lo = min(t) - reach
-    # is <= min(t) - reach exactly, since lo is the double nearest to it, so every
-    # t of the block has t - T >= reach in any rounding and u >= rho: past the
-    # mask, K = 1. T above max(t) + reach mirrors it, K = 0; k = 0 on both sides.
-    # (An infinite reach makes a bound of a block of infinities NaN, which sorts
-    # past every T: all left of +inf, the whole row for -inf, both as the mask.)
-    rho = math.nextafter(EPANECHNIKOV.support_radius, math.inf)
-    reach = math.nextafter(rho * h, math.inf)
     with np.errstate(over="ignore"):  # an overflowed u is +-inf, outside on its own side
-        for start in range(0, flat.size, step):
-            rows = slice(start, start + step)
-            block = flat[rows]
-            a = int(np.searchsorted(values, float(block.min()) - reach, "left"))
-            b = int(np.searchsorted(values, float(block.max()) + reach, "right"))
-            k, K = EPANECHNIKOV.evaluate((block[:, None] - values[a:b]) / h)
-            k_sum, K_sum = _row_sums(k, K, n, a)
-            f[rows] = k_sum / n / h
-            F[rows] = K_sum / n
+        for start, stop, a, b in _plan(*_windows(values, flat, h), n):
+            u = (flat[start:stop, None] - values[a:b]) / h
+            # k and K live only in this call, not on through the next block's evaluate
+            k_sum, K_sum = _row_sums(*EPANECHNIKOV.evaluate(u), n, a)
+            f[start:stop] = k_sum / n / h
+            F[start:stop] = K_sum / n
     _refuse_overflow(h, "f_hat", flat, f)
     if ta.ndim == 0:
         return float(f[0]), float(F[0])
     return f.reshape(ta.shape), F.reshape(ta.shape)
 
 
-def _row_sums(k, K, n: int, a: int):
-    """numpy's sums of the n-long rows that hold ``k`` and ``K`` on [a, b), bit for bit.
+def _windows(values, t, h: float):
+    """[lo, hi) per point of ``t``: the slice of the sorted ``values`` its kernel can reach.
 
-    Left of a the rows hold k = 0 and K = 1, right of b both are 0. numpy sums
-    a contiguous float64 row by a fixed pairwise tree: up to 128 elements flat
-    (eight accumulators), a longer node split at half = m//2 - (m//2) % 8 into
-    two children whose sums are added. A node's sum depends only on its own
-    elements and length, so the rows are padded only to the smallest node
-    (lo, m) that holds [a, b), found by descending from (0, n). Every sibling
-    passed on the way is exact: its k, and K right of the window, sum to 0.0,
-    which adds nothing; K left of it sums to its length, an integer, added to
-    the node's sum deepest first, as the tree adds it.
+    reach >= rho*h exactly (the product rounded, then one double up, also for
+    a subnormal h), rho the double above the support radius. A T below
+    t - reach is <= t - reach exactly, since the bound is the double nearest
+    to it, so t - T >= reach in any rounding and u >= rho: past the mask,
+    K = 1. T above t + reach mirrors it, K = 0; k = 0 on both sides. (An
+    infinite reach makes the bound inf - inf NaN, which sorts past every T:
+    all left of t = +inf, the whole row for t = -inf, both as the mask.)
     """
-    b = a + k.shape[-1]
+    rho = math.nextafter(EPANECHNIKOV.support_radius, math.inf)
+    reach = math.nextafter(rho * h, math.inf)
+    with np.errstate(over="ignore", invalid="ignore"):  # t +- reach may pass the doubles
+        return (np.searchsorted(values, t - reach, "left"),
+                np.searchsorted(values, t + reach, "right"))
+
+
+def _plan(lo, hi, n: int):
+    """Yield blocks (start, stop, a, b) of consecutive points, [a, b) the union of their windows.
+
+    A block grows over the next point while (1) rows * (b - a) stays within
+    the larger of its rows' own windows summed and ``_FLOOR``, and (2) rows *
+    (length of the ``_row_sums`` node that holds [a, b)) stays within
+    ``_BLOCK``. A block always holds at least one point.
+    """
+    lo, hi = lo.tolist(), hi.tolist()
+    size, start = len(lo), 0
+    while start < size:
+        a, b = lo[start], hi[start]
+        own, node, stop = b - a, None, start + 1
+        while stop < size:
+            a2, b2 = lo[stop], hi[stop]
+            own += b2 - a2
+            # min, max and the bounds without builtin calls: this loop runs once per point
+            a2, b2, rows = (a2 if a2 < a else a), (b2 if b2 > b else b), stop + 1 - start
+            if rows * (b2 - a2) > (own if own > _FLOOR else _FLOOR):
+                break
+            if rows * n > _BLOCK:
+                # a wider window's node is the same node or an ancestor: find it only past the old one
+                if node is None or a2 < node[0] or b2 > node[0] + node[1]:
+                    node = _node(n, a2, b2)[:2]
+                if rows * node[1] > _BLOCK:
+                    break
+            a, b, stop = a2, b2, stop + 1
+        yield start, stop, a, b
+        start = stop
+
+
+def _node(n: int, a: int, b: int):
+    """(lo, m, left): the smallest node (lo, m) of numpy's pairwise tree over an
+    n-long row that holds [a, b), and the lengths of the left siblings passed on
+    the way down from (0, n).
+
+    numpy sums a contiguous float64 row up to 128 elements flat (eight
+    accumulators), and a longer node split at half = m//2 - (m//2) % 8 into
+    two children whose sums are added.
+    """
     lo, m, left = 0, n, []
     while m > 128:
         half = m // 2 - (m // 2) % 8
@@ -162,6 +211,21 @@ def _row_sums(k, K, n: int, a: int):
             lo, m = lo + half, m - half
         else:
             break
+    return lo, m, left
+
+
+def _row_sums(k, K, n: int, a: int):
+    """numpy's sums of the n-long rows that hold ``k`` and ``K`` on [a, b), bit for bit.
+
+    Left of a the rows hold k = 0 and K = 1, right of b both are 0. A node's
+    sum depends only on its own elements and length, so the rows are padded
+    only to the smallest node (lo, m) that holds [a, b) (see ``_node``). Every
+    sibling passed on the way is exact: its k, and K right of the window, sum
+    to 0.0, which adds nothing; K left of it sums to its length, an integer,
+    added to the node's sum deepest first, as the tree adds it.
+    """
+    b = a + k.shape[-1]
+    lo, m, left = _node(n, a, b)
     if b - a < m:
         k_node = np.zeros(k.shape[:-1] + (m,))
         K_node = np.zeros_like(k_node)

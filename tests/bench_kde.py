@@ -6,13 +6,14 @@ Run it with ``pytest tests/bench_kde.py --benchmark-only``; add
 ``--benchmark-compare`` to set them against the last saved run. The name
 keeps the plain test suite from collecting it. At h = 0.02 a grid point's
 kernel reaches under 9% of the sample, at h = 0.2 about half of it, and at
-h = 2 most of it.
+h = 2 most of it. ``melanoma_46`` at h = 6 is ``kde`` at the paper's own
+sample size, where a call costs its fixed per-block work more than its pairs.
 """
 
 import numpy as np
 import pytest
 
-from telhaz.datasets import load
+from telhaz.datasets import builtin, load
 from telhaz.estimation import BandConfig, Sample, kde
 
 
@@ -26,6 +27,13 @@ def test_kde_band_grid(benchmark, sample, h):
     grid = BandConfig(h=h, alpha=0.025).resolve_grid(sample)
     f, F = benchmark.pedantic(kde, args=(sample, h, grid), rounds=5, warmup_rounds=1)
     assert np.all(np.isfinite(f)) and np.all((F >= 0.0) & (F <= 1.0))
+
+
+def test_kde_melanoma_band_grid(benchmark):
+    sample = builtin("melanoma_46").sample
+    grid = BandConfig(h=6.0, alpha=0.025).resolve_grid(sample)
+    f, F = benchmark.pedantic(kde, args=(sample, 6.0, grid), rounds=50, warmup_rounds=5)
+    assert grid.size == 512 and np.all(np.isfinite(f)) and np.all((F >= 0.0) & (F <= 1.0))
 
 
 def test_load_1e5_lines(benchmark, sample, tmp_path):

@@ -17,8 +17,12 @@ from telhaz.estimation import (
     BandConfig,
     Kernel,
     Sample,
+    _FLOOR,
     UpperTailError,
+    _node,
+    _plan,
     _row_sums,
+    _windows,
     confidence_band,
     defensibility_test,
     hazard_estimate,
@@ -45,6 +49,27 @@ def rowwise_matrix_kde(values, h: float, t):
     parts = np.array_split(ta.reshape(-1), max(1, ta.size * len(values) // 2**21))
     pieces = [matrix_kde(values, h, part) for part in parts]
     return tuple(np.concatenate([p[i] for p in pieces]).reshape(ta.shape) for i in (0, 1))
+
+
+def assert_plan(values, t, h):
+    """kde's plan for ``t``: each point's window holds its kernel's support, and the
+    blocks cover the grid in order, each within both bounds; returns the blocks."""
+    n, flat = values.size, np.asarray(t, dtype=float).reshape(-1)
+    lo, hi = _windows(values, flat, h)
+    with np.errstate(over="ignore"):  # the observations next to a window are off the mask
+        left = (flat - values[np.maximum(lo - 1, 0)]) / h
+        right = (flat - values[np.minimum(hi, n - 1)]) / h
+    assert np.all((lo == 0) | (left > SQRT5)) and np.all((hi == n) | (right < -SQRT5))
+    blocks = list(_plan(lo, hi, n))
+    assert [block[0] for block in blocks] == [0] + [block[1] for block in blocks[:-1]]
+    assert blocks[-1][1] == flat.size
+    for start, stop, a, b in blocks:
+        rows = stop - start
+        assert rows >= 1 and (a, b) == (lo[start:stop].min(), hi[start:stop].max())
+        if rows > 1:
+            assert rows * (b - a) <= max(int(np.sum(hi[start:stop] - lo[start:stop])), _FLOOR)
+            assert rows * _node(n, a, b)[1] <= _BLOCK
+    return blocks
 
 
 @pytest.fixture(scope="module")
@@ -114,6 +139,37 @@ class TestSample:
         assert sample.n == 3
         with pytest.raises(ValueError):
             sample.values[0] = 5.0  # frozen storage
+
+    @pytest.mark.parametrize("build", [Sample, Sample.from_values], ids=["init", "from_values"])
+    def test_callers_array_is_copied(self, build):
+        values = np.array([1.0, 2.0, 3.0, 4.0])
+        sample = build(values)
+        values[:] = [-1.0, math.nan, 0.0, 9.0]
+        assert sample.values.tolist() == [1.0, 2.0, 3.0, 4.0]
+        with pytest.raises(ValueError):
+            sample.values[0] = 5.0
+
+    @pytest.mark.parametrize("build", [Sample, Sample.from_values], ids=["init", "from_values"])
+    def test_memory_one_copy(self, build):
+        # one private copy of the values, and boolean temporaries for the checks
+        values = np.sort(np.random.default_rng(3).exponential(size=100_000))
+        tracemalloc.start()
+        try:
+            build(values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.2 * values.nbytes
+
+    def test_validation_messages_after_sorting(self):
+        for raw, message in [
+            (5.0, "at least 3 values, got 1"),
+            ([[1.0, 2.0], [3.0, 4.0]], "at least 3 values, got 4"),
+            ([3.0, math.nan, 1.0], "finite and > 0"),
+            ([3.0, 0.0, 1.0], "finite and > 0"),
+        ]:
+            with pytest.raises(ValueError, match=re.escape(message)):
+                Sample.from_values(raw)
 
 
 class TestKde:
@@ -260,6 +316,7 @@ class TestKde:
     def test_bit_identical_to_matrix_kde(self, name, h):
         sample, grids = self._bit_case(name, h)
         for t in grids:
+            assert_plan(sample.values, t, h)
             got, want = kde(sample, h, t), rowwise_matrix_kde(sample.values, h, t)
             assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
             assert np.shape(got[0]) == np.shape(want[0])
@@ -308,6 +365,7 @@ class TestKde:
         t = np.array(data.draw(st.lists(points, min_size=1, max_size=30)))
         with np.errstate(over="ignore"):
             want = matrix_kde(sample.values, h, t)
+        assert_plan(sample.values, t, h)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             over = np.isinf(want[0])
@@ -370,6 +428,68 @@ class TestKde:
                     estimate(melanoma, 5.0, t)
         f, F = kde(melanoma, 5.0, [-math.inf, math.inf])
         assert (f.tolist(), F.tolist()) == ([0.0, 0.0], [0.0, 1.0])
+
+
+class TestPlan:
+    """kde's blocks, planned from each grid point's own window, against the matrix oracle."""
+
+    @staticmethod
+    def assert_bits(sample, h, t):
+        with np.errstate(over="ignore"):  # an overflowed u is outside, as in kde
+            want = rowwise_matrix_kde(sample.values, h, t)
+        got = kde(sample, h, t)
+        assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
+
+    @pytest.mark.parametrize("h", [0.05, 1e308, 5e-324])
+    def test_unsorted_repeated_and_infinite_points(self, h):
+        rng = np.random.default_rng(11)
+        sample = Sample.from_values(rng.exponential(size=5_000))
+        grid = np.concatenate([np.linspace(-1.0, 12.0, 200), [-math.inf, math.inf] * 3])
+        grid = np.concatenate([grid, grid[rng.integers(0, grid.size, 100)]])  # repeats
+        for t in (grid, rng.permutation(grid), np.sort(grid)[::-1]):
+            assert_plan(sample.values, t, h)
+            self.assert_bits(sample, h, t)
+
+    def test_point_with_an_empty_window(self, melanoma):
+        # the midpoint of the widest gap, and points past both ends of the sample
+        values, h = melanoma.values, 1e-3
+        gap = int(np.argmax(np.diff(values)))
+        t = np.array([values[0] - 1.0, (values[gap] + values[gap + 1]) / 2, 50.0, values[-1] + 1.0])
+        lo, hi = _windows(values, t, h)
+        assert np.count_nonzero(lo == hi) >= 3
+        assert_plan(values, t, h)
+        self.assert_bits(melanoma, h, t)
+
+    def test_merged_window_straddling_the_root_split(self):
+        # n past 2^17: two rows padded to the whole row would pass _BLOCK. The
+        # points sit either side of the root's split, each window a few
+        # observations, so a plan by windows alone would merge them all into one
+        # block padded to the root: 16 rows of n doubles per array.
+        n = (1 << 17) + (1 << 12)
+        sample = Sample.from_values(np.random.default_rng(12).exponential(size=n))
+        split = n // 2 - (n // 2) % 8
+        t = sample.values[split - 8 : split + 8].copy()
+        h = float(np.min(np.diff(t))) / 10.0
+        lo, hi = _windows(sample.values, t, h)
+        assert lo.min() < split < hi.max() and t.size * (hi.max() - lo.min()) <= _FLOOR
+        assert len(assert_plan(sample.values, t, h)) >= 2
+        tracemalloc.start()
+        try:
+            kde(sample, h, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2 * 8 * _BLOCK + 2**16  # a padded k and K of at most _BLOCK doubles each
+        self.assert_bits(sample, h, t)
+
+    @pytest.mark.parametrize("name, h", [("melanoma_46", 6.0), ("service_86", 75.0)])
+    def test_band_grids(self, name, h):
+        # the 1e5-value band grids are test_bit_identical_to_matrix_kde's exp_1e5 cases
+        sample = builtin(name).sample
+        grid = BandConfig(h=h, alpha=0.025).resolve_grid(sample)
+        blocks = assert_plan(sample.values, grid, h)
+        assert len(blocks) < grid.size
+        self.assert_bits(sample, h, grid)
 
 
 class TestRowSums:
