@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import contextlib
-import csv
 import functools
 import itertools
 import os
@@ -48,12 +47,6 @@ def _open_output(path: str | Path | None):
             yield fh
 
 
-def _write_csv(path: str | Path | None, rows) -> None:
-    """Write ``rows`` of Python scalars, header first, to ``path`` (stdout for None or "-")."""
-    with _open_output(path) as out:
-        csv.writer(out, lineterminator="\n").writerows(rows)
-
-
 def _resolve(spec: str, kind: str, named: dict, load):
     """``preset:NAME`` looked up in ``named``; any other ``spec`` is a file read by ``load``."""
     if not spec.startswith("preset:"):
@@ -81,40 +74,48 @@ def _data_and_config(args) -> tuple[NamedDataset, BandConfig]:
 
 
 # -- tables -------------------------------------------------------------------
-# Each builder returns the rows of one table, header first; a subcommand and
-# the reproduce target that emits the same table share it. Numpy columns
-# become Python scalars once, through .tolist(): csv writes a float as its
-# repr, but a numpy scalar through str(), which follows numpy's global print
-# options. The path tables skip csv: _write_paths formats each float with
-# repr itself, the t column once per table, and writes one path at a time.
+# A builder returns a header and blocks of rows of cell strings, each block one
+# path or at most _BLOCK_ROWS rows, formatted as _write_table writes it. Numpy
+# columns become Python scalars (.tolist()) first, as str() of a numpy scalar
+# follows numpy's print options. A subcommand and reproduce share builders.
+_BLOCK_ROWS = 2048
 
 
-def _table(header: tuple, *columns) -> list:
-    """``header``, then one row per index of the equal-length numpy ``columns``."""
-    return [header, *zip(*(column.tolist() for column in columns))]
+def _write_table(path: str | Path | None, header: tuple[str, ...], rows) -> None:
+    """Write ``header``, then the nonempty blocks of rows of cell strings ``rows``, to ``path``.
 
-
-def _write_paths(path, name: str, values, grid, paths: int, seed: int) -> None:
-    """Write ``paths`` sample paths to ``path``, path ``pid`` being ``values(grid, seed + pid)``.
-
-    The bytes csv would write for the rows (pid, t, value): the t column is
-    formatted once, and each path is one string, so memory is O(grid size).
-    Path 0 is drawn before the output is opened, also when ``paths`` is 0, so
-    whatever ``values`` refuses leaves no header and no file.
+    Each row is joined with "," and each block with "\n"; a None or "-" path is
+    stdout. A cell is str() of a Python scalar: a float's repr, an int in
+    decimal, a string as is. These are the bytes of ``csv.writer(lineterminator="\n")``,
+    which quotes nothing here: no header or cell holds a comma, a quote or a newline.
     """
-    times = [repr(t) for t in grid.tolist()]
-    first = values(grid, seed)
     with _open_output(path) as out:
-        out.write(f"path_id,t,{name}\n")
-        for pid in range(paths):
-            head = f"{pid},"
-            xs = (values(grid, seed + pid) if pid else first).tolist()
-            out.write("".join([f"{head}{t},{x!r}\n" for t, x in zip(times, xs)]))
+        for block in itertools.chain([[header]], rows):
+            out.write("\n".join(map(",".join, block)) + "\n")
 
 
-def _band_rows(model: PerturbedModel, grid) -> list:
+def _rows(*columns):
+    """Blocks of the rows of the equal-length numpy ``columns``, as cell strings."""
+    return (zip(*(map(str, column[i:i + _BLOCK_ROWS].tolist()) for column in columns))
+            for i in range(0, len(columns[0]), _BLOCK_ROWS))
+
+
+def _path_table(name: str, values, grid, paths: int, seed: int):
+    """``paths`` sample paths, one block each, path ``pid`` being ``values(grid, seed + pid)``.
+
+    t is formatted once per table and each pid once per path; repr is a float's str, minus a
+    type call. Path 0 is drawn now, even at 0 paths, so its refusal leaves no header or file.
+    """
+    times = list(map(repr, grid.tolist()))
+    draws = itertools.chain([values(grid, seed)], (values(grid, seed + i) for i in range(1, paths)))
+    rows = (zip(itertools.repeat(str(pid)), times, map(repr, xs.tolist()))
+            for pid, xs in zip(range(paths), draws))
+    return ("path_id", "t", name), rows
+
+
+def _band_table(model: PerturbedModel, grid):
     band = model.band(grid)
-    return _table(("t", "a", "b", "width"), band.t, band.a, band.b, band.width)
+    return ("t", "a", "b", "width"), _rows(band.t, band.a, band.b, band.width)
 
 
 def _x_density(model: PerturbedModel, t: float, points: int):
@@ -125,20 +126,20 @@ def _x_density(model: PerturbedModel, t: float, points: int):
     return xs, model.density(xs, t)
 
 
-def _moment_rows(model: PerturbedModel, grid) -> list:
-    return _table(("t", "mean", "variance"), grid, model.mean(grid), model.variance(grid))
+def _moment_table(model: PerturbedModel, grid):
+    return ("t", "mean", "variance"), _rows(grid, model.mean(grid), model.variance(grid))
 
 
-def _estimate_rows(band) -> list:
+def _estimate_table(band):
     header = "t", "f_hat", "F_hat", "r_hat", "lower", "upper"
-    return _table(header, band.grid, band.density, band.cdf, band.rate, band.lower, band.upper)
+    return header, _rows(band.grid, band.density, band.cdf, band.rate, band.lower, band.upper)
 
 
-def _defensibility_rows(report) -> list:
+def _defensibility_table(report):
     band = report.band
     header = "t", "r_hat", "lower", "upper", "baseline", "margin"
     columns = band.grid, band.rate, band.lower, band.upper, report.baseline_rate, report.margin
-    return _table(header, *columns)
+    return header, _rows(*columns)
 
 
 # -- subcommands --------------------------------------------------------------
@@ -151,17 +152,17 @@ def _support_grid(model: PerturbedModel, end: float, count: int, flag: str) -> n
 
 
 def cmd_simulate_w(args) -> int:
-    params = TelegraphParams(c=args.c, lam=args.lam)
+    w = functools.partial(sample_path, TelegraphParams(c=args.c, lam=args.lam))
     grid = np.linspace(0.0, args.horizon, args.grid_size)
-    w = functools.partial(sample_path, params)
-    _write_paths(args.output, "w", w, grid, args.paths, args.seed)
+    _write_table(args.output, *_path_table("w", w, grid, args.paths, args.seed))
     return 0
 
 
 def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
     grid = _support_grid(model, args.horizon, args.grid_size, "--horizon")
-    _write_paths(args.output, "x", model.sample_path_values, grid, args.paths, args.seed)
+    x = model.sample_path_values
+    _write_table(args.output, *_path_table("x", x, grid, args.paths, args.seed))
     return 0
 
 
@@ -177,7 +178,7 @@ def cmd_density(args) -> int:
         model = _model_from_args(args)
         _times(args.t, model.hazard.support_end, "--t")
         xs, f = _x_density(model, args.t, args.points)
-    _write_csv(args.output, _table(("x", "density"), xs, f))
+    _write_table(args.output, ("x", "density"), _rows(xs, f))
     return 0
 
 
@@ -188,12 +189,12 @@ def _model_and_grid(args) -> tuple[PerturbedModel, np.ndarray]:
 
 
 def cmd_moments(args) -> int:
-    _write_csv(args.output, _moment_rows(*_model_and_grid(args)))
+    _write_table(args.output, *_moment_table(*_model_and_grid(args)))
     return 0
 
 
 def cmd_band(args) -> int:
-    _write_csv(args.output, _band_rows(*_model_and_grid(args)))
+    _write_table(args.output, *_band_table(*_model_and_grid(args)))
     return 0
 
 
@@ -201,7 +202,7 @@ def cmd_estimate(args) -> int:
     from .estimation import confidence_band
 
     dataset, config = _data_and_config(args)
-    _write_csv(args.output, _estimate_rows(confidence_band(dataset.sample, config)))
+    _write_table(args.output, *_estimate_table(confidence_band(dataset.sample, config)))
     return 0
 
 
@@ -228,7 +229,7 @@ def cmd_defensibility(args) -> int:
     dataset, config = _data_and_config(args)
     report = defensibility_test(dataset.sample, config, _hazard(args), args.c)
     if args.format == "csv":
-        _write_csv(args.output, _defensibility_rows(report))
+        _write_table(args.output, *_defensibility_table(report))
     else:
         _write_verdict(args.output, dataset.name, config, report, with_grid_size=True)
     return 0 if report.holds else 3
@@ -243,37 +244,36 @@ def _reproduce_fig1(outdir: Path, seed: int) -> None:
     model = presets.model_fig1()
     grid = np.linspace(0.0, presets.FIG1_HORIZON, 201)
     w = functools.partial(sample_path, model.noise)
-    _write_paths(outdir / "w_paths.csv", "w", w, grid, 2, seed)
-    _write_paths(outdir / "x_paths.csv", "x", model.sample_path_values, grid, 2, seed)
-    _write_csv(outdir / "f_curve.csv", _table(("t", "cdf"), grid, model.hazard.cdf(grid)))
+    for name, values in (("w", w), ("x", model.sample_path_values)):
+        _write_table(outdir / f"{name}_paths.csv", *_path_table(name, values, grid, 2, seed))
+    _write_table(outdir / "f_curve.csv", ("t", "cdf"), _rows(grid, model.hazard.cdf(grid)))
 
 
 def _reproduce_fig2(outdir: Path, seed: int) -> None:
-    summary = [("case", "nu", "terminal_width")]
-    for case in ("a", "b", "c"):
-        model = presets.model_fig2(case)
+    models = {case: presets.model_fig2(case) for case in presets.FIG2_HORIZONS}
+    for case, model in models.items():
         grid = np.linspace(0.0, presets.FIG2_HORIZONS[case], 401)
-        _write_csv(outdir / f"band_{case}.csv", _band_rows(model, grid))
-        summary.append((case, model.total_excess_hazard, model.terminal_band_width()))
-    _write_csv(outdir / "summary.csv", summary)
+        _write_table(outdir / f"band_{case}.csv", *_band_table(model, grid))
+    nu = np.array([model.total_excess_hazard for model in models.values()])
+    width = np.array([model.terminal_band_width() for model in models.values()])
+    summary = _rows(np.array(list(models)), nu, width)
+    _write_table(outdir / "summary.csv", ("case", "nu", "terminal_width"), summary)
 
 
 def _reproduce_fig3(outdir: Path, seed: int) -> None:
     model = presets.model_fig3()
-    density_rows = [("t", "x", "density")]
-    atom_rows = [("t", "a", "b", "atom_prob")]
-    for t in presets.FIG3_TIMES:
-        xs, f = _x_density(model, t, 401)
-        density_rows.extend(zip(itertools.repeat(t), xs.tolist(), f.tolist()))
-        band = model.band(t)
-        atom_rows.append((t, band.a, band.b, model.atom_prob(t)))
-    _write_csv(outdir / "density.csv", density_rows)
-    _write_csv(outdir / "atoms.csv", atom_rows)
+    times = np.array(presets.FIG3_TIMES)
+    xs, f = zip(*(_x_density(model, t, 401) for t in presets.FIG3_TIMES))
+    density = _rows(np.repeat(times, 401), np.concatenate(xs), np.concatenate(f))
+    _write_table(outdir / "density.csv", ("t", "x", "density"), density)
+    band = model.band(times)
+    atoms = _rows(times, band.a, band.b, np.array([model.atom_prob(t) for t in presets.FIG3_TIMES]))
+    _write_table(outdir / "atoms.csv", ("t", "a", "b", "atom_prob"), atoms)
 
 
 def _reproduce_fig4(outdir: Path, seed: int) -> None:
     grid = np.linspace(0.0, presets.FIG4_HORIZON, 401)
-    _write_csv(outdir / "moments.csv", _moment_rows(presets.model_fig3(), grid))
+    _write_table(outdir / "moments.csv", *_moment_table(presets.model_fig3(), grid))
 
 
 def _reproduce_app(outdir: Path, seed: int, preset: dict) -> int:
@@ -283,8 +283,8 @@ def _reproduce_app(outdir: Path, seed: int, preset: dict) -> int:
     dataset = datasets.builtin(preset["dataset"])
     config = BandConfig(h=preset["h"], alpha=preset["alpha"])
     report = defensibility_test(dataset.sample, config, preset["baseline"], preset["c"])
-    _write_csv(outdir / "estimate.csv", _estimate_rows(report.band))
-    _write_csv(outdir / "defensibility.csv", _defensibility_rows(report))
+    _write_table(outdir / "estimate.csv", *_estimate_table(report.band))
+    _write_table(outdir / "defensibility.csv", *_defensibility_table(report))
     _write_verdict(outdir / "report.txt", dataset.name, config, report, with_grid_size=False)
     return 0 if report.holds else 3
 

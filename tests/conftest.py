@@ -15,11 +15,11 @@ keeps its whole-array evaluation, which the library's block walk must
 reproduce bit for bit. The W(t) CDF keeps its one-term-at-a-time Poisson
 mixture over switch counts, in double and in 40-digit precision; its
 variance keeps the closed form at 50 digits. The path tables keep their row
-generator written through ``csv.writer``, the reference for the CLI's
-column-wise path writer, and the band keeps its one-time-point formulas, the
-reference for the band over an array of times. The dominance check keeps the
-horizon a model was once checked up to, the reference for ``min_slack`` over
-the whole support.
+generator written through ``csv.writer``, the reference for the CLI's table
+writer, and the band keeps its one-time-point formulas, the reference for the
+band over an array of times. The dominance check keeps the horizon a model
+was once checked up to, the reference for ``min_slack`` over the whole
+support.
 """
 
 from __future__ import annotations

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 import telhaz
 from conftest import csv_path_table
-from telhaz.cli import _write_paths, build_parser, main
+from telhaz.cli import _BLOCK_ROWS, _path_table, _rows, _write_table, build_parser, main
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import HAZARDS, model_fig3
 from telhaz.telegraph import TelegraphParams, sample_path
@@ -151,10 +151,10 @@ class TestPathWriter:
 
         expected = csv_path_table("x", values, grid, 3, 1)
         assert "0,0.0,0.0\n" in expected and "1,0.0,-0.0\n" in expected  # seeds 1 and 2
-        _write_paths(None, "x", values, grid, 3, 1)
+        _write_table(None, *_path_table("x", values, grid, 3, 1))
         assert capsys.readouterr().out == expected
         target = tmp_path / "paths.csv"
-        _write_paths(target, "x", values, grid, 3, 1)
+        _write_table(target, *_path_table("x", values, grid, 3, 1))
         assert target.read_bytes() == expected.encode()
 
     @pytest.mark.parametrize("paths", [0, 2])
@@ -167,9 +167,47 @@ class TestPathWriter:
         target = tmp_path / "paths.csv"
         for path in (None, target):
             with pytest.raises(ValueError, match="^refused$"):
-                _write_paths(path, "w", values, grid, paths, 1)
+                _write_table(path, *_path_table("w", values, grid, paths, 1))
         assert capsys.readouterr().out == ""
         assert not target.exists()
+
+
+class TestTableWriter:
+    def test_matches_csv_writer(self, capsys, tmp_path):
+        # str() of each Python scalar, over three blocks: the bytes csv.writer writes, whatever
+        # numpy's print options (legacy="1.13" prints a numpy 0.1 + 0.2 as 0.3)
+        names = ["a", "b_c", "F_hat", "", "nu", "x", "y", "z"]
+        counts = [0, 1, -7, 2**62, 10, 11, 12, 13]
+        values = [-0.0, 5e-324, 1e16, math.nan, math.inf, -math.inf, 0.1 + 0.2, 1e-05]
+        columns = [np.resize(np.array(c), 2 * _BLOCK_ROWS + 3) for c in (names, counts, values)]
+        header = ("name", "count", "value")
+        expected = io.StringIO()
+        csv.writer(expected, lineterminator="\n").writerows(
+            [header, *zip(*(column.tolist() for column in columns))])
+        lines = expected.getvalue().splitlines(keepends=True)  # lists keep a failure's diff short
+        target = tmp_path / "table.csv"
+        with np.printoptions(legacy="1.13"):
+            _write_table(None, header, _rows(*columns))
+            _write_table(target, header, _rows(*columns))
+        assert capsys.readouterr().out.splitlines(keepends=True) == lines
+        assert target.read_bytes() == expected.getvalue().encode()
+
+    def test_recorded_outputs_need_no_quoting(self, capsys, tmp_path):
+        # csv would quote a cell holding a comma, a quote or a newline; no output holds one
+        outputs = {}
+        for name, expected in RECORDED_CLI.items():
+            outputs[name] = run(capsys, *expected["argv"])[1]
+        for target, files in json.loads(RECORDED_SHA256.read_text()).items():
+            assert run(capsys, "reproduce", target, "--output-dir", str(tmp_path / target))[0] == 0
+            assert sorted(f.name for f in (tmp_path / target).iterdir()) == sorted(files)
+            outputs.update({f"{target}/{f}": (tmp_path / target / f).read_text() for f in files})
+        tables = [name for name in outputs if name.endswith(".csv") or "report" not in name]
+        assert len(outputs) == 10 + 16 and len(tables) == 8 + 14
+        for name, text in outputs.items():
+            assert '"' not in text, name
+        for name in tables:
+            header, *lines = outputs[name].splitlines()
+            assert lines and {line.count(",") for line in lines} == {header.count(",")}, name
 
 
 class TestTables:
