@@ -20,7 +20,7 @@ from .perturbed import PerturbedModel, SupportBand
 from .telegraph import (
     TelegraphParams,
     mgf,
-    sample_path,
+    sample_paths,
     sample_w,
     scaled_mgf,
     w_atom_prob,
@@ -76,7 +76,7 @@ __all__ = [
     "load_hazard_config",
     "mgf",
     "parse_hazard_config",
-    "sample_path",
+    "sample_paths",
     "sample_w",
     "save",
     "scaled_mgf",

@@ -29,7 +29,7 @@ from .hazard import (
     load_hazard_config,
 )
 from .perturbed import PerturbedModel
-from .telegraph import TelegraphParams, _reach, sample_path, w_density
+from .telegraph import TelegraphParams, _reach, sample_paths, w_density
 
 # datasets and estimation (which loads scipy.special) are imported inside the
 # commands that estimate, so the process commands never load them.
@@ -100,16 +100,11 @@ def _rows(*columns):
             for i in range(0, len(columns[0]), _BLOCK_ROWS))
 
 
-def _path_table(name: str, values, grid, paths: int, seed: int):
-    """``paths`` sample paths, one block each, path ``pid`` being ``values(grid, seed + pid)``.
-
-    t is formatted once per table and each pid once per path; repr is a float's str, minus a
-    type call. Path 0 is drawn now, even at 0 paths, so its refusal leaves no header or file.
-    """
-    times = list(map(repr, grid.tolist()))
-    draws = itertools.chain([values(grid, seed)], (values(grid, seed + i) for i in range(1, paths)))
+def _path_table(name: str, paths, grid):
+    """One block per array of values on ``grid`` in ``paths``, numbered from 0 as it is read."""
+    times = list(map(repr, grid.tolist()))  # once per table; repr is a float's str minus a call
     rows = (zip(itertools.repeat(str(pid)), times, map(repr, xs.tolist()))
-            for pid, xs in zip(range(paths), draws))
+            for pid, xs in enumerate(paths))
     return ("path_id", "t", name), rows
 
 
@@ -152,17 +147,18 @@ def _support_grid(model: PerturbedModel, end: float, count: int, flag: str) -> n
 
 
 def cmd_simulate_w(args) -> int:
-    w = functools.partial(sample_path, TelegraphParams(c=args.c, lam=args.lam))
+    params = TelegraphParams(c=args.c, lam=args.lam)
     grid = np.linspace(0.0, args.horizon, args.grid_size)
-    _write_table(args.output, *_path_table("w", w, grid, args.paths, args.seed))
+    seeds = range(args.seed, args.seed + args.paths)
+    _write_table(args.output, *_path_table("w", sample_paths(params, grid, seeds), grid))
     return 0
 
 
 def cmd_simulate_x(args) -> int:
     model = _model_from_args(args)
     grid = _support_grid(model, args.horizon, args.grid_size, "--horizon")
-    x = model.sample_path_values
-    _write_table(args.output, *_path_table("x", x, grid, args.paths, args.seed))
+    seeds = range(args.seed, args.seed + args.paths)
+    _write_table(args.output, *_path_table("x", model.sample_paths(grid, seeds), grid))
     return 0
 
 
@@ -243,9 +239,10 @@ def cmd_defensibility(args) -> int:
 def _reproduce_fig1(outdir: Path, seed: int) -> None:
     model = presets.model_fig1()
     grid = np.linspace(0.0, presets.FIG1_HORIZON, 201)
-    w = functools.partial(sample_path, model.noise)
-    for name, values in (("w", w), ("x", model.sample_path_values)):
-        _write_table(outdir / f"{name}_paths.csv", *_path_table(name, values, grid, 2, seed))
+    seeds = range(seed, seed + 2)
+    for name, paths in (("w", sample_paths(model.noise, grid, seeds)),
+                        ("x", model.sample_paths(grid, seeds))):
+        _write_table(outdir / f"{name}_paths.csv", *_path_table(name, paths, grid))
     _write_table(outdir / "f_curve.csv", ("t", "cdf"), _rows(grid, model.hazard.cdf(grid)))
 
 

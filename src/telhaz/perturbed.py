@@ -25,7 +25,7 @@ from .telegraph import (
     TelegraphParams,
     _bessel_density,
     _reach,
-    sample_path,
+    sample_paths,
     scaled_mgf,
     w_atom_prob,
     w_cdf,
@@ -238,13 +238,13 @@ class PerturbedModel:
 
     # -- simulation ------------------------------------------------------------
 
-    def sample_path_values(self, time_grid, seed: int) -> np.ndarray:
-        """One sample path of X: its values at the nondecreasing times of ``time_grid``.
+    def sample_paths(self, time_grid, seeds):
+        """Sample paths of X at the nondecreasing times ``time_grid`` < support_end, one per seed.
 
-        Draws a single noise trajectory with :func:`sample_path` and maps it
-        through X(t) = 1 - exp(-(R(t) + W(t))). Grid times must satisfy
-        t < support_end.
+        Every refusal of the grid, R < c*t among them, is raised by the call, before any path is
+        drawn, also for no seeds. R(grid) is built once, and each path of
+        :func:`telegraph.sample_paths` is mapped through X = 1 - exp(-(R + W)) as it is read.
         """
         grid = _times(time_grid, self.hazard.support_end, "time_grid")
-        cum, _ = self._cumulative(grid)  # refused before a path is drawn
-        return -np.expm1(-(cum + sample_path(self.noise, grid, seed)))
+        cum, _ = self._cumulative(grid)
+        return (-np.expm1(-(cum + w)) for w in sample_paths(self.noise, grid, seeds))

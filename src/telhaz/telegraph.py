@@ -26,7 +26,7 @@ _POISSON_TAIL = 1e-16
 _CDF_BLOCK = 1 << 16
 # Points the Bessel density evaluates at once.
 _DENSITY_BLOCK = 1 << 14
-# Exponential gaps sample_path draws at once, and the most switches it expects.
+# Exponential gaps sample_paths draws at once, and the most switches it expects.
 _GAP_BLOCK = 1 << 16
 _MAX_SWITCHES = 2**30
 # Below this lam * t, w_mean_var sums a series where its closed form cancels.
@@ -73,15 +73,15 @@ def _expected_switches(params: TelegraphParams, horizon: float, name: str = "gri
     return expected
 
 
-def sample_path(params: TelegraphParams, grid, seed: int) -> np.ndarray:
-    """W at the nondecreasing times ``grid`` along one exact trajectory.
+def sample_paths(params: TelegraphParams, grid, seeds):
+    """W at the nondecreasing times ``grid`` along one exact trajectory per seed.
 
-    The starting sign is a fair coin flip and the switch times are sums of
-    exponential gaps, drawn in blocks of at most 2^16; each block is
-    integrated onto the grid points it reaches, so memory is O(grid size +
-    2^16) whatever ``lam * grid[-1]``, which may be at most 2^30. The signed
-    segment lengths are summed left to right, so every value equals the one a
-    walk over the same switches up to its time gives, to the last bit.
+    Every refusal of ``grid`` is raised by the call, before any path is drawn, also for no
+    seeds. Path i is drawn as it is read, from ``numpy.random.default_rng(seeds[i])``, which
+    refuses a bad seed then. It takes a fair sign coin, then exponential gaps in blocks of at
+    most 2^16, each integrated onto the grid points it reaches: O(grid size + 2^16) memory
+    whatever ``lam * grid[-1]`` (at most 2^30). The signed segment lengths are summed left to
+    right: each value is the one a walk over the same switches gives, to the last bit.
     """
     grid = _times(grid, name="grid")
     if grid.ndim != 1 or grid.size == 0:
@@ -89,25 +89,31 @@ def sample_path(params: TelegraphParams, grid, seed: int) -> np.ndarray:
     if not (grid[1:] >= grid[:-1]).all():
         raise ValueError("grid must be nondecreasing")
     expected = _expected_switches(params, grid[-1])
-    rng = np.random.default_rng(seed)
-    sign = 1 if rng.random() < 0.5 else -1
     block = min(_GAP_BLOCK, max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0)))
     flips = np.ones(block + 1)
     flips[1::2] = -1.0
+    return (_walk(params, grid, np.random.default_rng(seed), block, flips) for seed in seeds)
+
+
+def _walk(params: TelegraphParams, grid: np.ndarray, rng, block: int, flips) -> np.ndarray:
+    """One path of :func:`sample_paths`: the sign coin, then ``block`` gaps at a time."""
+    sign = 1 if rng.random() < 0.5 else -1
     out = np.empty_like(grid)
     # carried between blocks: the last switch, the integral up to it, the sign after it
     start, reach, done = 0.0, 0.0, 0
-    while done < grid.size:
-        arrivals = start + np.cumsum(rng.exponential(1.0 / params.lam, size=block))
-        starts = np.concatenate(([start], arrivals))
-        signs = flips * sign
-        # integral up to each segment start, then the partial segment up to t
-        reached = np.cumsum(np.concatenate(([reach], signs[:-1] * np.diff(starts))))
-        end = int(np.searchsorted(grid, arrivals[-1], side="right"))
-        t = grid[done:end]
-        k = np.searchsorted(arrivals, t, side="left")
-        out[done:end] = params.c * (reached[k] + signs[k] * (t - starts[k]))
-        start, reach, sign, done = arrivals[-1], reached[-1], signs[-1], end
+    # a tiny lam sends arrivals to inf (and inf - inf to nan past them); no grid time reaches one
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < grid.size:
+            arrivals = start + np.cumsum(rng.exponential(1.0 / params.lam, size=block))
+            starts = np.concatenate(([start], arrivals))
+            signs = flips * sign
+            # integral up to each segment start, then the partial segment up to t
+            reached = np.cumsum(np.concatenate(([reach], signs[:-1] * np.diff(starts))))
+            end = int(np.searchsorted(grid, arrivals[-1], side="right"))
+            t = grid[done:end]
+            k = np.searchsorted(arrivals, t, side="left")
+            out[done:end] = params.c * (reached[k] + signs[k] * (t - starts[k]))
+            start, reach, sign, done = arrivals[-1], reached[-1], signs[-1], end
     return out
 
 
@@ -119,7 +125,7 @@ def sample_w(params: TelegraphParams, t: float, n_paths: int, seed: int) -> np.n
     k = ceil(N/2): for N = 2k, the starting side's Beta(k + 1, k) mirrored by
     the sign coin has that law, as [I_y(k+1, k) + I_y(k, k+1)]/2 = I_y(k, k)
     (DLMF §8.17(iv)). When N = 0, B is 0 or 1 by the coin. The draws match the
-    last value of :func:`sample_path` in law (the tests cross-check the two
+    last value of :func:`sample_paths` in law (the tests cross-check the two
     samplers), in O(n_paths) memory whatever ``lam * t``, up to the largest
     Poisson mean numpy draws from (about 9.2e18).
     """

@@ -17,7 +17,7 @@ import numpy as np
 
 from telhaz.cli import _path_table, _rows, _write_table
 from telhaz.presets import model_fig3
-from telhaz.telegraph import TelegraphParams, sample_path
+from telhaz.telegraph import TelegraphParams, sample_paths
 
 BAND_POINTS = 200_000
 PATHS, PATH_POINTS = 2_000, 201
@@ -44,10 +44,10 @@ def test_band_table(benchmark):
 def test_path_table(benchmark):
     grid = np.linspace(0.0, 1.0, PATH_POINTS)
     params = TelegraphParams(c=2.0, lam=15.0)
-    paths = [sample_path(params, grid, seed) for seed in range(PATHS)]
+    paths = list(sample_paths(params, grid, range(PATHS)))
 
     def table():
-        return _path_table("w", lambda grid, seed: paths[seed], grid, PATHS, 0), {}
+        return _path_table("w", paths, grid), {}
 
     text = benchmark.pedantic(write, setup=table, rounds=5, warmup_rounds=1)
     assert text.count("\n") == 1 + PATHS * PATH_POINTS

@@ -1,4 +1,4 @@
-"""Per-layer benchmark of the model layer: building the figure models and their nu.
+"""Per-layer benchmark of the model layer: the figure models, their nu and the paths' draws.
 
 Run it with ``pytest tests/bench_model.py --benchmark-only``; add
 ``--benchmark-autosave`` to keep the timings in ``.benchmarks/`` and
@@ -6,14 +6,22 @@ Run it with ``pytest tests/bench_model.py --benchmark-only``; add
 keeps the plain test suite from collecting it. Building a model checks
 dominance on the whole support with one ``min_slack`` call; nu is inf at
 once where that slack is positive, and doubled for only where it is 0 as
-t -> inf (fig2 (c)).
+t -> inf (fig2 (c)). The path draws are those of ``simulate-w --paths 2000``
+and ``simulate-x --hazard preset:polynomial_c2 --paths 500`` at c = 2,
+lam = 15 on 201 points of [0, 1], without formatting.
 """
 
 import functools
 
+import numpy as np
 import pytest
 
-from telhaz.presets import model_fig1, model_fig2, model_fig3
+from telhaz.perturbed import PerturbedModel
+from telhaz.presets import HAZARDS, model_fig1, model_fig2, model_fig3
+from telhaz.telegraph import TelegraphParams, sample_paths
+
+NOISE = TelegraphParams(c=2.0, lam=15.0)
+GRID = np.linspace(0.0, 1.0, 201)
 
 BUILDERS = {
     "fig1": model_fig1,
@@ -35,3 +43,21 @@ def test_build_and_total_excess_hazard(benchmark, name):
 
     value = benchmark.pedantic(nu, rounds=200, warmup_rounds=5)
     assert value > 0.0
+
+
+def test_sample_paths_w(benchmark):
+    paths = benchmark.pedantic(lambda: list(sample_paths(NOISE, GRID, range(2000))),
+                               rounds=5, warmup_rounds=1)
+    w = np.array(paths)
+    assert w.shape == (2000, GRID.size)
+    assert np.all(np.abs(w) <= NOISE.c * GRID)
+
+
+def test_sample_paths_x(benchmark):
+    model = PerturbedModel(HAZARDS["polynomial_c2"], NOISE)
+    paths = benchmark.pedantic(lambda: list(model.sample_paths(GRID, range(500))),
+                               rounds=5, warmup_rounds=1)
+    x = np.array(paths)
+    assert x.shape == (500, GRID.size)
+    band = model.band(GRID)
+    assert np.all((band.a - 1e-12 <= x) & (x <= band.b + 1e-12))

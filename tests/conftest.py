@@ -61,7 +61,7 @@ def brute_force_w(c: float, lam: float, t: float, n_paths: int, seed: int) -> np
 def oracle_path(params, horizon: float, seed: int) -> tuple[int, list[float]]:
     """Starting sign and every switch time in (0, horizon) of one trajectory (oracle).
 
-    The library's ``sample_path`` stream, kept as an event list: the sign coin,
+    The stream of one seed of the library's ``sample_paths``, kept as an event list: the sign coin,
     then exponential gaps in blocks sized for the whole expected switch count.
     """
     rng = np.random.default_rng(seed)

@@ -21,7 +21,7 @@ from conftest import csv_path_table
 from telhaz.cli import _BLOCK_ROWS, _path_table, _rows, _write_table, build_parser, main
 from telhaz.perturbed import PerturbedModel
 from telhaz.presets import HAZARDS, model_fig3
-from telhaz.telegraph import TelegraphParams, sample_path
+from telhaz.telegraph import TelegraphParams, sample_paths
 
 
 RECORDED_SHA256 = Path(__file__).resolve().parents[1] / "perfbench" / "reproduce_sha256.json"
@@ -126,14 +126,16 @@ class TestPathWriter:
     @pytest.mark.parametrize("paths", [0, 1, 3])
     @pytest.mark.parametrize("command", ["simulate-w", "simulate-x"])
     def test_matches_csv_rows(self, capsys, tmp_path, command, paths, grid_size):
+        # the oracle draws each path alone, the command all of them from one sampler
         params = TelegraphParams(c=1.0, lam=15.0)
         if command == "simulate-w":
-            name, values, hazard = "w", functools.partial(sample_path, params), []
+            name, sampler, hazard = "w", functools.partial(sample_paths, params), []
         else:
             model = PerturbedModel(HAZARDS["polynomial_c1"], params)
-            name, values, hazard = "x", model.sample_path_values, ["--hazard", "preset:polynomial_c1"]
+            name, sampler, hazard = "x", model.sample_paths, ["--hazard", "preset:polynomial_c1"]
         grid = np.linspace(0.0, 1.0, grid_size)
-        expected = csv_path_table(name, values, grid, paths, 5)
+        one_path = lambda grid, seed: next(sampler(grid, [seed]))  # noqa: E731
+        expected = csv_path_table(name, one_path, grid, paths, 5)
         argv = [command, *hazard, *PATH_FLAGS, "--paths", str(paths), "--grid-size", str(grid_size)]
         assert run(capsys, *argv) == (0, expected, "")
         target = tmp_path / "paths.csv"
@@ -151,25 +153,12 @@ class TestPathWriter:
 
         expected = csv_path_table("x", values, grid, 3, 1)
         assert "0,0.0,0.0\n" in expected and "1,0.0,-0.0\n" in expected  # seeds 1 and 2
-        _write_table(None, *_path_table("x", values, grid, 3, 1))
+        paths = [values(grid, seed) for seed in range(1, 4)]
+        _write_table(None, *_path_table("x", paths, grid))
         assert capsys.readouterr().out == expected
         target = tmp_path / "paths.csv"
-        _write_table(target, *_path_table("x", values, grid, 3, 1))
+        _write_table(target, *_path_table("x", paths, grid))
         assert target.read_bytes() == expected.encode()
-
-    @pytest.mark.parametrize("paths", [0, 2])
-    def test_refused_first_path_leaves_no_table(self, capsys, tmp_path, paths):
-        # path 0 is drawn before the output is opened, also when none is written
-        def values(times, seed):
-            raise ValueError("refused")
-
-        grid = np.linspace(0.0, 1.0, 3)
-        target = tmp_path / "paths.csv"
-        for path in (None, target):
-            with pytest.raises(ValueError, match="^refused$"):
-                _write_table(path, *_path_table("w", values, grid, paths, 1))
-        assert capsys.readouterr().out == ""
-        assert not target.exists()
 
 
 class TestTableWriter:
@@ -411,15 +400,38 @@ class TestValidationErrors:
         "subcommand", [["simulate-w"], ["simulate-x", "--hazard", "preset:polynomial_c1"]]
     )
     def test_switch_bound_leaves_no_table(self, capsys, tmp_path, subcommand):
-        # the bound is checked before the output is opened: no header, no file
-        code, out, err = run(capsys, *subcommand, "--lam", "1e300")
-        assert (code, out) == (2, "")
-        assert "lam = 1e+300" in err
+        # the bound is checked before the output is opened, also for no paths: no header, no file
         target = tmp_path / "paths.csv"
-        code, out, err = run(capsys, *subcommand, "--lam", "1e300", "--output", str(target))
-        assert (code, out) == (2, "")
-        assert "switches; at most 2**30" in err
-        assert not target.exists()
+        for paths in ([], ["--paths", "0"]):
+            argv = [*subcommand, "--lam", "1e300", *paths]
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (2, "")
+            assert "lam = 1e+300" in err
+            code, out, err = run(capsys, *argv, "--output", str(target))
+            assert (code, out) == (2, "")
+            assert "switches; at most 2**30" in err
+            assert not target.exists()
+
+    @pytest.mark.parametrize("lam", ["1e-308", "5e-324"])
+    @pytest.mark.parametrize("command", ["simulate-w", "simulate-x"])
+    def test_tiny_rate_paths_unwarned(self, capsys, command, lam):
+        # the gaps pass the double range and once warned of inf - inf; no switch falls on the
+        # grid, so each path keeps its starting side: W = -+c*t, and X = a(t) or b(t) to roundoff
+        hazard = ["--hazard", "preset:polynomial_c2"] if command == "simulate-x" else []
+        argv = [command, *hazard, "--lam", lam, "--paths", "3", "--grid-size", "5"]
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "")
+        rows = [list(map(float, line.split(","))) for line in out.splitlines()[1:]]
+        assert len(rows) == 15
+        model = PerturbedModel(HAZARDS["polynomial_c2"], TelegraphParams(c=1.0, lam=float(lam)))
+        for _, t, value in rows:
+            if command == "simulate-w":
+                assert value in (-t, t)  # c = 1
+            else:
+                band = model.band(t)
+                assert min(abs(value - band.a), abs(value - band.b)) <= 1e-15
 
     def test_overflowing_bound_leaves_no_table(self, capsys, tmp_path):
         # c * horizon past the double range once printed w = -inf with a RuntimeWarning

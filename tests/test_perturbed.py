@@ -30,7 +30,7 @@ from telhaz import telegraph
 from telhaz.telegraph import (
     TelegraphParams,
     mgf,
-    sample_path,
+    sample_paths,
     scaled_mgf,
     w_atom_prob,
     w_density,
@@ -54,7 +54,7 @@ TIME_CALLS = {
     "mean": lambda m, t: m.mean(t),
     "variance": lambda m, t: m.variance(t),
     "band_width_nondecreasing": lambda m, t: m.band_width_nondecreasing(t),
-    "integrate_path": lambda m, t: sample_path(m.noise, [t], 0),
+    "sample_paths": lambda m, t: next(sample_paths(m.noise, [t], [0])),
     "mgf": lambda m, t: mgf(m.noise, 1.0, t),
     "scaled_mgf": lambda m, t: scaled_mgf(m.noise, -1.0, t, 0.0),
 }
@@ -124,7 +124,7 @@ class TestConstruction:
         # at 1e9 once overflowed math.expm1 in band
         model = PerturbedModel(_BROKEN, TelegraphParams(c=_BROKEN_C, lam=1.0))
         calls = (model.band, model.mean, model.variance, model.atom_prob,
-                 lambda t: model.sample_path_values([t], 0))
+                 lambda t: model.sample_paths([t], []))
         for call in calls:
             with pytest.raises(ValueError, match=r"^dominance r\(t\) > c fails before t = 1e\+09 "):
                 call(1e9)
@@ -524,8 +524,7 @@ class TestMoments:
 class TestSamplePaths:
     def test_paths_start_at_zero_and_stay_in_band(self, fig_model):
         grid = np.linspace(0.0, 1.0, 101)
-        for seed in range(5):
-            values = fig_model.sample_path_values(grid, seed=seed)
+        for values in fig_model.sample_paths(grid, range(5)):
             assert values.shape == grid.shape
             assert values[0] == 0.0
             for t, x in zip(grid[1:].tolist(), values[1:].tolist()):
@@ -534,33 +533,49 @@ class TestSamplePaths:
 
     def test_paths_are_nondecreasing(self, fig_model):
         grid = np.linspace(0.0, 2.0, 301)
-        for seed in range(5):
-            values = fig_model.sample_path_values(grid, seed=seed)
+        for values in fig_model.sample_paths(grid, range(5)):
             assert np.all(np.diff(values) >= -1e-14)
 
     def test_deterministic_per_seed(self, fig_model):
         grid = np.linspace(0.0, 1.0, 11)
-        a = fig_model.sample_path_values(grid, seed=3)
-        b = fig_model.sample_path_values(grid, seed=3)
+        a, b = fig_model.sample_paths(grid, [3, 3])
         assert np.array_equal(a, b)
+        assert np.array_equal(next(fig_model.sample_paths(grid, [3])), a)
 
     def test_vanishing_amplitude_recovers_the_cdf(self):
         hazard = PolynomialHazard(15.0, 0.001, 1.0)
         model = PerturbedModel(hazard, TelegraphParams(c=1e-6, lam=15.0))
         grid = np.linspace(0.0, 2.0, 201)
         cdf = hazard.cdf(grid)
-        for seed in (0, 1):
-            values = model.sample_path_values(grid, seed=seed)
+        for values in model.sample_paths(grid, (0, 1)):
             assert float(np.max(np.abs(values - cdf))) < 1e-4
 
     def test_grid_validation(self, fig_model):
+        # refused by the call, before any path is drawn: also for no seeds
         for grid in ([], [0.0, -0.5], [0.0, 1.0, 0.5]):
             with pytest.raises(ValueError, match="grid"):
-                fig_model.sample_path_values(grid, seed=0)
+                fig_model.sample_paths(grid, [])
         end = PiecewiseLinearHazard(((0.0, 0.0, 2.0),), support_end=1.0)
         model = PerturbedModel(end, TelegraphParams(c=1.0, lam=1.0))
         with pytest.raises(ValueError, match=r"time_grid must lie in \[0, 1.0\), got 1.0"):
-            model.sample_path_values([0.0, 1.0], seed=0)
+            model.sample_paths([0.0, 1.0], [])
+
+    def test_cumulative_hazard_built_once_per_call(self):
+        # R(grid) is built once, whatever the number of paths, and the paths are the noise's
+        calls = []
+
+        def cumulative(t):
+            calls.append(np.size(t))
+            return 2.0 * np.asarray(t)
+
+        hazard = CustomHazard(lambda t: np.full(np.shape(t), 2.0), cumulative)
+        model = PerturbedModel(hazard, TelegraphParams(c=1.0, lam=15.0))
+        grid = np.linspace(0.0, 1.0, 11)
+        calls.clear()
+        paths = list(model.sample_paths(grid, range(5)))
+        assert calls == [grid.size]
+        for x, w in zip(paths, sample_paths(model.noise, grid, range(5)), strict=True):
+            assert np.array_equal(x, -np.expm1(-(2.0 * grid + w)))
 
     def test_noise_sign_balance_at_late_times(self):
         # P{V(t) = +c} is 1/2 for every t thanks to the fair initial flip

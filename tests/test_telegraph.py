@@ -5,7 +5,7 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate, special, stats
 
@@ -17,7 +17,7 @@ from telhaz import telegraph
 from telhaz.telegraph import (
     TelegraphParams,
     mgf,
-    sample_path,
+    sample_paths,
     sample_w,
     scaled_mgf,
     w_atom_prob,
@@ -46,27 +46,34 @@ class TestSampling:
     def test_deterministic_per_seed(self):
         p = TelegraphParams(c=2.0, lam=15.0)
         grid = np.linspace(0.0, 1.0, 51)
-        a = sample_path(p, grid, seed=42)
-        assert np.array_equal(sample_path(p, grid, seed=42), a)
-        assert not np.array_equal(sample_path(p, grid, seed=43), a)
+        a, b, c = sample_paths(p, grid, [42, 42, 43])
+        assert np.array_equal(b, a) and np.array_equal(next(sample_paths(p, grid, [42])), a)
+        assert not np.array_equal(c, a)
 
     def test_horizon_domain(self):
         # the horizon is grid[-1]: zero is allowed, and more than 2**30
         # expected switches is refused before any is drawn
         p = TelegraphParams(c=1.0, lam=1.0)
-        assert sample_path(p, [0.0], seed=1).tolist() == [0.0]
+        assert next(sample_paths(p, [0.0], [1])).tolist() == [0.0]
         for lam, end in ((1e300, 1.0), (2.0**30, math.nextafter(1.0, 2.0))):
             with pytest.raises(ValueError, match=r"^lam = .* switches; at most 2\*\*30"):
-                sample_path(TelegraphParams(c=1.0, lam=lam), [0.0, end], seed=1)
+                sample_paths(TelegraphParams(c=1.0, lam=lam), [0.0, end], [1])
 
     def test_overflowing_bound_named(self):
         # c * grid[-1] past the double range would give W = -+inf; refused by name
         p = TelegraphParams(c=1e300, lam=3.6e-253)
         with pytest.raises(ValueError, match=r"^c = 1e\+300 up to grid\[-1\] = 1\.4e\+65 lets"):
-            sample_path(p, [0.0, 1.4e65], seed=1)
+            sample_paths(p, [0.0, 1.4e65], [1])
         with pytest.raises(ValueError, match=r"^c = 1e\+300 up to t = 1\.4e\+65 lets"):
             w_cdf(p, 1.4e65, 0.0)
-        assert np.isfinite(sample_path(p, [0.0, 1e8], seed=1)).all()
+        assert np.isfinite(next(sample_paths(p, [0.0, 1e8], [1]))).all()
+
+    def test_seed_refused_when_its_path_is_drawn(self):
+        # the grid is checked by the call; a seed only by numpy, once its path is read
+        paths = sample_paths(TelegraphParams(c=1.0, lam=1.0), [0.0, 1.0], [1, -1])
+        assert next(paths).shape == (2,)
+        with pytest.raises(ValueError):
+            next(paths)
 
     def test_sample_w_bounds_named(self):
         # c * t = inf once gave five -inf draws, and a Poisson mean past numpy's
@@ -171,13 +178,13 @@ class TestReach:
 
 class TestIntegration:
     def test_zero_event_path(self):
-        # at a negligible rate the path keeps its starting side: W(t) = +-c*t
-        p = TelegraphParams(c=2.0, lam=1e-9)
+        # at a negligible rate the path keeps its starting side: W(t) = +-c*t; at the least
+        # rates the gaps pass the double range, and inf - inf once warned
         grid = np.linspace(0.0, 1.0, 7)
-        for seed in range(4):
-            w = sample_path(p, grid, seed)
-            assert np.array_equal(np.abs(w), 2.0 * grid)
-            assert np.all(np.sign(w[1:]) == np.sign(w[-1]))
+        for lam in (1e-9, 1e-308, 5e-324):
+            for w in sample_paths(TelegraphParams(c=2.0, lam=lam), grid, range(4)):
+                assert np.array_equal(np.abs(w), 2.0 * grid)
+                assert np.all(np.sign(w[1:]) == np.sign(w[-1]))
 
     def test_hand_integrated_examples(self):
         # the oracle walk itself, against integration by hand
@@ -198,13 +205,13 @@ class TestIntegration:
             ([0.0, math.nan], r"grid must lie in \[0, inf\), got nan"),
             ([0.0, math.inf], r"grid must lie in \[0, inf\), got inf"),
         ]
-        for grid, message in cases:
+        for grid, message in cases:  # refused by the call, before any path: also for no seeds
             with pytest.raises(ValueError, match=f"^{message}"):
-                sample_path(p, grid, seed=0)
+                sample_paths(p, grid, [])
 
     def test_repeated_time_gives_equal_values(self):
         p = TelegraphParams(c=1.0, lam=15.0)
-        w = sample_path(p, [0.0, 0.3, 0.3, 0.3, 1.0, 1.0], seed=5)
+        w = next(sample_paths(p, [0.0, 0.3, 0.3, 0.3, 1.0, 1.0], [5]))
         assert w[1] == w[2] == w[3]
         assert w[4] == w[5]
 
@@ -222,7 +229,7 @@ class TestIntegration:
             np.minimum(np.nextafter(events, 3.0), 2.0),
         ]))
         expected = walk_integral(sign, events, p, grid)
-        assert np.array_equal(sample_path(p, grid, seed=int(lam_t)), expected)
+        assert np.array_equal(next(sample_paths(p, grid, [int(lam_t)])), expected)
 
     def test_long_path_within_roundoff(self):
         # past 2**16 expected switches the gaps are drawn in several blocks, so
@@ -230,7 +237,8 @@ class TestIntegration:
         p = TelegraphParams(c=1.0, lam=1e6)
         grid = np.linspace(0.0, 1.0, 201)
         sign, events = oracle_path(p, 1.0, seed=11)
-        gap = np.max(np.abs(sample_path(p, grid, seed=11) - walk_integral(sign, events, p, grid)))
+        w = next(sample_paths(p, grid, [11]))
+        gap = np.max(np.abs(w - walk_integral(sign, events, p, grid)))
         assert gap <= 1e-12 * p.c * grid[-1]
 
     def test_long_path_memory_bounded(self):
@@ -240,7 +248,7 @@ class TestIntegration:
         grid = np.linspace(0.0, 1.0, 201)
         tracemalloc.start()
         try:
-            sample_path(p, grid, seed=11)
+            next(sample_paths(p, grid, [11]))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -255,7 +263,7 @@ class TestIntegration:
     @settings(max_examples=120, deadline=None)
     def test_bounded_by_ct(self, seed, t, c, lam):
         grid = np.array([t, 1.0])
-        w = sample_path(TelegraphParams(c=c, lam=lam), grid, seed)
+        w = next(sample_paths(TelegraphParams(c=c, lam=lam), grid, [seed]))
         assert np.all(np.abs(w) <= c * grid + 1e-12)
 
     def test_last_value_matches_w_cdf(self):
@@ -264,7 +272,7 @@ class TestIntegration:
         # and ct the CDF jumps, so its left limit there is taken apart
         p = TelegraphParams(c=2.0, lam=1.5)
         n = 10_000
-        w = np.sort([sample_path(p, [1.0], seed)[0] for seed in range(n)])
+        w = np.sort([w[0] for w in sample_paths(p, [1.0], range(n))])
         cdf_at = w_cdf(p, 1.0, w)
         left = np.where(w <= -2.0, 0.0, np.where(w >= 2.0, 1.0 - w_atom_prob(p, 1.0), cdf_at))
         i = np.arange(1, n + 1)
@@ -695,6 +703,8 @@ _NAMED = re.compile(r"\b(c|lam|s|t) = |\(-c\*t, c\*t\)")
 
 
 @given(c=_LOG10, lam=_LOG10, t=_LOG10, s=_LOG10)
+@example(c=0.0, lam=-308.0, t=0.0, s=0.0)  # lam = 1e-308: the path's gaps sum to inf
+@example(c=0.0, lam=math.log10(5e-324), t=0.0, s=0.0)  # the least lam: 1 / lam is inf
 @settings(max_examples=200, deadline=None)
 def test_public_functions_return_finite_or_refuse_by_name(c, lam, t, s):
     # the library twin of the CLI's test_process_commands_report_or_print_finite:
@@ -712,7 +722,7 @@ def test_public_functions_return_finite_or_refuse_by_name(c, lam, t, s):
     if lam_t <= 1e4:
         calls["w_cdf"] = lambda: w_cdf(p, t, [-0.5 * p.c * t, 0.0, 0.5 * p.c * t])
     if not 1e5 < lam_t <= 2.0**30:  # drawing up to 2^30 switches is slow, not wrong
-        calls["sample_path"] = lambda: sample_path(p, [0.0, 0.5 * t, t], seed=0)
+        calls["sample_paths"] = lambda: next(sample_paths(p, [0.0, 0.5 * t, t], [0]))
     for name, call in calls.items():
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")

@@ -50,3 +50,21 @@ def test_special_layer_traced_once_per_density():
     assert sum(special_calls.values()) == 2, special_calls
     assert summary["boundary_calls"]["special"] == 2
     assert summary["counters"]["special.args"] == w.size + x.size
+
+
+def test_path_samplers_traced_once_per_table():
+    # each sampler is one span per call: its checks and R(grid); the paths are drawn as they are
+    # read, after the span has closed
+    tracer_module = load_tracer()
+    tracer = tracer_module.Tracer(track_peaks=False)
+    model = PerturbedModel(ConstantHazard(2.0), TelegraphParams(c=1.0, lam=15.0))
+    grid = np.linspace(0.0, 1.0, 11)
+    tracer.install()
+    try:
+        paths = list(model.sample_paths(grid, range(2)))
+    finally:
+        tracer.uninstall()
+    assert len(paths) == 2
+    calls = tracer.summary()["calls"]
+    assert calls["telegraph.sample_paths"] == 1, calls
+    assert calls["perturbed.PerturbedModel.sample_paths"] == 1, calls
