@@ -96,7 +96,10 @@ def _write_table(path: str | Path | None, header: tuple[str, ...], rows) -> None
 
 def _rows(*columns):
     """Blocks of the rows of the equal-length numpy ``columns``, as cell strings."""
-    return (zip(*(map(str, column[i:i + _BLOCK_ROWS].tolist()) for column in columns))
+    # repr is a number's str minus the str type's call; only a string column needs str
+    cells = [str if column.dtype.kind == "U" else repr for column in columns]
+    return (zip(*(map(cell, column[i:i + _BLOCK_ROWS].tolist())
+                  for cell, column in zip(cells, columns)))
             for i in range(0, len(columns[0]), _BLOCK_ROWS))
 
 

@@ -83,8 +83,9 @@ class HazardSpec:
 
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         # lo, the turning points, hi, then one probe inside each gap between them (one step
-        # past the last for an infinite gap), which sees a stretch where r is flat
-        ends = np.unique([lo, *(p for p in self.turning_points if lo < p < hi), hi]).tolist()
+        # past the last for an infinite gap), which sees a stretch where r is flat; a set, as
+        # np.unique would import numpy.ma
+        ends = sorted({lo, *(float(p) for p in self.turning_points if lo < p < hi), hi})
         probes = [_past(a) if b == math.inf else a + 0.5 * (b - a) for a, b in zip(ends, ends[1:])]
         pts = np.concatenate([ends, probes])
         attained = pts < self.support_end

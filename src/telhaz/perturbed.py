@@ -242,8 +242,10 @@ class PerturbedModel:
         """Sample paths of X at the nondecreasing times ``time_grid`` < support_end, one per seed.
 
         Every refusal of the grid, R < c*t among them, is raised by the call, before any path is
-        drawn, also for no seeds. R(grid) is built once, and each path of
-        :func:`telegraph.sample_paths` is mapped through X = 1 - exp(-(R + W)) as it is read.
+        drawn, also for no seeds. R(grid) is built once. The W paths of
+        :func:`telegraph.sample_paths` are drawn a batch at a time, in O(grid size + 2^16)
+        memory, and each is mapped through X = 1 - exp(-(R + W)) as it is read. A bad seed is
+        refused once the paths before it have been read.
         """
         grid = _times(time_grid, self.hazard.support_end, "time_grid")
         cum, _ = self._cumulative(grid)

@@ -10,6 +10,7 @@ closed form; no time discretization or quadrature is used anywhere.
 
 from __future__ import annotations
 
+import itertools
 import math
 import numbers
 import sys
@@ -26,9 +27,11 @@ _POISSON_TAIL = 1e-16
 _CDF_BLOCK = 1 << 16
 # Points the Bessel density evaluates at once.
 _DENSITY_BLOCK = 1 << 14
-# Exponential gaps sample_paths draws at once, and the most switches it expects.
+# Exponential gaps sample_paths draws at once per path, and the most switches it expects.
 _GAP_BLOCK = 1 << 16
 _MAX_SWITCHES = 2**30
+# Gaps plus grid points per path, summed over the batch of paths sample_paths walks at once.
+_BATCH_CELLS = 1 << 14
 # Below this lam * t, w_mean_var sums a series where its closed form cancels.
 _VARIANCE_SERIES_BELOW = 0.5
 
@@ -77,43 +80,97 @@ def sample_paths(params: TelegraphParams, grid, seeds):
     """W at the nondecreasing times ``grid`` along one exact trajectory per seed.
 
     Every refusal of ``grid`` is raised by the call, before any path is drawn, also for no
-    seeds. Path i is drawn as it is read, from ``numpy.random.default_rng(seeds[i])``, which
-    refuses a bad seed then. It takes a fair sign coin, then exponential gaps in blocks of at
-    most 2^16, each integrated onto the grid points it reaches: O(grid size + 2^16) memory
-    whatever ``lam * grid[-1]`` (at most 2^30). The signed segment lengths are summed left to
-    right: each value is the one a walk over the same switches gives, to the last bit.
+    seeds. Path i comes from ``numpy.random.default_rng(seeds[i])``: a fair sign coin, then
+    exponential gaps in blocks of at most 2^16, each integrated onto the grid points it reaches.
+    The paths are drawn a batch at a time, when the first of the batch is read, and yielded one
+    row each. A batch spans at most 2^14 gaps and grid points, or one path, so memory is
+    O(grid size + 2^16) whatever ``lam * grid[-1]`` (at most 2^30). A bad seed is refused by
+    numpy once the paths before it have been read. The signed segment lengths are summed left
+    to right: each value is the one a walk over the same switches gives, to the last bit.
     """
     grid = _times(grid, name="grid")
     if grid.ndim != 1 or grid.size == 0:
         raise ValueError("grid must be a non-empty 1-d sequence")
     if not (grid[1:] >= grid[:-1]).all():
         raise ValueError("grid must be nondecreasing")
-    expected = _expected_switches(params, grid[-1])
-    block = min(_GAP_BLOCK, max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0)))
+    block = _gap_block(_expected_switches(params, grid[-1]))
+    rows = max(1, _BATCH_CELLS // (block + grid.size))
+    return _walk(params, grid, iter(seeds), block, rows)
+
+
+def _gap_block(expected: float) -> int:
+    """Gaps a path draws at once: all it likely needs, within [8, 2^16]."""
+    return min(_GAP_BLOCK, max(8, int(expected + 6.0 * math.sqrt(expected) + 8.0)))
+
+
+def _walk(params: TelegraphParams, grid: np.ndarray, seeds, block: int, rows: int):
+    """The paths of :func:`sample_paths`: ``rows`` seeds a batch, each batch walked, then read."""
     flips = np.ones(block + 1)
     flips[1::2] = -1.0
-    return (_walk(params, grid, np.random.default_rng(seed), block, flips) for seed in seeds)
+    while True:
+        rngs, refused = [], None
+        for seed in itertools.islice(seeds, rows):
+            try:
+                rngs.append(np.random.default_rng(seed))
+            except Exception as error:  # raised once the paths before it are read
+                refused = error
+                break
+        if rngs:
+            yield from _walk_batch(params, grid, rngs, flips)
+        if refused is not None:
+            raise refused
+        if len(rngs) < rows:
+            return
 
 
-def _walk(params: TelegraphParams, grid: np.ndarray, rng, block: int, flips) -> np.ndarray:
-    """One path of :func:`sample_paths`: the sign coin, then ``block`` gaps at a time."""
-    sign = 1 if rng.random() < 0.5 else -1
-    out = np.empty_like(grid)
-    # carried between blocks: the last switch, the integral up to it, the sign after it
-    start, reach, done = 0.0, 0.0, 0
+def _walk_batch(params: TelegraphParams, grid: np.ndarray, rngs, flips) -> np.ndarray:
+    """One row of W on ``grid`` per generator: its sign coin, then ``flips.size - 1`` gaps a round.
+
+    Per row only the generator's draws, straight into the batch's array, and the search of
+    the grid among the row's arrivals; the rest as 2-D arrays. Rows whose gaps end before the
+    grid does draw more in the next round, which evaluates only the grid points from the
+    first row's last one reached up to the last row's.
+    """
+    width = flips.size
+    scale = 1.0 / params.lam
+    out = np.empty((len(rngs), grid.size))
+    sign = np.array([1.0 if rng.random() < 0.5 else -1.0 for rng in rngs])
+    # per active row: the last switch, the integral up to it, the grid points reached
+    start, reach = np.zeros(len(rngs)), np.zeros(len(rngs))
+    done = np.zeros(len(rngs), dtype=np.intp)
+    active = np.arange(len(rngs))
     # a tiny lam sends arrivals to inf (and inf - inf to nan past them); no grid time reaches one
     with np.errstate(over="ignore", invalid="ignore"):
-        while done < grid.size:
-            arrivals = start + np.cumsum(rng.exponential(1.0 / params.lam, size=block))
-            starts = np.concatenate(([start], arrivals))
-            signs = flips * sign
+        while active.size:
+            starts = np.empty((active.size, width))
+            starts[:, 0] = start
+            arrivals = starts[:, 1:]  # each row's gaps, then their running sums from its start
+            for r, row in zip(active, arrivals):
+                rngs[r].standard_exponential(out=row)
+            arrivals *= scale  # numpy's exponential(scale), bit for bit
+            np.cumsum(arrivals, axis=1, out=arrivals)
+            arrivals += start[:, None]
+            signs = sign[:, None] * flips
             # integral up to each segment start, then the partial segment up to t
-            reached = np.cumsum(np.concatenate(([reach], signs[:-1] * np.diff(starts))))
-            end = int(np.searchsorted(grid, arrivals[-1], side="right"))
-            t = grid[done:end]
-            k = np.searchsorted(arrivals, t, side="left")
-            out[done:end] = params.c * (reached[k] + signs[k] * (t - starts[k]))
-            start, reach, sign, done = arrivals[-1], reached[-1], signs[-1], end
+            steps = signs[:, :-1] * np.diff(starts, axis=1)
+            reached = np.cumsum(np.concatenate((reach[:, None], steps), axis=1), axis=1)
+            end = grid.searchsorted(arrivals[:, -1], side="right")
+            lo, hi = int(done.min()), int(end.max())
+            t = grid[lo:hi]
+            k = np.array([row.searchsorted(t, side="left") for row in arrivals])
+            k += np.arange(0, active.size * width, width)[:, None]  # into the flattened rows
+            # c * (reached + sign * (t - start)) on each point's segment, in place
+            values = starts.take(k)
+            np.subtract(t, values, out=values)
+            values *= signs.take(k)
+            values += reached.take(k)
+            values *= params.c
+            if lo < done.max():  # a row keeps the points an earlier round gave it
+                values = np.where(np.arange(lo, hi) >= done[:, None], values, out[active, lo:hi])
+            out[active, lo:hi] = values
+            more = end < grid.size
+            active, done = active[more], end[more]
+            start, reach, sign = arrivals[more, -1], reached[more, -1], signs[more, -1]
     return out
 
 

@@ -8,7 +8,9 @@ dominance on the whole support with one ``min_slack`` call; nu is inf at
 once where that slack is positive, and doubled for only where it is 0 as
 t -> inf (fig2 (c)). The path draws are those of ``simulate-w --paths 2000``
 and ``simulate-x --hazard preset:polynomial_c2 --paths 500`` at c = 2,
-lam = 15 on 201 points of [0, 1], without formatting.
+lam = 15 on 201 points of [0, 1], without formatting. The W path cases
+reach what those draws do not: many gap blocks per path (lam*t = 1e6), long
+blocks (lam*t = 3000), and a grid of 1e5 points.
 """
 
 import functools
@@ -22,6 +24,13 @@ from telhaz.telegraph import TelegraphParams, sample_paths
 
 NOISE = TelegraphParams(c=2.0, lam=15.0)
 GRID = np.linspace(0.0, 1.0, 201)
+
+# name: (lam, grid points on [0, 1], paths), at c = 2
+PATH_CASES = {
+    "lamt_1e6": (1e6, 201, 3),
+    "lamt_3000": (3000.0, 201, 200),
+    "grid_1e5": (15.0, 100_000, 20),
+}
 
 BUILDERS = {
     "fig1": model_fig1,
@@ -51,6 +60,16 @@ def test_sample_paths_w(benchmark):
     w = np.array(paths)
     assert w.shape == (2000, GRID.size)
     assert np.all(np.abs(w) <= NOISE.c * GRID)
+
+
+@pytest.mark.parametrize("name", sorted(PATH_CASES))
+def test_sample_paths_w_case(benchmark, name):
+    lam, points, count = PATH_CASES[name]
+    params, grid = TelegraphParams(c=2.0, lam=lam), np.linspace(0.0, 1.0, points)
+    paths = benchmark.pedantic(lambda: list(sample_paths(params, grid, range(count))),
+                               rounds=5, warmup_rounds=1)
+    assert len(paths) == count
+    assert all(np.all(np.abs(w) <= params.c * grid) for w in paths)
 
 
 def test_sample_paths_x(benchmark):

@@ -4,7 +4,9 @@ The Monte Carlo sampler here is deliberately written against the library's
 vectorized one: it walks exponential inter-arrival gaps path by path, so the
 two constructions can cross-validate each other. The path oracle keeps every
 switch time of one trajectory, and its integral is the same kind of walk over
-them. The kernel estimates are plain per-observation sums, the reference for
+them. The per-path walk draws the library's gap blocks one path at a time, the
+bit-for-bit reference for ``sample_paths``, which walks a batch of paths at
+once. The kernel estimates are plain per-observation sums, the reference for
 any faster evaluator of the library's vectorized ``kde``; ``matrix_kde`` is
 the one-matrix evaluator that ``kde`` must reproduce bit for bit, and
 ``pairwise_sum`` writes out numpy's float64 summation tree, whose nodes
@@ -32,6 +34,7 @@ import math
 import numpy as np
 from scipy.special import betainc
 
+from telhaz import telegraph
 from telhaz.hazard import Slack, _past
 from telhaz.special import scaled_bessel
 
@@ -77,6 +80,42 @@ def oracle_path(params, horizon: float, seed: int) -> tuple[int, list[float]]:
         if inside.size < arrivals.size:
             return sign, events
         start = float(arrivals[-1])
+
+
+def walk_paths(params, grid, seeds) -> list[np.ndarray]:
+    """W at the nondecreasing ``grid`` along one trajectory per seed, a path at a time (oracle).
+
+    The bit-for-bit reference of ``sample_paths``, which walks the same stream a batch of paths
+    at a time: per seed the sign coin, then gaps in blocks of ``telegraph._gap_block``'s size,
+    each block integrated onto the grid points it reaches with 1-d arrays.
+    """
+    grid = np.asarray(grid, dtype=float)
+    block = telegraph._gap_block(params.lam * grid[-1])
+    flips = np.ones(block + 1)
+    flips[1::2] = -1.0
+    return [_walk_path(params, grid, np.random.default_rng(seed), block, flips) for seed in seeds]
+
+
+def _walk_path(params, grid: np.ndarray, rng, block: int, flips) -> np.ndarray:
+    """One path of :func:`walk_paths`: the sign coin, then ``block`` gaps at a time."""
+    sign = 1 if rng.random() < 0.5 else -1
+    out = np.empty_like(grid)
+    # carried between blocks: the last switch, the integral up to it, the sign after it
+    start, reach, done = 0.0, 0.0, 0
+    # a tiny lam sends arrivals to inf (and inf - inf to nan past them); no grid time reaches one
+    with np.errstate(over="ignore", invalid="ignore"):
+        while done < grid.size:
+            arrivals = start + np.cumsum(rng.exponential(1.0 / params.lam, size=block))
+            starts = np.concatenate(([start], arrivals))
+            signs = flips * sign
+            # integral up to each segment start, then the partial segment up to t
+            reached = np.cumsum(np.concatenate(([reach], signs[:-1] * np.diff(starts))))
+            end = int(np.searchsorted(grid, arrivals[-1], side="right"))
+            t = grid[done:end]
+            k = np.searchsorted(arrivals, t, side="left")
+            out[done:end] = params.c * (reached[k] + signs[k] * (t - starts[k]))
+            start, reach, sign, done = arrivals[-1], reached[-1], signs[-1], end
+    return out
 
 
 def walk_integral(sign: int, events, params, times) -> np.ndarray:

@@ -669,11 +669,13 @@ class TestValidationErrors:
 def scipy_after(probe: str, *argv: str) -> dict:
     """Run ``probe`` (with ``argv`` as sys.argv[1:]) in a fresh process; its ``out`` and scipy modules.
 
-    The probe leaves what it reports in a variable ``out``.
+    The probe leaves what it reports in a variable ``out``. ``numpy_ma`` tells whether
+    ``numpy.ma`` was imported too.
     """
     report = (
         "\nimport json, sys\nprint(json.dumps({'out': out, 'scipy': sorted("
-        "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.'))}))"
+        "m for m in sys.modules if m == 'scipy' or m.startswith('scipy.')), "
+        "'numpy_ma': 'numpy.ma' in sys.modules}))"
     )
     result = subprocess.run(
         [sys.executable, "-c", probe + report, *argv],
@@ -708,22 +710,28 @@ ESTIMATING_COMMANDS = {
 }
 
 
-def scipy_after_main(argv, tmp_path) -> list:
-    """The scipy modules a fresh process holds after ``cli.main(argv)`` exits 0."""
+def after_main(argv, tmp_path) -> dict:
+    """:func:`scipy_after` of a fresh process that runs ``cli.main(argv)``, which exits 0."""
     probe = "import sys, telhaz.cli; out = telhaz.cli.main(sys.argv[1:])"
     run = scipy_after(probe, *(arg.format(tmp=tmp_path) for arg in argv))
     assert run["out"] == 0
-    return run["scipy"]
+    return run
 
 
 @pytest.mark.parametrize("argv", PROCESS_COMMANDS.values(), ids=PROCESS_COMMANDS)
 def test_process_commands_leave_out_scipy(argv, tmp_path):
-    assert scipy_after_main(argv, tmp_path) == []
+    assert after_main(argv, tmp_path)["scipy"] == []
+
+
+@pytest.mark.parametrize("argv", PROCESS_COMMANDS.values(), ids=PROCESS_COMMANDS)
+def test_process_commands_leave_out_numpy_ma(argv, tmp_path):
+    # numpy.ma is 10-15 ms of a process; np.unique imports it, and no process command needs it
+    assert not after_main(argv, tmp_path)["numpy_ma"]
 
 
 @pytest.mark.parametrize("argv", ESTIMATING_COMMANDS.values(), ids=ESTIMATING_COMMANDS)
 def test_estimating_commands_load_scipy_special(argv, tmp_path):
-    assert "scipy.special" in scipy_after_main(argv, tmp_path)
+    assert "scipy.special" in after_main(argv, tmp_path)["scipy"]
 
 
 def test_export_list_resolves():

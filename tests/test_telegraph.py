@@ -11,7 +11,7 @@ from scipy import integrate, special, stats
 
 from conftest import (
     bessel_density_oracle, brute_force_w, ks_distance, ks_critical, loop_w_cdf, mp_w_cdf,
-    mp_w_variance, oracle_path, walk_integral,
+    mp_w_variance, oracle_path, walk_integral, walk_paths,
 )
 from telhaz import telegraph
 from telhaz.telegraph import (
@@ -278,6 +278,69 @@ class TestIntegration:
         i = np.arange(1, n + 1)
         distance = max(float(np.max(i / n - cdf_at)), float(np.max(left - (i - 1) / n)))
         assert distance < ks_critical(n, alpha=0.001)
+
+
+class TestBatchWalk:
+    """``sample_paths`` walks its seeds a batch at a time; each path keeps the per-path bits."""
+
+    @staticmethod
+    def assert_walked(params, grid, seeds):
+        batch = [w.tobytes() for w in sample_paths(params, grid, seeds)]
+        assert batch == [w.tobytes() for w in walk_paths(params, grid, seeds)]
+
+    def test_fig1_settings(self):
+        # 2000 paths at c = 2, lam = 15 on 201 points, as simulate-w draws them: several batches
+        grid = np.linspace(0.0, 1.0, 201)
+        assert telegraph._BATCH_CELLS // (telegraph._gap_block(15.0) + grid.size) < 2000 / 4
+        self.assert_walked(TelegraphParams(c=2.0, lam=15.0), grid, range(2000))
+
+    def test_seeds_span_batches(self, monkeypatch):
+        # three paths a batch: 10 seeds, read from an iterator, end in a batch of one
+        grid = np.linspace(0.0, 2.0, 31)
+        params = TelegraphParams(c=0.5, lam=4.0)
+        monkeypatch.setattr(telegraph, "_BATCH_CELLS", 3 * (telegraph._gap_block(8.0) + grid.size))
+        self.assert_walked(params, grid, range(100, 110))
+        assert len(list(sample_paths(params, grid, iter(range(10))))) == 10
+
+    def test_rows_finish_in_different_rounds(self, monkeypatch):
+        # 8 gaps a block: a path with N switches before t = 1 needs N // 8 + 1 rounds, and the
+        # rows of one batch need from one to four
+        monkeypatch.setattr(telegraph, "_GAP_BLOCK", 8)
+        params, seeds = TelegraphParams(c=2.0, lam=15.0), range(250)
+        rounds = {len(oracle_path(params, 1.0, seed)[1]) // 8 + 1 for seed in seeds}
+        assert len(rounds) > 2
+        grid = np.linspace(0.0, 1.0, 51)
+        assert telegraph._BATCH_CELLS // (8 + grid.size) >= len(seeds)
+        self.assert_walked(params, grid, seeds)
+        # repeated times, and a point on a block's last arrival
+        self.assert_walked(params, np.array([0.0, 0.2, 0.2, 0.5, 0.5, 0.5, 1.0, 1.0]), seeds)
+
+    def test_multi_block_path(self):
+        # 1e6 expected switches: one path a batch, in 16 blocks of 2^16 gaps
+        grid = np.linspace(0.0, 1.0, 201)
+        assert telegraph._BATCH_CELLS // (telegraph._gap_block(1e6) + grid.size) == 0
+        self.assert_walked(TelegraphParams(c=1.0, lam=1e6), grid, [11, 12])
+
+    @pytest.mark.parametrize("lam", [1e-308, 5e-324])
+    def test_least_rates_warn_nothing(self, lam):
+        # every gap is inf, and past the first arrival inf - inf is nan
+        grid = np.linspace(0.0, 1.0, 7)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            self.assert_walked(TelegraphParams(c=2.0, lam=lam), grid, range(20))
+
+    @pytest.mark.parametrize("grid", [[0.0, 0.3, 0.3, 0.3, 1.0, 1.0], [0.7], [0.0]])
+    def test_repeated_times_and_one_point(self, grid):
+        self.assert_walked(TelegraphParams(c=1.0, lam=15.0), grid, range(50))
+
+    def test_paths_before_a_bad_seed_are_read(self):
+        # the batch up to a bad seed is walked and read first; numpy's refusal comes next
+        params, grid = TelegraphParams(c=1.0, lam=3.0), [0.0, 0.5, 1.0]
+        paths = sample_paths(params, grid, [1, 2, -1, 3])
+        assert [next(paths).tobytes() for _ in range(2)] == [
+            w.tobytes() for w in walk_paths(params, grid, [1, 2])]
+        with pytest.raises(ValueError):
+            next(paths)
 
 
 class TestAtomAndDensity:
