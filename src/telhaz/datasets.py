@@ -12,8 +12,6 @@ from array import array
 from dataclasses import dataclass
 from pathlib import Path
 
-import numpy as np
-
 from .estimation import Sample
 
 # Survival times (days) of 46 melanoma patients, Central Oncology Group
@@ -72,22 +70,17 @@ def builtin_names() -> tuple[str, ...]:
 def load(path) -> NamedDataset:
     """Parse a whitespace/newline separated (or single-column CSV) numeric file.
 
-    Values are validated (finite, positive, at least three) and sorted.
-    Errors start with ``path`` as given; parse errors name the offending
+    ``Sample`` validates the values (finite, positive, at least three) and sorts
+    them. Errors start with ``path`` as given; parse errors name the offending
     line and token. The file is read in chunks of about 64 KiB of lines into
-    one array of doubles; only a file that fails there is read again line by
-    line, which finds and names the first offender.
+    one array of doubles; only a file that fails there, in parsing or as a
+    sample, is read again line by line, which finds and names the first offender.
     """
     try:
-        values = np.asarray(_read_chunks(path))
-    except ValueError:  # a non-numeric token, or a UnicodeDecodeError
-        values = None
-    if values is None or values.size < 3 or not np.all((values > 0.0) & (values < math.inf)):
-        values = _read_lines(path)
-    return NamedDataset(
-        name=Path(path).stem,
-        sample=Sample.from_values(values),
-    )
+        sample = Sample.from_values(_read_chunks(path))
+    except ValueError:  # a non-numeric token, a UnicodeDecodeError or a refused sample
+        sample = Sample.from_values(_read_lines(path))
+    return NamedDataset(name=Path(path).stem, sample=sample)
 
 
 def _read_chunks(path) -> array:

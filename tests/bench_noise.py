@@ -6,13 +6,17 @@ Run it with ``pytest tests/bench_noise.py --benchmark-only``; add
 keeps the plain test suite from collecting it. The points are those of the
 ``noise_scale`` workload: sorted, W(t) at c = 1, lam = 10, t = 1, and X(t)
 of the fig3 model at t = 0.5. ``scaled_bessel`` alone runs on the W(t)
-density's arguments, z = lam sqrt(t^2 - w^2) on [0, 10].
+density's arguments, z = lam sqrt(t^2 - w^2) on [0, 10], and on the three
+401-point blocks of arguments that fig3's ``density.csv`` gives it, one per
+time, where the cost per call outweighs the cost per argument.
 """
 
 import numpy as np
 import pytest
 
-from telhaz.presets import model_fig3
+from telhaz import telegraph
+from telhaz.cli import _x_density
+from telhaz.presets import FIG3_TIMES, model_fig3
 from telhaz.special import scaled_bessel
 from telhaz.telegraph import TelegraphParams, w_density
 
@@ -43,3 +47,20 @@ def test_scaled_bessel(benchmark, w_points):
     z = PARAMS.lam * np.sqrt((1.0 - w_points) * (1.0 + w_points))
     i0e, i1e_over_z = benchmark.pedantic(scaled_bessel, args=(z,), rounds=5, warmup_rounds=1)
     assert np.all(i0e > 0.0) and np.all(i1e_over_z > 0.0)
+
+
+@pytest.fixture(scope="module")
+def fig3_blocks():
+    """The arguments of each ``scaled_bessel`` call behind fig3's ``density.csv``."""
+    model, blocks = model_fig3(), []
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(telegraph, "scaled_bessel", lambda z: blocks.append(z) or scaled_bessel(z))
+        for t in FIG3_TIMES:
+            _x_density(model, t, 401)
+    assert [z.size for z in blocks] == [401] * len(FIG3_TIMES)
+    return blocks
+
+
+def test_scaled_bessel_fig3_blocks(benchmark, fig3_blocks):
+    pairs = benchmark(lambda: [scaled_bessel(z) for z in fig3_blocks])
+    assert all(np.all(i0e > 0.0) and np.all(i1e_over_z > 0.0) for i0e, i1e_over_z in pairs)

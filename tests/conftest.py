@@ -11,8 +11,9 @@ any faster evaluator of the library's vectorized ``kde``; ``matrix_kde`` is
 the one-matrix evaluator that ``kde`` must reproduce bit for bit, and
 ``pairwise_sum`` writes out numpy's float64 summation tree, whose nodes
 ``kde`` sums its rows over. The Bessel
-series keep their allocating loops with a whole-array stop test, which the
-library's in-place loops must reproduce bit for bit, and the Bessel density
+series keep their allocating loops, one order at a time, with a whole-array
+stop test, which the library's in-place loops over both orders at once must
+reproduce bit for bit, and the Bessel density
 keeps its whole-array evaluation, which the library's block walk must
 reproduce bit for bit. The W(t) CDF keeps its one-term-at-a-time Poisson
 mixture over switch counts, in double and in 40-digit precision; its

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, stats
 
 from conftest import direct_kde, full_density, matrix_kde, pairwise_sum, where_cdf
 from telhaz.datasets import builtin
@@ -738,3 +738,53 @@ class TestDefensibility:
         for bad in (0.0, -0.1, math.inf, True):
             with pytest.raises(ValueError, match="c must be"):
                 defensibility_test(melanoma, config, ConstantHazard(0.0125), bad)
+
+
+_BAND_SAMPLE = Sample.from_values(np.linspace(0.1, 1.0, 50) ** 2)
+
+
+def band_quantile(alpha):
+    """The z_alpha that confidence_band applied, read back from its half-width."""
+    band = confidence_band(_BAND_SAMPLE, BandConfig(h=0.3, alpha=alpha, grid_size=8))
+    scale = np.sqrt(
+        EPANECHNIKOV.l2_constant / (_BAND_SAMPLE.n * 0.3 * band.density)
+    ) * band.rate
+    z = band.halfwidth[band.usable] / scale[band.usable]
+    assert z.size > 0
+    return float(z[0])
+
+
+class TestNormalQuantile:
+    """The band's upper-tail normal quantile: P{Z > z_alpha} = alpha."""
+
+    def test_frozen_values(self):
+        assert band_quantile(0.025) == pytest.approx(1.9599639845400545, abs=1e-9)
+        assert band_quantile(0.158655) == pytest.approx(1.000001049431045, abs=1e-9)
+        # the rounded tail of Phi(1) maps back to 1.0 at its own precision
+        assert band_quantile(0.158655) == pytest.approx(1.0, abs=5e-6)
+        # alpha = 0.5 (z = 0, a band of zero width) is outside the band's domain
+        with pytest.raises(ValueError):
+            BandConfig(h=0.3, alpha=0.5)
+
+    @pytest.mark.parametrize("alpha", np.geomspace(1e-9, 0.499, 25).tolist())
+    def test_against_scipy_isf(self, alpha):
+        assert band_quantile(alpha) == pytest.approx(float(stats.norm.isf(alpha)), abs=1e-9)
+
+    def test_round_trip_through_erfc(self):
+        for alpha in (1e-8, 1e-4, 0.025, 0.2, 0.45):
+            z = band_quantile(alpha)
+            assert 0.5 * math.erfc(z / math.sqrt(2.0)) == pytest.approx(alpha, rel=1e-12)
+
+    @given(
+        st.floats(min_value=1e-9, max_value=0.5, exclude_max=True),
+        st.floats(min_value=1e-9, max_value=0.5, exclude_max=True),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_monotone_decreasing(self, a, b):
+        lo, hi = sorted((a, b))
+        assert band_quantile(lo) >= band_quantile(hi)
+
+    @pytest.mark.parametrize("alpha", [0.0, -0.1, 0.6, 1.0, float("nan")])
+    def test_domain(self, alpha):
+        with pytest.raises(ValueError):
+            BandConfig(h=0.3, alpha=alpha)
