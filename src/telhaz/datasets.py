@@ -9,8 +9,8 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from pathlib import Path
+from typing import NamedTuple
 
 from .estimation import Sample
 
@@ -35,8 +35,7 @@ _SERVICE_86 = (
 )
 
 
-@dataclass(frozen=True)
-class NamedDataset:
+class NamedDataset(NamedTuple):
     name: str
     sample: Sample
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 from scipy.special import ndtri
@@ -272,7 +273,7 @@ class BandConfig:
     grid_size: int = 512
 
     def __post_init__(self):
-        _positive("bandwidth", self.h)
+        object.__setattr__(self, "h", _positive("bandwidth", self.h))
         object.__setattr__(self, "alpha", _alpha("alpha", self.alpha))
         object.__setattr__(self, "grid_size", _count("grid_size", self.grid_size, 2))
 
@@ -282,8 +283,7 @@ class BandConfig:
         return _interior_grid(lo, hi, self.grid_size, "grid for this sample")
 
 
-@dataclass(frozen=True)
-class ConfidenceBand:
+class ConfidenceBand(NamedTuple):
     """Pointwise band rate -+ halfwidth; unusable grid points are masked out.
 
     ``usable`` is False where the density estimate (or the survival
@@ -330,8 +330,7 @@ def confidence_band(sample: Sample, config: BandConfig) -> ConfidenceBand:
     )
 
 
-@dataclass(frozen=True)
-class DefensibilityReport:
+class DefensibilityReport(NamedTuple):
     """Outcome of the strip test at amplitude ``c``.
 
     ``margin`` is halfwidth - |baseline - rate| - c per usable grid point;

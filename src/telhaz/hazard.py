@@ -42,21 +42,25 @@ class HazardSpec:
     turning_points: tuple[float, ...] = ()
 
     def __post_init__(self):
-        if not self.support_end > 0.0:  # NaN fails the comparison too
+        end = _real("support_end", self.support_end)
+        if not end > 0.0:  # NaN fails the comparison too
             raise ValueError(f"support_end must be > 0 (inf by default), got {self.support_end!r}")
+        object.__setattr__(self, "support_end", end)
 
     def rate(self, t):
-        """Instantaneous hazard r(t); scalar or array input."""
+        """Instantaneous hazard r(t); scalar or array input. A NaN rate is refused by its t."""
         arr = _times(t, self.support_end)
         with np.errstate(over="ignore"):  # past the double range r is inf
             out = self._rate(arr)
+        _refuse_nan("rate", arr, out)
         return float(out) if arr.ndim == 0 else out
 
     def cumulative(self, t):
-        """Exact cumulative hazard R(t) = integral of r over [0, t]."""
+        """Exact cumulative hazard R(t) = integral of r over [0, t]. A NaN is refused by its t."""
         arr = _times(t, self.support_end)
         with np.errstate(over="ignore"):  # past the double range R is inf
             out = self._cumulative(arr)
+        _refuse_nan("cumulative hazard", arr, out)
         return float(out) if arr.ndim == 0 else out
 
     def min_slack(self, c: float, lo: float, hi: float) -> Slack:
@@ -74,8 +78,7 @@ class HazardSpec:
             raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
         with np.errstate(all="ignore"):  # inf past the double range or at a pole; NaN refused
             pts, rates, attained = self._slack_candidates(lo, hi)
-        if np.isnan(rates).any():
-            raise ValueError(f"rate is NaN at t = {float(pts[np.isnan(rates)][0])!r}")
+        _refuse_nan("rate", pts, rates)
         slack = rates - c
         zero = (slack == 0.0) & attained
         i = int(np.argmax(zero) if zero.any() and slack.min() == 0.0 else np.argmin(slack))
@@ -103,14 +106,20 @@ class HazardSpec:
         return float(out) if np.ndim(t) == 0 else out
 
 
-def _positive(name: str, value, allow_zero: bool = False) -> float:
-    """``value`` as a float: a real number but not a bool, finite, > 0 (>= 0 with allow_zero)."""
+def _real(name: str, value) -> float:
+    """``value`` as a float: a real number but not a bool."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    if not (math.isfinite(value) and (value > 0.0 or (allow_zero and value == 0.0))):
+    return float(value)
+
+
+def _positive(name: str, value, allow_zero: bool = False) -> float:
+    """``value`` as a float: a real number but not a bool, finite, > 0 (>= 0 with allow_zero)."""
+    real = _real(name, value)
+    if not (math.isfinite(real) and (real > 0.0 or (allow_zero and real == 0.0))):
         bound = ">= 0" if allow_zero else "> 0"
         raise ValueError(f"{name} must be finite and {bound}, got {value!r}")
-    return float(value)
+    return real
 
 
 def _count(name: str, value, minimum: int) -> int:
@@ -134,6 +143,14 @@ def _not_nan(name: str, values) -> np.ndarray:
     if np.isnan(arr).any():
         raise ValueError(f"{name} must not be NaN")
     return arr
+
+
+def _refuse_nan(what: str, t, values) -> None:
+    """Refuse NaN in ``values``, ``what`` at the times ``t``, naming the first such time."""
+    nan = np.isnan(values)
+    if nan.any():
+        times, nan = np.broadcast_arrays(t, nan)
+        raise ValueError(f"{what} is NaN at t = {float(times[nan][0])!r}")
 
 
 def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:

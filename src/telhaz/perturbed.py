@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -44,8 +45,12 @@ def _each(f, values) -> np.ndarray:
     return np.fromiter(map(f, values.ravel().tolist()), float, values.size).reshape(values.shape)
 
 
-@dataclass(frozen=True)
-class SupportBand:
+def _edges(cum, ct) -> tuple[np.ndarray, np.ndarray]:
+    """a(t) = -expm1(c*t - R(t)) and b(t) = -expm1(-(c*t + R(t))), one ``math.expm1`` per time."""
+    return -_each(math.expm1, ct - cum), -_each(math.expm1, -(ct + cum))
+
+
+class SupportBand(NamedTuple):
     """Almost-sure envelope of X(t): floats at one time point, arrays over an array of times."""
 
     t: float | np.ndarray
@@ -135,14 +140,13 @@ class PerturbedModel:
         """Endpoints a(t) <= b(t) of the almost-sure band and its width, at a time or an array.
 
         R(t) is evaluated once over all of ``t``; each endpoint is then one
-        ``math.expm1`` and the width two ``math.exp`` per time, so an array
-        gives the same bits as one call per time. A scalar ``t`` gives floats.
+        ``math.expm1`` (see ``_edges``) and the width two ``math.exp`` per time, so
+        an array gives the same bits as one call per time. A scalar ``t`` gives floats.
         """
         cum, ct = self._cumulative(t)
         times = np.asarray(t, dtype=float)
-        lower, upper = ct - cum, -(ct + cum)  # log(1 - a(t)) and log(1 - b(t))
-        a, b = -_each(math.expm1, lower), -_each(math.expm1, upper)
-        width = _each(math.exp, lower) - _each(math.exp, upper)
+        a, b = _edges(cum, ct)
+        width = _each(math.exp, ct - cum) - _each(math.exp, -(ct + cum))  # (1 - a) - (1 - b)
         if times.ndim == 0:
             return SupportBand(float(times), float(a), float(b), float(width))
         return SupportBand(times, a, b, width)
@@ -150,12 +154,14 @@ class PerturbedModel:
     def band_width_nondecreasing(self, t: float) -> bool:
         """Whether the band width is non-decreasing at t: r(t) <= c*coth(c*t).
 
-        Undefined at t = 0 (coth blows up; the width always grows off 0).
+        Undefined at t = 0 (coth blows up; the width always grows off 0). ``t`` is one real
+        number: an array is refused by name, as in :meth:`atom_prob`.
         """
         rate = self.hazard.rate(t)  # also validates the domain
+        t = _positive("t", t, allow_zero=True)
         if t == 0.0:
             raise ValueError("t must be > 0, got 0.0")
-        return rate <= self.noise.c / math.tanh(self.noise.c * float(t))
+        return rate <= self.noise.c / math.tanh(self.noise.c * t)
 
     # -- one-time-point law --------------------------------------------------
 
@@ -244,9 +250,17 @@ class PerturbedModel:
         Every refusal of the grid, R < c*t among them, is raised by the call, before any path is
         drawn, also for no seeds. R(grid) is built once. The W paths of
         :func:`telegraph.sample_paths` are drawn a batch at a time, in O(grid size + 2^16)
-        memory, and each is mapped through X = 1 - exp(-(R + W)) as it is read. A bad seed is
-        refused once the paths before it have been read.
+        memory, and each is mapped through X = 1 - exp(-(R + W)) as it is read. ``np.expm1``
+        and the band's ``math.expm1`` may differ in the last bit, so a value below a(t) is
+        replaced by a(t) and one above b(t) by b(t): every path lies in the band of
+        :meth:`band`. A bad seed is refused once the paths before it have been read.
         """
         grid = _times(time_grid, self.hazard.support_end, "time_grid")
-        cum, _ = self._cumulative(grid)
-        return (-np.expm1(-(cum + w)) for w in sample_paths(self.noise, grid, seeds))
+        cum, ct = self._cumulative(grid)
+        a, b = _edges(cum, ct)
+
+        def inside(w):  # compared, not clipped: an x on an edge stays, x(0) = 0.0 not a(0) = -0.0
+            x = -np.expm1(-(cum + w))
+            return np.where(x < a, a, np.where(x > b, b, x))
+
+        return (inside(w) for w in sample_paths(self.noise, grid, seeds))

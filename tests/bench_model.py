@@ -79,4 +79,4 @@ def test_sample_paths_x(benchmark):
     x = np.array(paths)
     assert x.shape == (500, GRID.size)
     band = model.band(GRID)
-    assert np.all((band.a - 1e-12 <= x) & (x <= band.b + 1e-12))
+    assert np.all((band.a <= x) & (x <= band.b))

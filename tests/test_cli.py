@@ -115,7 +115,7 @@ class TestSimulate:
         for _, t, x in rows[1:]:
             t, x = float(t), float(x)
             band = model.band(t)
-            assert band.a - 1e-12 <= x <= band.b + 1e-12
+            assert band.a <= x <= band.b
 
 
 PATH_FLAGS = ("--c", "1", "--lam", "15", "--horizon", "1", "--seed", "5")

@@ -651,6 +651,16 @@ class TestConfidenceBand:
         assert config.alpha == float(np.float32(0.025)) and type(config.alpha) is float
         assert config.grid_size == 8
 
+    def test_bandwidth_stored_as_float(self):
+        # a float32 h once formed n * h in float32 in the band, while kde used float(h)
+        h = np.float32(6.3)
+        config = BandConfig(h=h, alpha=0.025)
+        assert type(config.h) is float and config.h == float(h)
+        sample = builtin("melanoma_46").sample
+        band32 = confidence_band(sample, config)
+        band64 = confidence_band(sample, BandConfig(h=float(h), alpha=0.025))
+        assert np.array_equal(band32.upper, band64.upper, equal_nan=True)
+
     def test_unusable_points_are_masked(self):
         # two clusters far apart leave a dead zone where the density vanishes
         sample = Sample.from_values([1.0, 1.1, 1.2, 99.0, 99.1, 99.2])

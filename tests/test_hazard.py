@@ -415,6 +415,50 @@ class TestValidation:
             spec.min_slack(0.5, 0.0, math.inf)
         assert spec.min_slack(0.5, 0.0, 10.0) == (0.5, 0.0, False)
 
+    @pytest.mark.parametrize("end", [5, np.int64(5), np.float32(5.0)], ids=["int", "int64", "float32"])
+    def test_support_end_stored_as_float(self, end):
+        for spec in (ConstantHazard(1.0, support_end=end), PolynomialHazard(15.0, 0.001, 1.0, end),
+                     CustomHazard(np.exp, np.expm1, support_end=end)):
+            assert type(spec.support_end) is float and spec.support_end == 5.0
+            with pytest.raises(ValueError, match=r"^t must lie in \[0, 5.0\), got 5.0$"):
+                spec.rate(5)
+
+    @pytest.mark.parametrize(
+        "end, message",
+        [
+            (True, "must be a real number, got True"),
+            ("5", "must be a real number, got '5'"),
+            (np.array(5.0), r"must be a real number, got array\(5.\)"),
+            (0.0, r"must be > 0 \(inf by default\), got 0.0"),
+            (-1, r"must be > 0 \(inf by default\), got -1"),
+            (math.nan, r"must be > 0 \(inf by default\), got nan"),
+        ],
+        ids=["bool", "str", "array", "zero", "negative", "nan"],
+    )
+    def test_support_end_refused_by_name(self, end, message):
+        segments = ((0.0, 0.0, 1.0),)
+        for build in (lambda: ConstantHazard(1.0, support_end=end),
+                      lambda: PiecewiseLinearHazard(segments, support_end=end),
+                      lambda: CustomHazard(np.exp, np.expm1, support_end=end)):
+            with pytest.raises(ValueError, match=f"^support_end {message}$"):
+                build()
+
+    def test_nan_closed_form_refused_by_first_t(self):
+        # r = 2 and R = 2t up to t = 1; past it one or the other is NaN
+        def nan_past_1(t):
+            return np.where(t > 1.0, np.nan, 2.0 * t)
+
+        nan_rate = CustomHazard(nan_past_1, lambda t: 2.0 * t)
+        nan_cumulative = CustomHazard(lambda t: np.full_like(t, 2.0), nan_past_1)
+        with pytest.raises(ValueError, match="^rate is NaN at t = 2.0$"):
+            nan_rate.rate([0.5, 2.0, 3.0])
+        for call in (nan_cumulative.cumulative, nan_cumulative.cdf, nan_cumulative.survival):
+            with pytest.raises(ValueError, match="^cumulative hazard is NaN at t = 3.0$"):
+                call(np.array([[0.5, 1.0], [3.0, 2.0]]))
+        assert nan_rate.rate(0.5) == 1.0 and nan_cumulative.cumulative([0.5, 1.0]).tolist() == [1.0, 2.0]
+        # the polynomial's R is inf - inf past t ~ 5.6e102, and is read as inf
+        assert HAZARDS["polynomial_c1"].cumulative(1e103) == math.inf
+
     def test_custom_spec_with_finite_support(self):
         spec = CustomHazard(
             rate_fn=lambda t: 1.0 / (1.0 - np.asarray(t)),

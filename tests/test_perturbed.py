@@ -131,6 +131,41 @@ class TestConstruction:
         assert model.band(1e5).a > 0.0  # R(t) > c*t still holds there
 
 
+class TestNanClosedForm:
+    # r = 2, and an R that turns NaN past t = 1: refused by name, not carried on as NaN
+    HAZARD = CustomHazard(lambda t: np.full_like(t, 2.0), lambda t: np.where(t > 1, np.nan, 2 * t))
+    NAN_AT_2 = "^cumulative hazard is NaN at t = 2.0$"
+
+    @pytest.fixture
+    def model(self):
+        return PerturbedModel(self.HAZARD, TelegraphParams(1.0, 1.0))
+
+    def test_band(self, model):
+        with pytest.raises(ValueError, match=self.NAN_AT_2):
+            model.band(2.0)
+        assert math.isfinite(model.band(1.0).width)
+
+    def test_mean(self, model):
+        with pytest.raises(ValueError, match=self.NAN_AT_2):
+            model.mean([0.5, 2.0])
+        assert math.isfinite(model.mean(0.5))
+
+    def test_paths(self, model):
+        # refused by the call, before any path is drawn
+        with pytest.raises(ValueError, match=self.NAN_AT_2):
+            model.sample_paths([0.0, 0.5, 2.0, 3.0], [])
+        assert np.all(np.isfinite(next(model.sample_paths([0.0, 0.5, 1.0], [0]))))
+
+    def test_total_excess_hazard(self):
+        # r = 1 + exp(-t) tends to c = 1, so nu is doubled for, and met R = NaN at T = 2
+        hazard = CustomHazard(lambda t: 1.0 + np.exp(-t),
+                              lambda t: np.where(t > 1, np.nan, t - np.expm1(-t)))
+        model = PerturbedModel(hazard, TelegraphParams(1.0, 1.0))
+        assert model.slack == (0.0, math.inf, False)
+        with pytest.raises(ValueError, match=self.NAN_AT_2):
+            model.total_excess_hazard
+
+
 # a pair that breaks its contract: r = 2 > c, but R is soft_step's, which falls below
 # c*t between t = 1e5 and 1e9
 _BROKEN = CustomHazard(lambda t: np.full_like(t, 2.0), HAZARDS["soft_step"].cumulative_fn)
@@ -225,6 +260,16 @@ class TestBand:
     def test_width_condition_rejects_origin(self, fig_model):
         with pytest.raises(ValueError):
             fig_model.band_width_nondecreasing(0.0)
+
+    def test_width_condition_refuses_an_array_by_name(self, fig_model):
+        # as atom_prob does; a scalar's refusals keep their own messages
+        for call in (fig_model.band_width_nondecreasing, fig_model.atom_prob):
+            with pytest.raises(ValueError, match=r"^t must be a real number, got array\(\[0.5, 1. \]\)$"):
+                call(np.array([0.5, 1.0]))
+        with pytest.raises(ValueError, match=r"^t must lie in \[0, inf\), got -1.0$"):
+            fig_model.band_width_nondecreasing(-1.0)
+        with pytest.raises(ValueError, match=r"^t must be > 0, got 0.0$"):
+            fig_model.band_width_nondecreasing(0)
 
     def test_width_condition_past_rate_overflow(self):
         # alpha t (t - 1)^2 overflows past t ~ 5.6e102: the rate is inf, silently
@@ -529,7 +574,17 @@ class TestSamplePaths:
             assert values[0] == 0.0
             for t, x in zip(grid[1:].tolist(), values[1:].tolist()):
                 band = fig_model.band(t)
-                assert band.a - 1e-12 <= x <= band.b + 1e-12
+                assert band.a <= x <= band.b
+
+    def test_paths_on_a_band_edge_stay_inside(self):
+        # at lam = 1e-300 no path switches: each runs along a(t) or b(t), where np.expm1 and
+        # the band's math.expm1 differ by 1 ulp at about one value in twenty
+        model = PerturbedModel(HAZARDS["polynomial_c2"], TelegraphParams(c=1.0, lam=1e-300))
+        grid = np.linspace(0.0, 1.0, 2001)
+        band = model.band(grid)
+        x = np.array(list(model.sample_paths(grid, range(20))))
+        assert int(np.sum(x < band.a)) == 0 and int(np.sum(x > band.b)) == 0
+        assert np.all(x[:, 0] == 0.0) and not np.signbit(x[:, 0]).any()  # a(0) is -0.0
 
     def test_paths_are_nondecreasing(self, fig_model):
         grid = np.linspace(0.0, 2.0, 301)
