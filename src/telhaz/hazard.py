@@ -47,21 +47,22 @@ class HazardSpec:
             raise ValueError(f"support_end must be > 0 (inf by default), got {self.support_end!r}")
         object.__setattr__(self, "support_end", end)
 
+    def _evaluate(self, closed_form, t, what: str):
+        """``closed_form`` at the checked times ``t``: a float for a scalar t, inf past the double
+        range, and a NaN refused as ``what`` by its first t."""
+        arr = _times(t, self.support_end)
+        with np.errstate(over="ignore"):
+            out = closed_form(arr)
+        _refuse_nan(what, arr, out)
+        return float(out) if arr.ndim == 0 else out
+
     def rate(self, t):
         """Instantaneous hazard r(t); scalar or array input. A NaN rate is refused by its t."""
-        arr = _times(t, self.support_end)
-        with np.errstate(over="ignore"):  # past the double range r is inf
-            out = self._rate(arr)
-        _refuse_nan("rate", arr, out)
-        return float(out) if arr.ndim == 0 else out
+        return self._evaluate(self._rate, t, "rate")
 
     def cumulative(self, t):
         """Exact cumulative hazard R(t) = integral of r over [0, t]. A NaN is refused by its t."""
-        arr = _times(t, self.support_end)
-        with np.errstate(over="ignore"):  # past the double range R is inf
-            out = self._cumulative(arr)
-        _refuse_nan("cumulative hazard", arr, out)
-        return float(out) if arr.ndim == 0 else out
+        return self._evaluate(self._cumulative, t, "cumulative hazard")
 
     def min_slack(self, c: float, lo: float, hi: float) -> Slack:
         """Infimum of r - c over (lo, hi], exact for every family; ``hi = support_end`` is the rest.
@@ -69,6 +70,8 @@ class HazardSpec:
         The open ends, lo+ and the end of the support, are limits; the turning points, a ``hi``
         inside the support and a probe inside each gap between these are attained. A tie at
         slack 0 goes to an attained point, any other to the first of lo, turns, hi and probes.
+        A piecewise line probes only its flat pieces, since a sloped one is least at an end. So
+        r(t) may round to c at an interior t where dominance is reported to hold.
         """
         end = self.support_end
         lo = float(_times(lo, end, name="lo"))
@@ -97,20 +100,21 @@ class HazardSpec:
 
     def cdf(self, t):
         """Lifetime distribution function 1 - exp(-R(t))."""
-        out = -np.expm1(-np.asarray(self.cumulative(t), dtype=float))
-        return float(out) if np.ndim(t) == 0 else out
+        return self._evaluate(lambda arr: -np.expm1(-self._cumulative(arr)), t, "cumulative hazard")
 
     def survival(self, t):
         """Survival function exp(-R(t)); underflows smoothly to 0.0."""
-        out = np.exp(-np.asarray(self.cumulative(t), dtype=float))
-        return float(out) if np.ndim(t) == 0 else out
+        return self._evaluate(lambda arr: np.exp(-self._cumulative(arr)), t, "cumulative hazard")
 
 
 def _real(name: str, value) -> float:
-    """``value`` as a float: a real number but not a bool."""
+    """``value`` as a float: a real number but not a bool, and not an int past the double range."""
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         raise ValueError(f"{name} must be a real number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError:  # its repr may be too long to quote
+        raise ValueError(f"{name} must lie within the double range, got a number past it") from None
 
 
 def _positive(name: str, value, allow_zero: bool = False) -> float:
@@ -260,7 +264,8 @@ class PiecewiseLinearHazard(HazardSpec):
         with np.errstate(over="ignore"):  # past the double range r is inf
             pts, rates, _ = self._slack_candidates(0.0, self.support_end)
         bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
-        bad[2 * bad.size // 3 :] = False  # both ends of each piece count, the probes do not
+        # both ends of each piece on the support count, the probes of its flat pieces do not
+        bad[2 * sum(s < self.support_end for s in starts) :] = False
         if bad.any():
             raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
         if not math.isfinite(self.support_end) and segs[-1][1] < 0.0:
@@ -290,24 +295,27 @@ class PiecewiseLinearHazard(HazardSpec):
         return offsets[idx] + _line_integral(starts[idx], slopes[idx], intercepts[idx], arr)
 
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # each piece's own line at both ends of its part of (lo, hi] and midway: its left end
-        # is a limit, so a drop just right of a breakpoint counts though r(breakpoint) does not;
-        # a last piece to inf has slope >= 0, so one step past its left end will do (0*inf: NaN)
+        # each piece's own line at both ends of its part of (lo, hi]: its left end is a limit, so
+        # a drop just right of a breakpoint counts though r(breakpoint) does not. A sloped line
+        # has its infimum at an end, so only a flat piece needs a probe inside, midway; a last
+        # piece to inf has slope >= 0, so one step past its left end will do (0*inf: NaN)
         starts, slopes, intercepts, _ = self._arrays
         left = np.maximum(starts, lo)
         last = _past(max(lo, starts[-1])) if hi == math.inf else hi
         right = np.minimum(np.append(starts[1:], last), hi)
         keep = left < right
-        left, right = left[keep], right[keep]
-        pts = np.concatenate([left, right, left + 0.5 * (right - left)])
+        left, right, slopes, intercepts = left[keep], right[keep], slopes[keep], intercepts[keep]
+        flat = slopes == 0.0
+        pts = np.concatenate([left, right, (left + 0.5 * (right - left))[flat]])
         attained = pts < self.support_end
         attained[: left.size] = False
-        return pts, np.tile(slopes[keep], 3) * pts + np.tile(intercepts[keep], 3), attained
+        pieces = np.concatenate([np.arange(left.size)] * 2 + [np.flatnonzero(flat)])
+        return pts, slopes[pieces] * pts + intercepts[pieces], attained
 
 
 @dataclass(frozen=True)
 class CustomHazard(HazardSpec):
-    """Caller-supplied closed-form pair (r, R), both taking a float array of times.
+    """Caller-supplied closed-form pair (r, R), each mapping a float array of times to its shape.
 
     No differentiation or integration happens here: the contract is an exact antiderivative,
     which keeps the hot path quadrature-free, and ``turning_points``, the times in
@@ -322,14 +330,29 @@ class CustomHazard(HazardSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        if 0.0 in _times(self.turning_points, self.support_end, "turning_points"):
+        for name in ("rate_fn", "cumulative_fn"):
+            if not callable(getattr(self, name)):
+                raise ValueError(f"{name} must be callable, got {getattr(self, name)!r}")
+        points = _times(self.turning_points, self.support_end, "turning_points")
+        if points.ndim != 1:
+            got = self.turning_points
+            raise ValueError(f"turning_points must be a sequence of times, got {got!r}")
+        if 0.0 in points:
             raise ValueError(f"turning_points must lie in (0, {self.support_end}), got 0.0")
 
     def _rate(self, arr):
-        return np.asarray(self.rate_fn(arr), dtype=float)
+        return _shaped("rate_fn", self.rate_fn(arr), arr)
 
     def _cumulative(self, arr):
-        return np.asarray(self.cumulative_fn(arr), dtype=float)
+        return _shaped("cumulative_fn", self.cumulative_fn(arr), arr)
+
+
+def _shaped(name: str, out, arr: np.ndarray) -> np.ndarray:
+    """A callable's ``out`` at the times ``arr`` as a float array, refused unless of their shape."""
+    out = np.asarray(out, dtype=float)
+    if out.shape != arr.shape:
+        raise ValueError(f"{name} must return the shape of its times, {arr.shape}, got {out.shape}")
+    return out
 
 
 def _past(t: float) -> float:

@@ -1,9 +1,10 @@
 import math
 import re
+import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
@@ -16,6 +17,7 @@ from telhaz.hazard import (
     parse_hazard_config,
 )
 from telhaz.presets import APP2_BASELINE, HAZARDS
+from telhaz.telegraph import TelegraphParams
 
 
 ALL_SPECS = [
@@ -302,6 +304,8 @@ class TestDominance:
         assert spec.min_slack(c, 0.0, spec.support_end) == horizon_min_slack(spec, c)
 
     @given(_hazards(), st.floats(1e-3, 10.0))
+    # r(t) = c + 2.2e-19 t rounds to c for t <= 0.5, where a probe midway to t = 1 once read it
+    @example(spec=PiecewiseLinearHazard(((0.0, 2.168404344971009e-19, 0.001),)), c=0.001)
     @settings(max_examples=200, deadline=None)
     def test_whole_support_matches_checked_horizon_drawn(self, spec, c):
         whole, near = spec.min_slack(c, 0.0, spec.support_end), horizon_min_slack(spec, c)
@@ -394,6 +398,8 @@ class TestValidation:
             ((math.nan,), r"must lie in \[0, 2.0\), got nan"),
             ((True,), r"must be a real number, got True"),
             ((0.0, 1.0), r"must lie in \(0, 2.0\), got 0.0"),
+            (0.5, r"must be a sequence of times, got 0.5"),
+            (((0.5,),), r"must be a sequence of times, got \(\(0.5,\),\)"),
         ],
     )
     def test_custom_turning_points_checked(self, points, message):
@@ -406,6 +412,39 @@ class TestValidation:
         spec = CustomHazard(rate, np.exp, turning_points=(2.0, 1.0, 1.5, 2.0))
         ordered = CustomHazard(rate, np.exp, turning_points=(1.0, 1.5, 2.0))
         assert spec.min_slack(0.5, 0.0, 3.0) == ordered.min_slack(0.5, 0.0, 3.0) == (0.5, 1.0, True)
+
+    def test_custom_output_of_another_shape_refused_by_name(self):
+        # a scalar for an array once reached min_slack, and so PerturbedModel, as numpy's IndexError
+        two = CustomHazard(lambda t: 2.0, lambda t: 2.0 * t)
+        message = r"^rate_fn must return the shape of its times, \(3,\), got \(\)$"
+        with pytest.raises(ValueError, match=message):
+            two.min_slack(1.0, 0.0, math.inf)
+        assert two.rate(0.5) == 2.0  # a scalar is the shape of a scalar time
+        one = CustomHazard(lambda t: np.full_like(t, 2.0), lambda t: np.ones(1))
+        message = r"^cumulative_fn must return the shape of its times, \(\), got \(1,\)$"
+        for call in (one.cumulative, one.cdf, one.survival):
+            with pytest.raises(ValueError, match=message):
+                call(0.5)
+
+    @pytest.mark.parametrize("name", ["rate_fn", "cumulative_fn"])
+    def test_custom_callables_checked(self, name):
+        fns = {"rate_fn": np.exp, "cumulative_fn": np.expm1, name: 2.0}
+        with pytest.raises(ValueError, match=f"^{name} must be callable, got 2.0$"):
+            CustomHazard(**fns)
+
+    @pytest.mark.parametrize("value", [10**400, -(10**400), 10**5000],
+                             ids=["1e400", "-1e400", "1e5000"])
+    def test_int_past_double_range_refused_by_name(self, value):
+        # float() of it raises OverflowError, and past 4300 digits so does its repr
+        message = " must lie within the double range, got a number past it$"
+        with pytest.raises(ValueError, match="^rate0" + message):
+            ConstantHazard(value)
+        with pytest.raises(ValueError, match="^support_end" + message):
+            PolynomialHazard(15.0, 0.001, 1.0, support_end=value)
+        with pytest.raises(ValueError, match="^c" + message):
+            TelegraphParams(value, 1.0)
+        with pytest.raises(ValueError, match="^t" + message):
+            ConstantHazard(1.0).rate([0.5, value])
 
     def test_custom_nan_rate_refused_by_name(self):
         # r = 1 + t exp(-t) turns at t = 1; at t = inf it is inf * 0
@@ -523,3 +562,112 @@ class TestConfigParsing:
             named = None
         with pytest.raises(ValueError, match=named):
             parse_hazard_config(text)
+
+
+# Python values of every kind a caller might pass for a number
+_VALUES = st.one_of(
+    st.floats(),  # NaN and +-inf among them
+    st.booleans(),
+    st.integers(-(2**70), 2**70),
+    st.sampled_from([10**400, -(10**400), 2**1024]),  # ints past the double range
+    st.floats().map(np.float64),
+    st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+    st.floats().map(np.array),  # 0-d
+    st.lists(st.floats(), max_size=3).map(np.array),
+)
+# callables for CustomHazard: a closed form, one that overflows, and ones of the wrong shape
+_CALLABLES = {
+    "line": lambda t: 1.0 + t,
+    "exp": lambda t: 1.0 + np.exp(t),
+    "scalar": lambda t: 2.0,
+    "one": lambda t: np.ones(1),
+}
+
+
+def _mostly(valid):
+    """``valid`` half the time, any of ``_VALUES`` otherwise, so that some draws build."""
+    return st.booleans().flatmap(lambda ok: valid if ok else _VALUES)
+
+
+_NUMBER = _mostly(st.floats(0.01, 10.0))
+# what a refusal opens with, for each family: an argument's name, or the t it fails at
+_REFUSALS = {
+    "constant": r"(rate0|support_end) must ",
+    "polynomial": r"(alpha|beta|c_ref|support_end) must ",
+    "piecewise": r"((segment parameters|segment starts|first segment|last segment|support_end)"
+                 r" must |bad segment |rate is not positive at t = )",
+    "custom": r"((rate_fn|cumulative_fn|support_end|turning_points) must "
+              r"|(rate|cumulative hazard) is NaN at t = )",
+    "noise": r"(c|lam) must ",
+}
+
+
+@st.composite
+def _constructions(draw):
+    """A family's name and the keyword arguments to build it from, each a drawn Python value."""
+    kind = draw(st.sampled_from(sorted(_REFUSALS)))
+    optional = {} if draw(st.booleans()) else {"support_end": draw(_NUMBER)}
+    if kind == "constant":
+        return kind, {"rate0": draw(_NUMBER), **optional}
+    if kind == "polynomial":
+        return kind, {name: draw(_NUMBER) for name in ("alpha", "beta", "c_ref")} | optional
+    if kind == "noise":
+        return kind, {"c": draw(_NUMBER), "lam": draw(_NUMBER)}
+    if kind == "custom":
+        fns = _mostly(st.sampled_from(sorted(_CALLABLES)).map(_CALLABLES.get))
+        points = _mostly(st.lists(_NUMBER, max_size=2).map(tuple))
+        extra = {} if draw(st.booleans()) else {"turning_points": draw(points)}
+        return kind, {"rate_fn": draw(fns), "cumulative_fn": draw(fns), **optional, **extra}
+    segments = [(draw(_mostly(st.just(0.0))), draw(_NUMBER), draw(_NUMBER))]
+    segments += draw(st.lists(st.tuples(_NUMBER, _NUMBER, _NUMBER), max_size=2))
+    return kind, {"segments": segments, **optional}
+
+
+def _build(kind: str, args: dict):
+    if kind == "piecewise":  # from config text, as the CLI reads it
+        segments = "; ".join(":".join(map(str, segment)) for segment in args["segments"])
+        lines = ["kind = piecewise", f"segments = {segments}"]
+        if "support_end" in args:
+            lines.append(f"support_end = {args['support_end']}")
+        return parse_hazard_config("\n".join(lines))
+    family = {"constant": ConstantHazard, "polynomial": PolynomialHazard, "custom": CustomHazard,
+              "noise": TelegraphParams}[kind]
+    return family(**args)
+
+
+def _evaluate_all(spec, c):
+    """Each evaluator of ``spec`` at a few times in its support, and its slack over all of it."""
+    end = spec.support_end
+    ts = np.array([0.0, 0.5, 1e3, 1e300])
+    if end < math.inf:
+        ts = end * np.array([0.0, 0.25, 0.5, 0.75])
+    ts = ts[ts < end]  # 0.75 * end rounds to end at the least double
+    for evaluate in (spec.rate, spec.cumulative, spec.cdf, spec.survival):
+        out = evaluate(ts)
+        assert out.shape == ts.shape and not np.isnan(out).any(), evaluate.__name__
+        assert type(evaluate(float(ts[-1]))) is float, evaluate.__name__
+    assert not math.isnan(spec.min_slack(c, 0.0, end).value)
+
+
+@given(_constructions(), st.floats(1e-3, 10.0))
+# the first two once raised Python's OverflowError, the third numpy's IndexError
+@example(("constant", {"rate0": 10**400}), 1.0)
+@example(("noise", {"c": 10**400, "lam": 1.0}), 1.0)
+@example(("custom", {"rate_fn": _CALLABLES["scalar"], "cumulative_fn": _CALLABLES["line"]}), 1.0)
+@settings(max_examples=200, deadline=None)
+def test_construction_builds_or_refuses_by_name(construction, c):
+    # a family built from any Python values evaluates to floats, never NaN, or a ValueError
+    # names the argument (or the t) at fault; no numpy warning either way
+    kind, args = construction
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            built = _build(kind, args)
+            if kind == "noise":
+                assert all(type(v) is float and 0.0 < v < math.inf for v in (built.c, built.lam))
+            else:
+                _evaluate_all(built, c)
+        except ValueError as exc:
+            assert re.match(_REFUSALS[kind], str(exc)), (kind, str(exc))
+    assert [str(w.message) for w in caught] == []
