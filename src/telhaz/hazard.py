@@ -34,8 +34,9 @@ class HazardSpec:
     """Base interface: positive rate on [0, support_end) with exact R(t).
 
     A family supplies ``_rate`` and ``_cumulative`` on a checked time array, and the
-    ``turning_points`` of r: it is flat or strictly monotone between them. r and R go inf on
-    overflow, and ``_rate`` at support_end (inf on an infinite support) is the limit of r there.
+    ``turning_points`` of r: it is flat or strictly monotone between them; where it jumps at one,
+    ``_rate_after`` reads it just to the right. r and R go inf on overflow, and ``_rate`` at
+    support_end (inf on an infinite support) is the limit of r there.
     """
 
     support_end: float = math.inf
@@ -67,11 +68,13 @@ class HazardSpec:
     def min_slack(self, c: float, lo: float, hi: float) -> Slack:
         """Infimum of r - c over (lo, hi], exact for every family; ``hi = support_end`` is the rest.
 
-        The open ends, lo+ and the end of the support, are limits; the turning points, a ``hi``
-        inside the support and a probe inside each gap between these are attained. A tie at
-        slack 0 goes to an attained point, any other to the first of lo, turns, hi and probes.
-        A piecewise line probes only its flat pieces, since a sloped one is least at an end. So
-        r(t) may round to c at an interior t where dominance is reported to hold.
+        lo, the turning points and hi cut (lo, hi] into stretches of r flat or strictly monotone,
+        so each is decided from its two ends. The left end is read just to its right, a limit
+        unless r takes that value at a turning point; the right end is attained inside the
+        support. Only a stretch whose ends read alike is probed, once, and the probe is
+        attained. A tie at slack 0 goes to an attained point, any other to the first of the
+        left ends, right ends and probes. So r(t) may round to c inside a stretch that rises
+        off c, where dominance is reported to hold whatever the interval.
         """
         end = self.support_end
         lo = float(_times(lo, end, name="lo"))
@@ -88,15 +91,24 @@ class HazardSpec:
         return Slack(float(slack[i]), float(pts[i]), bool(attained[i]))
 
     def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # lo, the turning points, hi, then one probe inside each gap between them (one step
-        # past the last for an infinite gap), which sees a stretch where r is flat; a set, as
-        # np.unique would import numpy.ma
+        # the stretches between lo, the turning points and hi: their left ends, their right ends,
+        # then their midpoints (one step past the start of an infinite one) where the two ends
+        # read alike, r read at every end and midpoint in one call; a set, as np.unique would
+        # import numpy.ma
         ends = sorted({lo, *(float(p) for p in self.turning_points if lo < p < hi), hi})
-        probes = [_past(a) if b == math.inf else a + 0.5 * (b - a) for a, b in zip(ends, ends[1:])]
-        pts = np.concatenate([ends, probes])
+        n = len(ends) - 1
+        mids = [_past(a) if b == math.inf else a + 0.5 * (b - a) for a, b in zip(ends, ends[1:])]
+        pts = np.array(ends + mids)
+        rates = self._rate(pts)
+        after, at = self._rate_after(pts[:n]), rates[1 : n + 1]
+        pts, rates = np.append(pts[:n], pts[1:]), np.append(after, rates[1:])
         attained = pts < self.support_end
-        attained[0] = False  # lo+
-        return pts, self._rate(pts), attained
+        attained[:n] = np.append(False, after[1:] == at[:-1])  # lo+ is a limit
+        keep = np.append(np.ones(2 * n, bool), after == at)
+        return pts[keep], rates[keep], attained[keep]
+
+    def _rate_after(self, arr):
+        return self._rate(arr)  # r is continuous unless a family says otherwise
 
     def cdf(self, t):
         """Lifetime distribution function 1 - exp(-R(t))."""
@@ -159,7 +171,10 @@ def _refuse_nan(what: str, t, values) -> None:
 
 def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
     """``t`` as a float array of reals, not bools, in [0, end); errors quote the first bad value."""
-    arr = np.asarray(t)
+    try:
+        arr = np.asarray(t)
+    except ValueError:  # a ragged nest of sequences
+        raise ValueError(f"{name} must be a real number or an array of them, got {t!r}") from None
     if arr.dtype.kind not in "iuf":  # bool, str, object, complex, ...
         for value in [*arr.ravel().tolist(), t]:  # t last: an object array fails on itself
             _positive(name, value, allow_zero=True)
@@ -261,15 +276,14 @@ class PiecewiseLinearHazard(HazardSpec):
         if any(not all(map(math.isfinite, seg)) for seg in segs):
             raise ValueError("segment parameters must be finite")
         object.__setattr__(self, "segments", segs)
-        with np.errstate(over="ignore"):  # past the double range r is inf
-            pts, rates, _ = self._slack_candidates(0.0, self.support_end)
-        bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
-        # both ends of each piece on the support count, the probes of its flat pieces do not
-        bad[2 * sum(s < self.support_end for s in starts) :] = False
-        if bad.any():
-            raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
+        object.__setattr__(self, "turning_points", tuple(starts[1:]))  # not a field
         if not math.isfinite(self.support_end) and segs[-1][1] < 0.0:
             raise ValueError("last segment must have slope >= 0 on an infinite support")
+        with np.errstate(over="ignore", invalid="ignore"):  # r is inf past the double range
+            pts, rates, _ = self._slack_candidates(0.0, self.support_end)
+        bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
+        if bad.any():
+            raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
@@ -279,38 +293,24 @@ class PiecewiseLinearHazard(HazardSpec):
         offsets = np.cumsum(np.append(0.0, pieces))
         return starts, slopes, intercepts, offsets
 
-    def _segment_index(self, arr: np.ndarray, starts: np.ndarray) -> np.ndarray:
+    def _segment_index(self, arr: np.ndarray, starts: np.ndarray, side: str = "left") -> np.ndarray:
         # breakpoints belong to the segment on their left: pieces are
         # [0, s_1], (s_1, s_2], ... which matches published baselines
-        return np.clip(np.searchsorted(starts, arr, side="left") - 1, 0, None)
+        return np.clip(np.searchsorted(starts, arr, side=side) - 1, 0, None)
 
-    def _rate(self, arr):
+    def _rate(self, arr, side: str = "left"):
         starts, slopes, intercepts, _ = self._arrays
-        idx = self._segment_index(arr, starts)
-        return slopes[idx] * arr + intercepts[idx]
+        idx = self._segment_index(arr, starts, side)
+        # a flat piece reads its intercept, also at t = inf, where 0 * inf is NaN
+        return np.where(slopes[idx] == 0.0, intercepts[idx], slopes[idx] * arr + intercepts[idx])
+
+    def _rate_after(self, arr):
+        return self._rate(arr, "right")  # the piece that starts at a breakpoint
 
     def _cumulative(self, arr):
         starts, slopes, intercepts, offsets = self._arrays
         idx = self._segment_index(arr, starts)
         return offsets[idx] + _line_integral(starts[idx], slopes[idx], intercepts[idx], arr)
-
-    def _slack_candidates(self, lo: float, hi: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        # each piece's own line at both ends of its part of (lo, hi]: its left end is a limit, so
-        # a drop just right of a breakpoint counts though r(breakpoint) does not. A sloped line
-        # has its infimum at an end, so only a flat piece needs a probe inside, midway; a last
-        # piece to inf has slope >= 0, so one step past its left end will do (0*inf: NaN)
-        starts, slopes, intercepts, _ = self._arrays
-        left = np.maximum(starts, lo)
-        last = _past(max(lo, starts[-1])) if hi == math.inf else hi
-        right = np.minimum(np.append(starts[1:], last), hi)
-        keep = left < right
-        left, right, slopes, intercepts = left[keep], right[keep], slopes[keep], intercepts[keep]
-        flat = slopes == 0.0
-        pts = np.concatenate([left, right, (left + 0.5 * (right - left))[flat]])
-        attained = pts < self.support_end
-        attained[: left.size] = False
-        pieces = np.concatenate([np.arange(left.size)] * 2 + [np.flatnonzero(flat)])
-        return pts, slopes[pieces] * pts + intercepts[pieces], attained
 
 
 @dataclass(frozen=True)

@@ -210,19 +210,19 @@ class PerturbedModel:
         or an array of ``x``. The first call in a process imports
         ``scipy.special`` (through :func:`w_cdf`).
         """
-        band = self.band(t)  # also validates t
-        t = band.t
+        cum, ct = self._cumulative(t)  # also validates t
+        a, b = _edges(cum, ct)
         arr = _not_nan("x", x)
-        ct = self.noise.c * t
         # X <= x  <=>  W <= log(survival(t) / (1 - x)); clamp the threshold
         # into [-ct, ct] to absorb roundoff at the band endpoints. For x >= 1
         # the log is -inf or NaN; such points lie outside the band, so w_cdf
         # gets 0 there and the band clamp below overrides them.
-        outside = (arr < band.a) | (arr >= band.b)
+        outside = (arr < a) | (arr >= b)
         with np.errstate(divide="ignore", invalid="ignore"):
-            w = np.clip(-(self.hazard.cumulative(t) + np.log1p(-arr)), -ct, ct)
-        inside = w_cdf(self.noise, t, np.where(outside, 0.0, w))
-        out = np.where(arr < band.a, 0.0, np.where(arr >= band.b, 1.0, inside))
+            w = np.clip(-(cum + np.log1p(-arr)), -ct, ct)
+        # t as a float, or refused by w_cdf as the array of times band(t) would hold
+        inside = w_cdf(self.noise, np.asarray(t, dtype=float)[()], np.where(outside, 0.0, w))
+        out = np.where(arr < a, 0.0, np.where(arr >= b, 1.0, inside))
         return float(out) if arr.ndim == 0 else out
 
     # -- moments --------------------------------------------------------------

@@ -174,16 +174,26 @@ _FIGURE_C = [("polynomial_c1", 1.0), ("polynomial_c2", 2.0), ("exponential_growt
              ("soft_step", 1.0), ("app1_constant", 0.0004), ("app2_piecewise", 0.00025)]
 
 
+def _line(q: float, m: float, end: float = math.inf) -> CustomHazard:
+    """The rising line r(t) = q + m t as a caller-supplied pair."""
+    return CustomHazard(lambda t: q + m * t, lambda t: (q + 0.5 * m * t) * t, support_end=end)
+
+
 @st.composite
 def _hazards(draw):
-    """A constant, polynomial or piecewise hazard on a finite or an infinite support."""
+    """A constant, polynomial, piecewise or custom-line hazard on a finite or infinite support."""
     end = draw(st.one_of(st.just(math.inf), st.floats(0.01, 1e3)))
     rate = st.floats(1e-3, 10.0)
-    kind = draw(st.sampled_from(["constant", "polynomial", "piecewise"]))
+    kind = draw(st.sampled_from(["constant", "polynomial", "piecewise", "custom"]))
     if kind == "constant":
         return ConstantHazard(draw(rate), support_end=end)
     if kind == "polynomial":
         return PolynomialHazard(draw(rate), draw(rate), draw(st.floats(0.0, 10.0)), support_end=end)
+    if kind == "custom":
+        # a slope down to 1e-16 of r(0), where r(t) rounds to r(0) for t <= 1 but not at the
+        # tail the oracle reads
+        q = draw(rate)
+        return _line(q, q * draw(st.floats(1e-16, 10.0)), end)
     # lines through positive end rates: on an infinite support the last one is flat or
     # rising, and a finite support ends inside the pieces, so r > 0 on the support
     pieces = draw(st.lists(st.tuples(st.floats(0.01, 100.0), rate, rate), min_size=1, max_size=5))
@@ -306,6 +316,10 @@ class TestDominance:
     @given(_hazards(), st.floats(1e-3, 10.0))
     # r(t) = c + 2.2e-19 t rounds to c for t <= 0.5, where a probe midway to t = 1 once read it
     @example(spec=PiecewiseLinearHazard(((0.0, 2.168404344971009e-19, 0.001),)), c=0.001)
+    # r(t) = c + 1e-19 t rounds to c for t <= 1, where a probe one step past t = 0 once read it,
+    # in the custom family and in a piece to inf
+    @example(spec=_line(0.001, 1e-19), c=0.001)
+    @example(spec=PiecewiseLinearHazard(((0.0, 1e-19, 0.001),)), c=0.001)
     @settings(max_examples=200, deadline=None)
     def test_whole_support_matches_checked_horizon_drawn(self, spec, c):
         whole, near = spec.min_slack(c, 0.0, spec.support_end), horizon_min_slack(spec, c)
@@ -313,6 +327,16 @@ class TestDominance:
             assert not whole.holds  # refuses it at a probe of its own
         else:
             assert whole == near
+
+    def test_minimum_at_continuous_breakpoint_attained(self):
+        # r = 3 - t, then 1 + t past t = 1: r(1) = 2 is reached, at the breakpoint itself
+        spec = PiecewiseLinearHazard(((0.0, -1.0, 3.0), (1.0, 1.0, 1.0)))
+        assert spec.min_slack(1.0, 0.0, 5.0) == (1.0, 1.0, True)
+        assert spec.min_slack(1.0, 1.0, 5.0) == (1.0, 1.0, False)  # lo+ only approaches it
+
+    def test_piecewise_turning_points_are_inner_starts(self):
+        assert HAZARDS["app2_piecewise"].turning_points == (650.0, 1000.0)
+        assert PiecewiseLinearHazard(((0.0, 0.0, 1.0),)).turning_points == ()
 
     def test_rest_of_infinite_support_from_any_lo(self):
         # lo past the last breakpoint, and past a custom pair's last turning point;
@@ -651,10 +675,13 @@ def _evaluate_all(spec, c):
 
 
 @given(_constructions(), st.floats(1e-3, 10.0))
-# the first two once raised Python's OverflowError, the third numpy's IndexError
+# the first two once raised Python's OverflowError, the third numpy's IndexError, the fourth
+# numpy's ValueError for a ragged sequence
 @example(("constant", {"rate0": 10**400}), 1.0)
 @example(("noise", {"c": 10**400, "lam": 1.0}), 1.0)
 @example(("custom", {"rate_fn": _CALLABLES["scalar"], "cumulative_fn": _CALLABLES["line"]}), 1.0)
+@example(("custom", {"rate_fn": _CALLABLES["exp"], "cumulative_fn": _CALLABLES["exp"],
+                     "turning_points": (0.0, np.array([]))}), 1.0)
 @settings(max_examples=200, deadline=None)
 def test_construction_builds_or_refuses_by_name(construction, c):
     # a family built from any Python values evaluates to floats, never NaN, or a ValueError

@@ -6,6 +6,8 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from telhaz.hazard import (
@@ -26,6 +28,7 @@ from telhaz.presets import (
     model_fig3,
 )
 from conftest import bessel_density_oracle, math_band, oracle_path
+from test_hazard import _hazards
 from telhaz import telegraph
 from telhaz.telegraph import (
     TelegraphParams,
@@ -644,3 +647,52 @@ class TestSamplePaths:
             positive += sign * (-1) ** switches > 0
         sigma = math.sqrt(0.25 / n)
         assert abs(positive / n - 0.5) < 3.0 * sigma
+
+
+
+_LOG10 = st.floats(-300.0, 300.0)  # log10 of a parameter or a time
+# a refusal names the argument at fault: the amplitude, the rate, a time or a point
+_NAMED = re.compile(r"\b(c|lam|t|x|time_grid)( = | must )")
+
+
+def _value_or_named_refusal(name: str, call):
+    """``call()``, or None where it raises a ValueError that names an argument; unwarned."""
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        try:
+            out = call()
+        except ValueError as exc:
+            assert _NAMED.search(str(exc)), (name, str(exc))
+            out = None
+    assert [str(w.message) for w in caught] == [], name
+    return out
+
+
+@given(_hazards(), st.floats(-30.0, 1.0), _LOG10, _LOG10)
+@settings(max_examples=200, deadline=None)
+def test_model_methods_return_finite_or_refuse_by_name(hazard, c, lam, t):
+    # the X(t) twin of test_public_functions_return_finite_or_refuse_by_name, on drawn
+    # hazards; a finite support is read at a fraction of its end
+    noise = TelegraphParams(c=10.0**c, lam=10.0**lam)
+    t = hazard.support_end * 10.0 ** min(t, 0.0) / 2.0 if hazard.support_end < math.inf else 10.0**t
+    model = _value_or_named_refusal("build", lambda: PerturbedModel(hazard, noise))
+    if model is None:
+        return
+    band = _value_or_named_refusal("band", lambda: model.band(t))
+    assert band is None or np.all(np.isfinite(band))
+    a, b = (0.5, 0.5) if band is None else (band.a, band.b)
+    calls = {
+        "density": lambda: model.density(0.5 * (a + b), t),
+        "mean": lambda: model.mean(t),
+        "variance": lambda: model.variance(t),
+        "atom_prob": lambda: model.atom_prob(t),
+    }
+    lam_t = noise.lam * t
+    if lam_t <= 1e4:
+        calls["cdf"] = lambda: model.cdf([-np.inf, 0.0, a, 0.5 * (a + b), b, 1.0, np.inf], t)
+    if not 1e5 < lam_t <= 2.0**30:  # drawing up to 2^30 switches is slow, not wrong
+        calls["sample_paths"] = lambda: next(model.sample_paths([0.0, 0.5 * t, t], [0]))
+    for name, call in calls.items():
+        out = _value_or_named_refusal(name, call)
+        assert out is None or np.all(np.isfinite(out)), name
+        assert name != "cdf" or out is None or np.all((0.0 <= out) & (out <= 1.0)), name
