@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .hazard import HazardSpec, _alpha, _count, _interior_grid, _not_nan, _positive
+from .hazard import HazardSpec, _alpha, _count, _interior_grid, _not_nan, _positive, _reals
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
@@ -69,16 +69,16 @@ EPANECHNIKOV = Kernel()
 
 @dataclass(frozen=True)
 class Sample:
-    """Sorted positive lifetimes; at least three observations."""
+    """Sorted positive lifetimes, real numbers but not bools or strings; at least three."""
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(np.array(self.values, dtype=float)))
+        object.__setattr__(self, "values", _frozen(_reals("sample values", self.values).copy()))
 
     @classmethod
     def from_values(cls, values) -> "Sample":
-        arr = np.array(values, dtype=float, ndmin=1)  # the one private copy, sorted in place
+        arr = np.array(_reals("sample values", values), ndmin=1)  # the one private copy, sorted
         arr.sort()
         sample = object.__new__(cls)
         object.__setattr__(sample, "values", _frozen(arr))
@@ -108,21 +108,21 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 def kde(sample: Sample, h: float, t):
     """(f_hat, F_hat) at ``t``: (nh)^-1 sum k(u_i) and n^-1 sum K(u_i), u_i = (t - T_i)/h.
 
-    K is the kernel antiderivative, so f_hat integrates to one over the real
-    line. A scalar ``t`` gives two floats; NaN in ``t`` is refused by name, and
-    so is a bandwidth so small that f_hat overflows. Each grid point's window is
-    the slice of the sorted sample its kernel can reach (see ``_windows``), a
-    proven superset of the kernel's support mask. Off the window every term is
-    k = 0 and K = 1 (left) or 0 (right), exactly, so each row sum is replayed
-    from the window's neighbourhood alone and matches the whole matrix, bit for
-    bit: numpy sums a row by a fixed pairwise tree, so each row is padded only
-    to the smallest node of that tree that holds its window, and the constant
-    sums of the nodes outside are added exactly as the tree adds them (see
-    ``_row_sums``). The grid is walked in blocks of consecutive points (see
-    ``_plan``) that share one window, the union of their own; since any
-    superset of a row's mask gives the same sum, a row's bits do not depend on
-    which rows share its block. A block's padded node holds at most ``_BLOCK``
-    pairs unless it is one grid point, so memory is O(n) whatever the grid size.
+    K is the kernel antiderivative, so f_hat integrates to one over the real line.
+    ``t`` is a real number, giving two floats, or an array of them; NaN, a bool or a
+    string in ``t`` is refused by name, and so is a bandwidth so small that f_hat
+    overflows. Each grid point's window is the slice of the sorted sample its kernel
+    can reach (see ``_windows``), a proven superset of the kernel's support mask.
+    Off the window every term is k = 0 and K = 1 (left) or 0 (right), exactly, so
+    each row sum is replayed from the window's neighbourhood alone and matches the
+    whole matrix, bit for bit: numpy sums a row by a fixed pairwise tree, so each
+    row is padded only to the smallest node of that tree that holds its window, and
+    the constant sums of the nodes outside are added exactly as the tree adds them
+    (see ``_row_sums``). The grid is walked in blocks of consecutive points (see
+    ``_plan``) that share one window, the union of their own; since any superset of
+    a row's mask gives the same sum, a row's bits do not depend on which rows share
+    its block. A block's padded node holds at most ``_BLOCK`` pairs unless it is one
+    grid point, so memory is O(n) whatever the grid size.
     """
     h = _positive("bandwidth", h)
     ta = _not_nan("t", t)
@@ -240,7 +240,8 @@ def _row_sums(k, K, n: int, a: int):
 
 
 def hazard_estimate(sample: Sample, h: float, t):
-    """Estimated hazard f_hat / (1 - F_hat); refuses the unstable upper tail and an overflow."""
+    """Estimated hazard f_hat / (1 - F_hat) at ``t``, checked as by ``kde``; refuses the
+    unstable upper tail and an overflow."""
     f, F = kde(sample, h, t)
     if np.any(np.asarray(F) > 1.0 - _TAIL_EPS):
         raise UpperTailError(

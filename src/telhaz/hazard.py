@@ -153,9 +153,22 @@ def _alpha(name: str, value) -> float:
     return alpha
 
 
+def _reals(name: str, values) -> np.ndarray:
+    """``values`` as a float array of real numbers, not bools; a float array is not copied."""
+    try:
+        arr = np.asarray(values)
+    except ValueError:  # a ragged nest of sequences
+        message = f"{name} must be a real number or an array of them, got {values!r}"
+        raise ValueError(message) from None
+    if arr.dtype.kind not in "iuf":  # bool, str, object, complex, ...
+        for value in arr.ravel().tolist():
+            _real(name, value)
+    return arr.astype(float, copy=False)
+
+
 def _not_nan(name: str, values) -> np.ndarray:
-    """``values`` as a float array with no NaN; +-inf pass, as evaluation points of a CDF."""
-    arr = np.asarray(values, dtype=float)
+    """``values`` as ``_reals`` has them, with no NaN; +-inf pass, as evaluation points of a CDF."""
+    arr = _reals(name, values)
     if np.isnan(arr).any():
         raise ValueError(f"{name} must not be NaN")
     return arr
@@ -171,14 +184,7 @@ def _refuse_nan(what: str, t, values) -> None:
 
 def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
     """``t`` as a float array of reals, not bools, in [0, end); errors quote the first bad value."""
-    try:
-        arr = np.asarray(t)
-    except ValueError:  # a ragged nest of sequences
-        raise ValueError(f"{name} must be a real number or an array of them, got {t!r}") from None
-    if arr.dtype.kind not in "iuf":  # bool, str, object, complex, ...
-        for value in [*arr.ravel().tolist(), t]:  # t last: an object array fails on itself
-            _positive(name, value, allow_zero=True)
-    arr = arr.astype(float, copy=False)
+    arr = _reals(name, t)
     inside = (arr >= 0.0) & (arr < end)  # NaN fails both
     if not np.all(inside):
         raise ValueError(f"{name} must lie in [0, {end}), got {float(arr[~inside][0])!r}")

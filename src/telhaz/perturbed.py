@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hazard import HazardSpec, Slack, _not_nan, _positive, _times
+from .hazard import HazardSpec, Slack, _not_nan, _positive, _reals, _times
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
@@ -180,12 +180,12 @@ class PerturbedModel:
 
             u(x, t) = log((1-a)/(1-x)) * log((1-x)/(1-b)),
 
-        which stays accurate (and provably nonnegative) as x approaches
-        either endpoint, where the naive c^2 t^2 - log^2(...) cancels.
+        which stays accurate (and provably nonnegative) as x approaches either endpoint, where
+        the naive c^2 t^2 - log^2(...) cancels. ``x`` is a real number or an array of them.
         """
         band = self.band(t)  # also validates t
         _positive("t", band.t)  # t = 0 leaves the band no interior
-        arr = np.asarray(x, dtype=float)
+        arr = _reals("x", x)
         if not np.all((arr > band.a) & (arr < band.b)):  # NaN fails too
             raise ValueError(
                 f"x must lie strictly inside the band ({band.a}, {band.b}); "
@@ -205,10 +205,9 @@ class PerturbedModel:
     def cdf(self, x, t: float):
         """P{X(t) <= x}, via the monotone map onto the integrated-noise law.
 
-        Outside the closed band the value clamps to 0 below and 1 above, so
-        -inf and +inf give 0 and 1; NaN is refused by name. Accepts a scalar
-        or an array of ``x``. The first call in a process imports
-        ``scipy.special`` (through :func:`w_cdf`).
+        ``x`` is a real number or an array of them; NaN, a bool or a string is refused by name.
+        Outside the closed band the value clamps to 0 below and 1 above, so -inf and +inf give
+        0 and 1. The first call in a process imports ``scipy.special`` (through :func:`w_cdf`).
         """
         cum, ct = self._cumulative(t)  # also validates t
         a, b = _edges(cum, ct)

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hazard import _count, _not_nan, _positive, _times
+from .hazard import _count, _not_nan, _positive, _reals, _times
 from .special import scaled_bessel
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
@@ -249,15 +249,15 @@ def _bessel_density(params: TelegraphParams, t: float, x, spread):
 def w_density(params: TelegraphParams, t: float, x):
     """Density of the continuous part of W(t) on the open interval (-ct, ct).
 
-    The Bessel-type density at spread2 = c^2 t^2 - x^2, taken in factored
-    form, with jacobian 1. Where c*t rounds to 0 the interval is empty, and a
-    ValueError names c and t.
+    The Bessel-type density at spread2 = c^2 t^2 - x^2, taken in factored form, with
+    jacobian 1. ``x`` is a real number or an array of them; a bool or a string is refused by
+    name. Where c*t rounds to 0 the interval is empty, and a ValueError names c and t.
     """
     t = _positive("t", t)
     ct = _reach(params, t)
     if ct == 0.0:  # no x fits inside: the support is empty in doubles
         raise ValueError(f"c = {params.c!r} at t = {t!r} gives c * t = 0.0: W(t) has no interior")
-    arr = np.asarray(x, dtype=float)
+    arr = _reals("x", x)
     if not np.all(np.abs(arr) < ct):  # NaN fails too
         raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
     out = _bessel_density(params, t, arr, lambda x: ((ct - x) * (ct + x), 1.0))
@@ -292,13 +292,13 @@ def w_cdf(params: TelegraphParams, t: float, w):
         P{W(t) <= w | N} = I_y(k, k),
 
     which is 1/2 on [-ct, ct) when N = 0: the lower endpoint atom. The counts
-    2k - 1 and 2k share a law, so their Poisson weights are merged. Accepts a
-    scalar or an array of ``w``; -inf and +inf give 0 and 1, and NaN is
-    refused by name. The (point, k) pairs are evaluated in blocks of whole
-    rows, at most 2^16 pairs or one row, so memory beyond the O(sqrt(lam t))
-    terms does not grow with the number of points; each row is summed on its
-    own, so a point's value does not depend on the others. The first call in a
-    process imports ``scipy.special``.
+    2k - 1 and 2k share a law, so their Poisson weights are merged. ``w`` is a
+    real number or an array of them; -inf and +inf give 0 and 1, and NaN, a
+    bool or a string is refused by name. The (point, k) pairs are evaluated in
+    blocks of whole rows, at most 2^16 pairs or one row, so memory beyond the
+    O(sqrt(lam t)) terms does not grow with the number of points; each row is
+    summed on its own, so a point's value does not depend on the others. The
+    first call in a process imports ``scipy.special``.
     """
     t = _positive("t", t, allow_zero=True)
     arr = _not_nan("w", w)
@@ -328,15 +328,19 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
     Splitting cosh/sinh into single exponentials keeps every term bounded
     whenever ``log_scale`` grows at least like the dominant exponent, which
     is exactly the situation in the perturbed-process moment formulas.
-    ``s`` is a real number, not a bool, finite and of either sign. Accepts
-    arrays for ``t`` and ``log_scale``.
+    ``s`` is a real number, not a bool, finite and of either sign. ``t`` is a time or an array
+    of them; ``log_scale`` is a real number or an array of them, not NaN, broadcast against ``t``.
     """
     if not isinstance(s, numbers.Real) or isinstance(s, bool) or not math.isfinite(s):
         raise ValueError(f"s must be a finite real number, got {s!r}")
     omega = math.hypot(params.lam, s * params.c)
     ratio = params.lam / omega
     ta = _times(t)
-    shift = np.asarray(log_scale, dtype=float)
+    shift = _not_nan("log_scale", log_scale)
+    try:
+        np.broadcast_shapes(ta.shape, shift.shape)
+    except ValueError:
+        raise ValueError(f"log_scale {shift.shape} and t {ta.shape} do not broadcast") from None
     with np.errstate(over="ignore"):  # an exponent past the double range is -inf: exp gives 0
         grow = np.exp((omega - params.lam) * ta - shift)
         decay = np.exp(-(omega + params.lam) * ta - shift)

@@ -1030,3 +1030,60 @@ def test_process_commands_report_or_print_finite(flat_piece_file, data):
         assert all(math.isfinite(float(cell)) for cell in cells)
     if code == 2:
         assert err.getvalue().startswith("error:")
+
+
+@pytest.fixture(scope="module")
+def data_file(tmp_path_factory):
+    return tmp_path_factory.mktemp("data") / "lifetimes.txt"
+
+
+_LIFETIMES = st.floats(-323.0, 308.0).map(lambda e: 10.0**e)  # log-uniform in [1e-323, 1e308]
+# the columns an unusable grid point leaves nan (docs/formats.md)
+_BAND_COLUMNS = {"r_hat", "lower", "upper", "margin"}
+
+
+@st.composite
+def estimating_argv(draw, data_file):
+    """(lifetimes, argv) of estimate or defensibility: 3-40 lifetimes, some repeated, for
+    ``data_file``; bandwidth, alpha and c over their whole ranges, tiny grids."""
+    distinct = draw(st.lists(_LIFETIMES, min_size=1, max_size=40))
+    values = draw(st.lists(st.sampled_from(distinct), min_size=3, max_size=40))
+    flags = ["--data", str(data_file), "--bandwidth", repr(10.0 ** draw(st.floats(-323.0, 300.0))),
+             "--alpha", repr(draw(st.floats(5e-324, 0.49999999999999994))),
+             "--grid-size", str(draw(st.integers(2, 6)))]
+    if draw(st.booleans()):
+        return values, ["estimate", *flags]
+    # the three presets whose rate stays finite at every double
+    hazard = draw(st.sampled_from(["app1_constant", "app2_piecewise", "soft_step"]))
+    return values, ["defensibility", *flags, "--hazard", f"preset:{hazard}",
+                    "--c", repr(10.0 ** draw(st.floats(-300.0, 300.0))),
+                    "--format", draw(st.sampled_from(["csv", "report"]))]
+
+
+@given(data=st.data())
+@settings(max_examples=200, deadline=None)
+def test_estimating_commands_report_or_print_finite(data_file, data):
+    # as for the process commands, but an unusable grid point prints nan in every band column
+    values, argv = data.draw(estimating_argv(data_file))
+    data_file.write_text("".join(f"{value!r}\n" for value in values))
+    out, err = io.StringIO(), io.StringIO()
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 2, 3), err.getvalue()
+    assert [str(w.message) for w in caught] == []
+    if code == 2:
+        assert err.getvalue().startswith("error:")
+    elif argv[-1] == "report":
+        lines = out.getvalue().splitlines()[1:]  # past "dataset = lifetimes"
+        entries = dict(part.split(" = ") for line in lines for part in line.split(", "))
+        assert entries.pop("holds") == ("true" if code == 0 else "false")
+        assert entries.pop("n").endswith(" grid points")
+        assert all(math.isfinite(float(value)) for value in entries.values())
+    else:
+        for row in csv.DictReader(io.StringIO(out.getvalue())):
+            unusable = math.isnan(float(row["r_hat"]))
+            for name, cell in row.items():
+                usable_cell = not (unusable and name in _BAND_COLUMNS)
+                assert math.isfinite(float(cell)) if usable_cell else math.isnan(float(cell))

@@ -10,6 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy import integrate
 
+from telhaz.estimation import Sample, hazard_estimate, kde
 from telhaz.hazard import (
     ConstantHazard,
     CustomHazard,
@@ -36,6 +37,7 @@ from telhaz.telegraph import (
     sample_paths,
     scaled_mgf,
     w_atom_prob,
+    w_cdf,
     w_density,
 )
 
@@ -74,6 +76,43 @@ class TestTimeRule:
     @pytest.mark.parametrize("name", sorted(TIME_CALLS))
     def test_numpy_time_accepted(self, fig_model, name, t):
         assert TIME_CALLS[name](fig_model, t) == TIME_CALLS[name](fig_model, float(t))
+
+
+_SAMPLE = Sample.from_values([1.0, 2.0, 3.0, 4.0])
+
+# every real-valued argument besides times and parameters: (its name, a call with value v,
+# values it accepts); x = 0.75 lies inside the fig3 band at t = 0.5
+VALUE_CALLS = {
+    "PerturbedModel.density": ("x", lambda m, v: m.density(v, 0.5), [0.75]),
+    "PerturbedModel.cdf": ("x", lambda m, v: m.cdf(v, 0.5), [0.75]),
+    "w_density": ("x", lambda m, v: w_density(m.noise, 0.05, v), [0.01]),
+    "w_cdf": ("w", lambda m, v: w_cdf(m.noise, 0.05, v), [0.01]),
+    "kde": ("t", lambda m, v: kde(_SAMPLE, 1.0, v), [2.5]),
+    "hazard_estimate": ("t", lambda m, v: hazard_estimate(_SAMPLE, 1.0, v), [2.5]),
+    "scaled_mgf": ("log_scale", lambda m, v: scaled_mgf(m.noise, -1.0, 0.5, v), [0.5]),
+    "Sample": ("sample values", lambda m, v: Sample(v).values, [1.0, 2.0, 3.0]),
+    "Sample.from_values": ("sample values", lambda m, v: Sample.from_values(v).values,
+                           [3.0, 1.0, 2.0]),
+}
+
+
+class TestValueRule:
+    @pytest.mark.parametrize(
+        "bad", ["a", "0.5", True, np.array([True]), None, 1j, [0.1, [0.2]]],
+        ids=["str", "numeric-str", "bool", "bool-array", "none", "complex", "ragged"],
+    )
+    @pytest.mark.parametrize("call", sorted(VALUE_CALLS))
+    def test_non_real_value_refused_by_name(self, fig_model, call, bad):
+        name, evaluate, _ = VALUE_CALLS[call]
+        with pytest.raises(ValueError, match=f"^{name} must be a real number"):
+            evaluate(fig_model, bad)
+
+    @pytest.mark.parametrize("call", sorted(VALUE_CALLS))
+    def test_object_array_of_reals_accepted(self, fig_model, call):
+        _, evaluate, values = VALUE_CALLS[call]
+        expected = evaluate(fig_model, np.array(values))
+        taken = evaluate(fig_model, np.array(values, dtype=object))
+        np.testing.assert_array_equal(taken, expected)
 
 
 class TestConstruction:

@@ -696,6 +696,17 @@ class TestMgf:
         with pytest.raises(ValueError, match=r"^s must be a finite real number, got "):
             mgf(p, s, 1.0)
 
+    def test_log_scale_nan_and_shape_refused_by_name(self):
+        p = TelegraphParams(c=1.0, lam=1.0)
+        with pytest.raises(ValueError, match=r"^log_scale must not be NaN$"):
+            scaled_mgf(p, 1.0, 0.5, math.nan)
+        with pytest.raises(ValueError, match=r"^log_scale \(3,\) and t \(2,\) do not broadcast$"):
+            scaled_mgf(p, 1.0, np.array([0.5, 1.0]), np.zeros(3))
+        # a log_scale per time, or one for all of them, is taken
+        times = np.array([0.5, 1.0])
+        each, shared = scaled_mgf(p, 1.0, times, np.zeros(2)), scaled_mgf(p, 1.0, times, 0.0)
+        assert each.tolist() == shared.tolist()
+
 
 class TestMoments:
     def test_mean_zero_and_var_zero_at_origin(self):
