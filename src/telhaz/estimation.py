@@ -16,7 +16,7 @@ from typing import NamedTuple
 import numpy as np
 from scipy.special import ndtri
 
-from .hazard import HazardSpec, _alpha, _count, _interior_grid, _not_nan, _positive, _reals
+from .hazard import HazardSpec, _alpha, _count, _interior_grid, _not_nan, _positive, _reals, _refuse
 
 _SQRT5 = math.sqrt(5.0)
 _TAIL_EPS = 1e-12
@@ -111,8 +111,8 @@ def kde(sample: Sample, h: float, t):
     K is the kernel antiderivative, so f_hat integrates to one over the real line.
     ``t`` is a real number, giving two floats, or an array of them; NaN, a bool or a
     string in ``t`` is refused by name, and so is a bandwidth so small that f_hat
-    overflows. Each grid point's window is the slice of the sorted sample its kernel
-    can reach (see ``_windows``), a proven superset of the kernel's support mask.
+    overflows, by its least t. Each point's window is the slice of the sorted
+    sample its kernel can reach (see ``_windows``), a proven superset of its mask.
     Off the window every term is k = 0 and K = 1 (left) or 0 (right), exactly, so
     each row sum is replayed from the window's neighbourhood alone and matches the
     whole matrix, bit for bit: numpy sums a row by a fixed pairwise tree, so each
@@ -138,7 +138,7 @@ def kde(sample: Sample, h: float, t):
             k_sum, K_sum = _row_sums(*EPANECHNIKOV.evaluate(u), n, a)
             f[start:stop] = k_sum / n / h
             F[start:stop] = K_sum / n
-    _refuse_overflow(h, "f_hat", flat, f)
+    _refuse(np.isinf(f), flat, _too_small(h, "f_hat"))
     if ta.ndim == 0:
         return float(f[0]), float(F[0])
     return f.reshape(ta.shape), F.reshape(ta.shape)
@@ -241,7 +241,7 @@ def _row_sums(k, K, n: int, a: int):
 
 def hazard_estimate(sample: Sample, h: float, t):
     """Estimated hazard f_hat / (1 - F_hat) at ``t``, checked as by ``kde``; refuses the
-    unstable upper tail and an overflow."""
+    unstable upper tail and an overflow, naming the least such t."""
     f, F = kde(sample, h, t)
     if np.any(np.asarray(F) > 1.0 - _TAIL_EPS):
         raise UpperTailError(
@@ -249,16 +249,13 @@ def hazard_estimate(sample: Sample, h: float, t):
         )
     with np.errstate(over="ignore"):  # an overflowed ratio is refused below
         rate = f / (1.0 - F)
-    _refuse_overflow(h, "the hazard estimate", t, rate)
+    _refuse(np.isinf(rate), t, _too_small(h, "the hazard estimate"))
     return rate
 
 
-def _refuse_overflow(h: float, what: str, t, values) -> None:
-    """Refuse a bandwidth so small that ``what`` overflows: inf in ``values`` at the times ``t``."""
-    over = np.isinf(values)
-    if over.any():
-        at = float(np.asarray(t, dtype=float)[over][0])
-        raise ValueError(f"bandwidth {h!r} is too small: {what} overflows at t = {at:.6g}")
+def _too_small(h: float, what: str):
+    """The refusal of a bandwidth so small that ``what`` overflows, at the time it is given."""
+    return lambda at: f"bandwidth {h!r} is too small: {what} overflows at t = {at:.6g}"
 
 
 @dataclass(frozen=True)
@@ -319,7 +316,7 @@ def confidence_band(sample: Sample, config: BandConfig) -> ConfidenceBand:
             np.nan,
         )
         upper = rate + half
-    _refuse_overflow(config.h, "the band", grid, upper)  # NaN where not usable
+    _refuse(np.isinf(upper), grid, _too_small(config.h, "the band"))  # NaN where not usable
     return ConfidenceBand(
         grid=grid,
         rate=rate,
@@ -356,8 +353,8 @@ def defensibility_test(
 ) -> DefensibilityReport:
     """Check |r - r_hat| <= halfwidth - c over the grid; report the margin.
 
-    Requires the baseline to dominate the amplitude (r > c) on
-    (grid[0], grid[-1]], mirroring the model's own admissibility condition.
+    Requires the baseline to dominate the amplitude (r > c) on (grid[0], grid[-1]],
+    mirroring the model's own admissibility condition, and to be finite on the grid.
     """
     c = _positive("c", c)
     band = confidence_band(sample, config)
@@ -367,6 +364,8 @@ def defensibility_test(
     if not np.any(band.usable):
         raise ValueError("no usable grid points: density estimate vanishes everywhere")
     baseline_rate = np.asarray(baseline.rate(band.grid), dtype=float)
+    overflows = np.isinf(baseline_rate)
+    _refuse(overflows, band.grid, lambda at: f"baseline hazard overflows at t = {at:.6g}")
     slack = band.halfwidth - np.abs(baseline_rate - band.rate)
     max_admissible = max(0.0, float(np.nanmin(np.where(band.usable, slack, np.nan))))
     margin = slack - c

@@ -12,6 +12,7 @@ import math
 import numbers
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import chain
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -50,11 +51,11 @@ class HazardSpec:
 
     def _evaluate(self, closed_form, t, what: str):
         """``closed_form`` at the checked times ``t``: a float for a scalar t, inf past the double
-        range, and a NaN refused as ``what`` by its first t."""
+        range, and a NaN refused as ``what`` by its least t."""
         arr = _times(t, self.support_end)
         with np.errstate(over="ignore"):
             out = closed_form(arr)
-        _refuse_nan(what, arr, out)
+        _refuse(np.isnan(out), arr, lambda at: f"{what} is NaN at t = {at!r}")
         return float(out) if arr.ndim == 0 else out
 
     def rate(self, t):
@@ -84,7 +85,7 @@ class HazardSpec:
             raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
         with np.errstate(all="ignore"):  # inf past the double range or at a pole; NaN refused
             pts, rates, attained = self._slack_candidates(lo, hi)
-        _refuse_nan("rate", pts, rates)
+        _refuse(np.isnan(rates), pts, lambda at: f"rate is NaN at t = {at!r}")
         slack = rates - c
         zero = (slack == 0.0) & attained
         i = int(np.argmax(zero) if zero.any() and slack.min() == 0.0 else np.argmin(slack))
@@ -163,6 +164,15 @@ def _reals(name: str, values) -> np.ndarray:
     if arr.dtype.kind not in "iuf":  # bool, str, object, complex, ...
         for value in arr.ravel().tolist():
             _real(name, value)
+    elif isinstance(values, (list, tuple)):  # numpy reads [0.5, True] as floats: walk the nest
+        rows = [values]  # the lists and tuples that hold a level; arrays are not walked
+        while rows:  # one type read per element, so a flat list costs no Python loop
+            kinds = set(map(type, chain.from_iterable(rows)))
+            if bools := kinds & {bool, np.bool_}:
+                _real(name, next(v for v in chain.from_iterable(rows) if type(v) in bools))
+            if not any(issubclass(kind, (list, tuple)) for kind in kinds):
+                break
+            rows = [v for v in chain.from_iterable(rows) if isinstance(v, (list, tuple))]
     return arr.astype(float, copy=False)
 
 
@@ -174,12 +184,12 @@ def _not_nan(name: str, values) -> np.ndarray:
     return arr
 
 
-def _refuse_nan(what: str, t, values) -> None:
-    """Refuse NaN in ``values``, ``what`` at the times ``t``, naming the first such time."""
-    nan = np.isnan(values)
-    if nan.any():
-        times, nan = np.broadcast_arrays(t, nan)
-        raise ValueError(f"{what} is NaN at t = {float(times[nan][0])!r}")
+def _refuse(bad, t, say) -> None:
+    """Raise ``ValueError(say(at))`` where the mask ``bad`` holds, ``at`` the least such time of
+    ``t`` broadcast against it; nothing is formatted unless a value is refused."""
+    if np.count_nonzero(bad):  # half the cost of .any() on a scalar mask
+        times, bad = np.broadcast_arrays(np.asarray(t, dtype=float), bad)
+        raise ValueError(say(float(times[bad].min())))
 
 
 def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
@@ -288,8 +298,7 @@ class PiecewiseLinearHazard(HazardSpec):
         with np.errstate(over="ignore", invalid="ignore"):  # r is inf past the double range
             pts, rates, _ = self._slack_candidates(0.0, self.support_end)
         bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
-        if bad.any():
-            raise ValueError(f"rate is not positive at t = {float(pts[bad].min())}")
+        _refuse(bad, pts, lambda at: f"rate is not positive at t = {at}")
 
     @cached_property
     def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:

@@ -21,7 +21,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .hazard import HazardSpec, Slack, _not_nan, _positive, _reals, _times
+from .hazard import HazardSpec, Slack, _not_nan, _positive, _reals, _refuse, _times
 from .telegraph import (
     TelegraphParams,
     _bessel_density,
@@ -130,10 +130,8 @@ class PerturbedModel:
         """
         cum = self.hazard.cumulative(t)  # also validates the domain
         ct = _reach(self.noise, t)
-        short = np.asarray(t, dtype=float)[cum < ct]
-        if short.size:
-            c = self.noise.c
-            raise ValueError(f"dominance r(t) > c fails before t = {short.min():.6g} (c = {c})")
+        c = self.noise.c
+        _refuse(cum < ct, t, lambda at: f"dominance r(t) > c fails before t = {at:.6g} (c = {c})")
         return cum, ct
 
     def band(self, t) -> SupportBand:

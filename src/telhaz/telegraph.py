@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .hazard import _count, _not_nan, _positive, _reals, _times
+from .hazard import _count, _not_nan, _positive, _reals, _refuse, _times
 from .special import scaled_bessel
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
@@ -54,11 +54,8 @@ def _reach(params: TelegraphParams, t, name: str = "t"):
     # c * t grows with t: the largest t decides, and the error quotes the smallest refused
     if not math.isfinite(params.c * float(times.max(initial=0.0) if times.ndim else times)):
         with np.errstate(over="ignore"):  # the overflow is the refusal
-            first = float(times[np.isinf(params.c * times)].min())
-        raise ValueError(
-            f"c = {params.c!r} up to {name} = {first!r} lets |W| reach c * {name} = inf; "
-            "it must be finite"
-        )
+            _refuse(np.isinf(params.c * times), times, lambda at: f"c = {params.c!r} up to "
+                    f"{name} = {at!r} lets |W| reach c * {name} = inf; it must be finite")
     ct = params.c * times
     return float(ct) if ct.ndim == 0 else ct
 
@@ -352,15 +349,11 @@ def mgf(params: TelegraphParams, s: float, t):
     """Moment generating function E[exp(s W(t))]; symmetric in s <-> -s.
 
     Where it passes the double range, a ValueError names c, lam, s and the
-    first such t.
+    least such t.
     """
     out = scaled_mgf(params, s, t, 0.0)
-    endless = np.asarray(t, dtype=float)[~np.isfinite(out)]
-    if endless.size:
-        raise ValueError(
-            f"E[exp(s W(t))] overflows at c = {params.c!r}, lam = {params.lam!r}, "
-            f"s = {s!r}, t = {float(endless.min())!r}"
-        )
+    _refuse(~np.isfinite(out), t, lambda at: "E[exp(s W(t))] overflows at "
+            f"c = {params.c!r}, lam = {params.lam!r}, s = {s!r}, t = {at!r}")
     return out
 
 

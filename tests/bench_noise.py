@@ -1,4 +1,5 @@
-"""Per-layer benchmark of the noise law: the Bessel densities of W(t) and X(t) on 1e6 points.
+"""Per-layer benchmark of the noise law: the Bessel densities of W(t) and X(t) on 1e6 points,
+and the CDFs of W(t) and X(t) one scalar point at a time.
 
 Run it with ``pytest tests/bench_noise.py --benchmark-only``; add
 ``--benchmark-autosave`` to keep the timings in ``.benchmarks/`` and
@@ -8,7 +9,10 @@ keeps the plain test suite from collecting it. The points are those of the
 of the fig3 model at t = 0.5. ``scaled_bessel`` alone runs on the W(t)
 density's arguments, z = lam sqrt(t^2 - w^2) on [0, 10], and on the three
 401-point blocks of arguments that fig3's ``density.csv`` gives it, one per
-time, where the cost per call outweighs the cost per argument.
+time, where the cost per call outweighs the cost per argument. The scalar
+CDF cases make the workload's 100 calls each, at the interior points of a
+uniform grid over [-c t, c t] for W(t) and over the band [a, b] for X(t); they
+time the checks and set-up every call repeats. Select them with ``-k scalar``.
 """
 
 import numpy as np
@@ -18,11 +22,13 @@ from telhaz import telegraph
 from telhaz.cli import _x_density
 from telhaz.presets import FIG3_TIMES, model_fig3
 from telhaz.special import scaled_bessel
-from telhaz.telegraph import TelegraphParams, w_density
+from telhaz.telegraph import TelegraphParams, w_cdf, w_density
 
 POINTS = 1_000_000
 PARAMS = TelegraphParams(c=1.0, lam=10.0)
 X_TIME = 0.5
+W_TIME = 1.0
+CDF_POINTS = 100
 
 
 @pytest.fixture(scope="module")
@@ -64,3 +70,28 @@ def fig3_blocks():
 def test_scaled_bessel_fig3_blocks(benchmark, fig3_blocks):
     pairs = benchmark(lambda: [scaled_bessel(z) for z in fig3_blocks])
     assert all(np.all(i0e > 0.0) and np.all(i1e_over_z > 0.0) for i0e, i1e_over_z in pairs)
+
+
+def _interior(lo, hi):
+    return np.linspace(lo, hi, CDF_POINTS + 2)[1:-1].tolist()
+
+
+def _is_cdf(values):
+    return all(0.0 <= v <= 1.0 for v in values) and values == sorted(values)
+
+
+def test_scalar_w_cdf(benchmark):
+    grid = _interior(-PARAMS.c * W_TIME, PARAMS.c * W_TIME)
+    # the warm-up round takes the first call's import of scipy.special out of the timing
+    values = benchmark.pedantic(lambda: [w_cdf(PARAMS, W_TIME, w) for w in grid],
+                                rounds=50, warmup_rounds=1)
+    assert _is_cdf(values)
+
+
+def test_scalar_x_cdf(benchmark):
+    model = model_fig3()
+    band = model.band(X_TIME)
+    grid = _interior(band.a, band.b)
+    values = benchmark.pedantic(lambda: [model.cdf(x, X_TIME) for x in grid],
+                                rounds=50, warmup_rounds=1)
+    assert _is_cdf(values)

@@ -342,6 +342,17 @@ class TestDefensibility:
         assert code == 2
         assert "r(t) > c" in err
 
+    def test_overflowing_baseline_is_validation_error(self, capsys, tmp_path):
+        # r = 1 + exp(t) is inf past t ~ 709.8, so at every point of the grid over [700, 800]
+        data = tmp_path / "lifetimes.txt"
+        data.write_text("".join(f"{t!r}\n" for t in np.linspace(700.0, 800.0, 40).tolist()))
+        code, out, err = run(
+            capsys, "defensibility", "--data", str(data), "--bandwidth", "10",
+            "--hazard", "preset:exponential_growth", "--c", "1e-3", "--grid-size", "4",
+            "--format", "csv",
+        )
+        assert (code, out, err) == (2, "", "error: baseline hazard overflows at t = 719.487\n")
+
 
 class TestValidationErrors:
     def test_bad_noise_amplitude(self, capsys):
@@ -1053,8 +1064,7 @@ def estimating_argv(draw, data_file):
              "--grid-size", str(draw(st.integers(2, 6)))]
     if draw(st.booleans()):
         return values, ["estimate", *flags]
-    # the three presets whose rate stays finite at every double
-    hazard = draw(st.sampled_from(["app1_constant", "app2_piecewise", "soft_step"]))
+    hazard = draw(st.sampled_from(sorted(HAZARDS)))
     return values, ["defensibility", *flags, "--hazard", f"preset:{hazard}",
                     "--c", repr(10.0 ** draw(st.floats(-300.0, 300.0))),
                     "--format", draw(st.sampled_from(["csv", "report"]))]

@@ -370,7 +370,7 @@ class TestKde:
             warnings.simplefilter("error")
             over = np.isinf(want[0])
             if over.any():
-                at = float(t[np.argmax(over)])
+                at = float(t[over].min())
                 message = f"bandwidth {h!r} is too small: f_hat overflows at t = {at:.6g}"
                 with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
                     kde(sample, h, t)

@@ -506,7 +506,7 @@ class TestValidation:
             with pytest.raises(ValueError, match=f"^support_end {message}$"):
                 build()
 
-    def test_nan_closed_form_refused_by_first_t(self):
+    def test_nan_closed_form_refused_by_least_t(self):
         # r = 2 and R = 2t up to t = 1; past it one or the other is NaN
         def nan_past_1(t):
             return np.where(t > 1.0, np.nan, 2.0 * t)
@@ -516,7 +516,7 @@ class TestValidation:
         with pytest.raises(ValueError, match="^rate is NaN at t = 2.0$"):
             nan_rate.rate([0.5, 2.0, 3.0])
         for call in (nan_cumulative.cumulative, nan_cumulative.cdf, nan_cumulative.survival):
-            with pytest.raises(ValueError, match="^cumulative hazard is NaN at t = 3.0$"):
+            with pytest.raises(ValueError, match="^cumulative hazard is NaN at t = 2.0$"):
                 call(np.array([[0.5, 1.0], [3.0, 2.0]]))
         assert nan_rate.rate(0.5) == 1.0 and nan_cumulative.cumulative([0.5, 1.0]).tolist() == [1.0, 2.0]
         # the polynomial's R is inf - inf past t ~ 5.6e102, and is read as inf

@@ -98,8 +98,10 @@ VALUE_CALLS = {
 
 class TestValueRule:
     @pytest.mark.parametrize(
-        "bad", ["a", "0.5", True, np.array([True]), None, 1j, [0.1, [0.2]]],
-        ids=["str", "numeric-str", "bool", "bool-array", "none", "complex", "ragged"],
+        "bad", ["a", "0.5", True, np.array([True]), None, 1j, [0.1, [0.2]],
+                [0.5, True], (0.5, np.True_), [[0.5], [True]]],
+        ids=["str", "numeric-str", "bool", "bool-array", "none", "complex", "ragged",
+             "bool-in-list", "numpy-bool-in-tuple", "bool-in-nested-list"],
     )
     @pytest.mark.parametrize("call", sorted(VALUE_CALLS))
     def test_non_real_value_refused_by_name(self, fig_model, call, bad):
@@ -224,6 +226,32 @@ _CANCELLING = {
                lambda t: t + np.log(np.log(np.e + t))),
 }
 _NOT_SETTLED = r"^nu = R\(T\) - c\*T does not converge in double precision: it has not settled at "
+
+# r and R both NaN past t = 1
+_NAN_PAST_1 = CustomHazard(lambda t: np.where(t > 1, np.nan, 2.0),
+                           lambda t: np.where(t > 1, np.nan, 2.0 * t))
+
+# a refusal site of each kind, given its failing times out of order, and the error naming the
+# least of them
+LEAST_T_REFUSALS = {
+    "rate": (lambda: _NAN_PAST_1.rate([3.0, 0.5, 2.0]), "rate is NaN at t = 2.0"),
+    "cumulative": (lambda: _NAN_PAST_1.cumulative(np.array([[3.0, 0.5], [1.5, 2.0]])),
+                   "cumulative hazard is NaN at t = 1.5"),
+    # f_hat = k(0) / (n h) is inf at the lifetimes 4, 1 and 2
+    "kde": (lambda: kde(_SAMPLE, 1e-310, [4.0, 1.0, 2.5, 2.0]),
+            "bandwidth 1e-310 is too small: f_hat overflows at t = 1"),
+    "mgf": (lambda: mgf(TelegraphParams(1.0, 15.0), 1000.0, [2.0, 1.0]),
+            "E[exp(s W(t))] overflows at c = 1.0, lam = 15.0, s = 1000.0, t = 1.0"),
+    "band": (lambda: PerturbedModel(_BROKEN, TelegraphParams(_BROKEN_C, 1.0)).band([1e10, 1e9]),
+             f"dominance r(t) > c fails before t = 1e+09 (c = {_BROKEN_C})"),
+}
+
+
+@pytest.mark.parametrize("site", sorted(LEAST_T_REFUSALS))
+def test_refusal_names_least_t(site):
+    call, message = LEAST_T_REFUSALS[site]
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        call()
 
 
 class TestBand:
