@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 import numbers
 from dataclasses import dataclass
-from functools import cached_property
 from itertools import chain
 from typing import Callable, NamedTuple
 
@@ -69,6 +68,7 @@ class HazardSpec:
     def min_slack(self, c: float, lo: float, hi: float) -> Slack:
         """Infimum of r - c over (lo, hi], exact for every family; ``hi = support_end`` is the rest.
 
+        c is any finite real, of either sign, and lo and hi are single times, each refused by name.
         lo, the turning points and hi cut (lo, hi] into stretches of r flat or strictly monotone,
         so each is decided from its two ends. The left end is read just to its right, a limit
         unless r takes that value at a turning point; the right end is attained inside the
@@ -77,10 +77,11 @@ class HazardSpec:
         left ends, right ends and probes. So r(t) may round to c inside a stretch that rises
         off c, where dominance is reported to hold whatever the interval.
         """
-        end = self.support_end
-        lo = float(_times(lo, end, name="lo"))
-        if hi != end or isinstance(hi, bool):  # on an infinite support the rest keeps hi = inf
-            hi = float(_times(hi, end, name="hi"))
+        c, end = _finite("c", c), self.support_end
+        lo = _real("lo", _times(lo, end, "lo")[()])  # [()] unwraps a 0-d array, not a 1-d one
+        hi = _real("hi", _reals("hi", hi)[()])
+        if hi != end:  # hi = support_end, inf on an infinite support, is the rest
+            _times(hi, end, "hi")
         if not lo < hi:
             raise ValueError(f"need lo < hi, got ({lo!r}, {hi!r})")
         with np.errstate(all="ignore"):  # inf past the double range or at a pole; NaN refused
@@ -139,6 +140,18 @@ def _positive(name: str, value, allow_zero: bool = False) -> float:
     return real
 
 
+def _finite(name: str, value) -> float:
+    """``value`` as a float: a real number but not a bool, finite and of either sign."""
+    try:
+        if math.isfinite(real := _real(name, value)):
+            return real
+    except ValueError:  # a bool, not a real number, or an int past the double range
+        pass
+    past = isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    got = "a number past the double range" if past else repr(value)  # its repr may be too long
+    raise ValueError(f"{name} must be a finite real number, got {got}")
+
+
 def _count(name: str, value, minimum: int) -> int:
     """``value`` as an int: an integer but not a bool, >= ``minimum``."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool) or value < minimum:
@@ -186,18 +199,17 @@ def _not_nan(name: str, values) -> np.ndarray:
 
 def _refuse(bad, t, say) -> None:
     """Raise ``ValueError(say(at))`` where the mask ``bad`` holds, ``at`` the least such time of
-    ``t`` broadcast against it; nothing is formatted unless a value is refused."""
+    ``t`` broadcast against it (NaN only if all are); nothing is formatted unless one is refused."""
     if np.count_nonzero(bad):  # half the cost of .any() on a scalar mask
         times, bad = np.broadcast_arrays(np.asarray(t, dtype=float), bad)
-        raise ValueError(say(float(times[bad].min())))
+        raise ValueError(say(float(np.fmin.reduce(times[bad]))))
 
 
 def _times(t, end: float = math.inf, name: str = "t") -> np.ndarray:
-    """``t`` as a float array of reals, not bools, in [0, end); errors quote the first bad value."""
+    """``t`` as a float array of reals, not bools, in [0, end); errors quote the least bad value."""
     arr = _reals(name, t)
-    inside = (arr >= 0.0) & (arr < end)  # NaN fails both
-    if not np.all(inside):
-        raise ValueError(f"{name} must lie in [0, {end}), got {float(arr[~inside][0])!r}")
+    outside = ~((arr >= 0.0) & (arr < end))  # NaN fails both
+    _refuse(outside, arr, lambda at: f"{name} must lie in [0, {end}), got {at!r}")
     return arr
 
 
@@ -270,10 +282,10 @@ class PolynomialHazard(HazardSpec):
 class PiecewiseLinearHazard(HazardSpec):
     """Contiguous linear pieces r(t) = slope * t + intercept.
 
-    ``segments`` is a sequence of (t_start, slope, intercept) with the first
-    start at 0 and strictly increasing starts. The rate must be positive
-    everywhere except that r(0) = 0 is tolerated (some published baselines
-    start at zero); continuity at the breakpoints is not required.
+    ``segments`` is a sequence of (t_start, slope, intercept), read as one (k, 3) array of finite
+    reals and refused by name otherwise, with the first start at 0 and strictly increasing starts.
+    The rate must be positive everywhere except that r(0) = 0 is tolerated (some published
+    baselines start at zero); continuity at the breakpoints is not required.
     """
 
     segments: tuple[tuple[float, float, float], ...]
@@ -281,32 +293,29 @@ class PiecewiseLinearHazard(HazardSpec):
 
     def __post_init__(self):
         super().__post_init__()
-        segs = tuple((float(s), float(m), float(q)) for s, m, q in self.segments)
-        if not segs:
+        segs = _reals("segments", self.segments)
+        if not segs.size:
             raise ValueError("segments must be non-empty")
-        if segs[0][0] != 0.0:
+        if segs.ndim != 2 or segs.shape[1] != 3:
+            raise ValueError(f"segments must be a (k, 3) array, got shape {segs.shape}")
+        starts, slopes, intercepts = segs.T.copy()  # each contiguous, for searchsorted
+        if starts[0] != 0.0:
             raise ValueError("first segment must start at t = 0")
-        starts = [s for s, _, _ in segs]
-        if any(b <= a for a, b in zip(starts, starts[1:])):
+        if np.any(starts[1:] <= starts[:-1]):  # a NaN start is left to the finite check
             raise ValueError("segment starts must be strictly increasing")
-        if any(not all(map(math.isfinite, seg)) for seg in segs):
+        if not np.isfinite(segs).all():
             raise ValueError("segment parameters must be finite")
-        object.__setattr__(self, "segments", segs)
-        object.__setattr__(self, "turning_points", tuple(starts[1:]))  # not a field
-        if not math.isfinite(self.support_end) and segs[-1][1] < 0.0:
+        object.__setattr__(self, "segments", tuple(map(tuple, segs.tolist())))
+        object.__setattr__(self, "turning_points", tuple(starts[1:].tolist()))  # not a field
+        if not math.isfinite(self.support_end) and slopes[-1] < 0.0:
             raise ValueError("last segment must have slope >= 0 on an infinite support")
-        with np.errstate(over="ignore", invalid="ignore"):  # r is inf past the double range
+        with np.errstate(over="ignore", invalid="ignore"):  # r and R are inf past the double range
+            pieces = _line_integral(starts[:-1], slopes[:-1], intercepts[:-1], starts[1:])
+            offsets = np.cumsum(np.append(0.0, pieces))  # R up to the start of each segment
+            object.__setattr__(self, "_arrays", (starts, slopes, intercepts, offsets))
             pts, rates, _ = self._slack_candidates(0.0, self.support_end)
         bad = (rates < 0.0) | ((rates == 0.0) & (pts > 0.0))
         _refuse(bad, pts, lambda at: f"rate is not positive at t = {at}")
-
-    @cached_property
-    def _arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        starts, slopes, intercepts = (np.array(column) for column in zip(*self.segments))
-        # cumulative hazard accumulated up to the start of each segment
-        pieces = _line_integral(starts[:-1], slopes[:-1], intercepts[:-1], starts[1:])
-        offsets = np.cumsum(np.append(0.0, pieces))
-        return starts, slopes, intercepts, offsets
 
     def _segment_index(self, arr: np.ndarray, starts: np.ndarray, side: str = "left") -> np.ndarray:
         # breakpoints belong to the segment on their left: pieces are

@@ -184,11 +184,8 @@ class PerturbedModel:
         band = self.band(t)  # also validates t
         _positive("t", band.t)  # t = 0 leaves the band no interior
         arr = _reals("x", x)
-        if not np.all((arr > band.a) & (arr < band.b)):  # NaN fails too
-            raise ValueError(
-                f"x must lie strictly inside the band ({band.a}, {band.b}); "
-                "the endpoints carry atoms"
-            )
+        _refuse(~((arr > band.a) & (arr < band.b)), arr, lambda at: (  # NaN fails too
+            f"x must lie strictly inside the band ({band.a}, {band.b}); the endpoints carry atoms"))
         if band.b == 1.0:  # the log below would divide by 1 - b(t) = 0
             raise ValueError(f"t = {band.t!r}: b(t) rounds to 1, so the density cannot be resolved")
 
@@ -197,8 +194,7 @@ class PerturbedModel:
             u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
             return u, one_minus
 
-        out = _bessel_density(self.noise, band.t, arr, spread)
-        return float(out) if arr.ndim == 0 else out
+        return _bessel_density(self.noise, band.t, arr, spread)
 
     def cdf(self, x, t: float):
         """P{X(t) <= x}, via the monotone map onto the integrated-noise law.
@@ -227,8 +223,7 @@ class PerturbedModel:
     def mean(self, t):
         """E[X(t)] = 1 - survival(t) * M(-1, t), evaluated overflow-free."""
         cum, _ = self._cumulative(t)
-        out = 1.0 - scaled_mgf(self.noise, -1.0, t, cum)
-        return float(out) if np.ndim(t) == 0 else out
+        return 1.0 - scaled_mgf(self.noise, -1.0, t, cum)  # a float for a scalar t, as scaled_mgf
 
     def variance(self, t):
         """Var[X(t)] = survival^2 * (M(-2,t) - M(-1,t)^2), floored at 0."""

@@ -12,13 +12,12 @@ from __future__ import annotations
 
 import itertools
 import math
-import numbers
 import sys
 from dataclasses import dataclass
 
 import numpy as np
 
-from .hazard import _count, _not_nan, _positive, _reals, _refuse, _times
+from .hazard import _count, _finite, _not_nan, _positive, _reals, _refuse, _times
 from .special import scaled_bessel
 
 # Poisson mass the W(t) CDF may leave out of its mixture over switch counts.
@@ -215,14 +214,13 @@ def _bessel_density(params: TelegraphParams, t: float, x, spread):
 
         exp(z - lam t) * [lam I0e(z) + lam^2 t (I1(z)/z) e^{-z}] / (2c * jacobian)
 
-    with z = (lam/c) sqrt(spread2), a negative spread2 from roundoff read as 0.
-    The points ``x`` (an array) are walked in blocks of 2^14, and
-    ``spread(block)`` gives the block's (spread2, jacobian), so every
-    temporary, the caller's spread included, is O(2^14) whatever the number
-    of points; each block is written into its slice of one output. Each value
-    keeps the bits of a whole-array evaluation: the spread is elementwise, and
-    a value of ``scaled_bessel`` depends only on its own argument (see there).
-    Where z or the density overflows, a ValueError names c, lam and t.
+    with z = (lam/c) sqrt(spread2), a negative spread2 from roundoff read as 0. The points ``x``
+    (an array, giving a float if 0-d) are walked in blocks of 2^14, and ``spread(block)`` gives
+    the block's (spread2, jacobian), so every temporary, the caller's spread included, is O(2^14)
+    whatever the number of points; each block is written into its slice of one output. Each value
+    keeps the bits of a whole-array evaluation: the spread is elementwise, and a value of
+    ``scaled_bessel`` depends only on its own argument (see there). Where z or the density
+    overflows, a ValueError names c, lam and t.
     """
     c, lam = params.c, params.lam
     overflow = f"the density overflows at c = {c!r}, lam = {lam!r}, t = {t!r}"
@@ -240,7 +238,7 @@ def _bessel_density(params: TelegraphParams, t: float, x, spread):
             flat[block] = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
     if not np.all(np.isfinite(out)):
         raise ValueError(overflow)
-    return out
+    return float(out) if x.ndim == 0 else out
 
 
 def w_density(params: TelegraphParams, t: float, x):
@@ -255,10 +253,9 @@ def w_density(params: TelegraphParams, t: float, x):
     if ct == 0.0:  # no x fits inside: the support is empty in doubles
         raise ValueError(f"c = {params.c!r} at t = {t!r} gives c * t = 0.0: W(t) has no interior")
     arr = _reals("x", x)
-    if not np.all(np.abs(arr) < ct):  # NaN fails too
-        raise ValueError("x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
-    out = _bessel_density(params, t, arr, lambda x: ((ct - x) * (ct + x), 1.0))
-    return float(out) if arr.ndim == 0 else out
+    _refuse(~(np.abs(arr) < ct), arr,  # NaN fails too
+            lambda at: "x must lie strictly inside (-c*t, c*t); the endpoints carry atoms")
+    return _bessel_density(params, t, arr, lambda x: ((ct - x) * (ct + x), 1.0))
 
 
 def _poisson_terms(mean: float) -> tuple[np.ndarray, np.ndarray]:
@@ -325,11 +322,10 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
     Splitting cosh/sinh into single exponentials keeps every term bounded
     whenever ``log_scale`` grows at least like the dominant exponent, which
     is exactly the situation in the perturbed-process moment formulas.
-    ``s`` is a real number, not a bool, finite and of either sign. ``t`` is a time or an array
-    of them; ``log_scale`` is a real number or an array of them, not NaN, broadcast against ``t``.
+    ``s`` is any finite real, refused by name otherwise. ``t`` is a time or an array of them;
+    ``log_scale`` is a real number or an array of them, not NaN, broadcast against ``t``.
     """
-    if not isinstance(s, numbers.Real) or isinstance(s, bool) or not math.isfinite(s):
-        raise ValueError(f"s must be a finite real number, got {s!r}")
+    s = _finite("s", s)
     omega = math.hypot(params.lam, s * params.c)
     ratio = params.lam / omega
     ta = _times(t)
@@ -348,8 +344,8 @@ def scaled_mgf(params: TelegraphParams, s: float, t, log_scale):
 def mgf(params: TelegraphParams, s: float, t):
     """Moment generating function E[exp(s W(t))]; symmetric in s <-> -s.
 
-    Where it passes the double range, a ValueError names c, lam, s and the
-    least such t.
+    ``s`` and ``t`` are refused by name as in :func:`scaled_mgf`. Where E passes the double range,
+    a ValueError names c, lam, s and the least such t.
     """
     out = scaled_mgf(params, s, t, 0.0)
     _refuse(~np.isfinite(out), t, lambda at: "E[exp(s W(t))] overflows at "

@@ -10,7 +10,10 @@ t -> inf (fig2 (c)). The path draws are those of ``simulate-w --paths 2000``
 and ``simulate-x --hazard preset:polynomial_c2 --paths 500`` at c = 2,
 lam = 15 on 201 points of [0, 1], without formatting. The W path cases
 reach what those draws do not: many gap blocks per path (lam*t = 1e6), long
-blocks (lam*t = 3000), and a grid of 1e5 points.
+blocks (lam*t = 3000), and a grid of 1e5 points. The scalar cases time one
+call at one time, where the checks of the argument are most of the cost:
+``hazard.cumulative(0.5)`` and ``band(0.5)`` of the fig3 model; select them
+with ``-k scalar``.
 """
 
 import functools
@@ -52,6 +55,17 @@ def test_build_and_total_excess_hazard(benchmark, name):
 
     value = benchmark.pedantic(nu, rounds=200, warmup_rounds=5)
     assert value > 0.0
+
+
+def test_scalar_cumulative(benchmark):
+    hazard = model_fig3().hazard
+    assert benchmark(hazard.cumulative, 0.5) == hazard.cumulative(np.array([0.5]))[0]
+
+
+def test_scalar_band(benchmark):
+    model = model_fig3()
+    band = benchmark(model.band, 0.5)
+    assert type(band.width) is float and 0.0 < band.a < band.b < 1.0
 
 
 def test_sample_paths_w(benchmark):

@@ -209,6 +209,9 @@ def _hazards(draw):
     return PiecewiseLinearHazard(tuple(segments), support_end=end)
 
 
+_PAIR = np.array([0.5, 1.0])
+
+
 class TestDominance:
     def test_accepts_and_reports(self):
         assert ConstantHazard(0.0125).min_slack(0.0004, 1.0, 100.0)[0] > 0.0
@@ -308,6 +311,41 @@ class TestDominance:
             with pytest.raises(ValueError, match=f"^{name} must be a real number"):
                 spec.min_slack(0.5, lo, hi)
 
+    @pytest.mark.parametrize(
+        "c, lo, hi, message",
+        [
+            (math.nan, 0.0, 1.0, "c must be a finite real number, got nan"),
+            (math.inf, 0.0, 1.0, "c must be a finite real number, got inf"),
+            (-math.inf, 0.0, 1.0, "c must be a finite real number, got -inf"),
+            (True, 0.0, 1.0, "c must be a finite real number, got True"),
+            ("1", 0.0, 1.0, "c must be a finite real number, got '1'"),
+            (None, 0.0, 1.0, "c must be a finite real number, got None"),
+            (1j, 0.0, 1.0, "c must be a finite real number, got 1j"),
+            (10**400, 0.0, 1.0, "c must be a finite real number, got a number past the double "
+                                "range"),
+            (1.0, _PAIR, 2.0, r"lo must be a real number, got array\(\[0.5, 1. \]\)"),
+            (1.0, 0.0, _PAIR, r"hi must be a real number, got array\(\[0.5, 1. \]\)"),
+        ],
+        ids=["nan", "inf", "-inf", "bool", "str", "none", "complex", "1e400", "lo-1d", "hi-1d"],
+    )
+    def test_arguments_refused_by_name(self, c, lo, hi, message):
+        # a NaN c once gave a NaN slack, 1j warned ComplexWarning, 10**400 raised OverflowError,
+        # and a 1-d lo or hi raised numpy's TypeError or ValueError
+        spec = PolynomialHazard(15.0, 0.001, 1.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^{message}$"):
+                spec.min_slack(c, lo, hi)
+
+    def test_any_finite_c_and_single_times_accepted(self):
+        # c is the infimum's offset, of either sign; a 0-d lo or hi is a single time
+        spec = PolynomialHazard(15.0, 0.001, 1.0)
+        at_zero = spec.min_slack(0.0, 0.0, 3.0)
+        assert at_zero.value == 1.001
+        assert spec.min_slack(-0.5, 0.0, 3.0) == (1.501, at_zero.t, at_zero.attained)
+        assert spec.min_slack(np.float32(0.5), np.array(0.5), np.array(3.0)) == \
+            spec.min_slack(0.5, 0.5, 3.0)
+
     @pytest.mark.parametrize("name,c", _FIGURE_C)
     def test_whole_support_matches_checked_horizon(self, name, c):
         spec = HAZARDS[name]
@@ -386,6 +424,44 @@ class TestValidation:
             PiecewiseLinearHazard(((0.0, -1.0, 0.5),))
         with pytest.raises(ValueError):  # interior zero is not tolerated
             PiecewiseLinearHazard(((0.0, 0.0, 1.0), (1.0, 0.0, 0.0)))
+
+    @pytest.mark.parametrize(
+        "segments, message",
+        [
+            ((("0", "1", "1"),), "must be a real number, got '0'"),
+            (((0.0, True, 1.0),), "must be a real number, got True"),
+            (((0.0, None, 1.0),), "must be a real number, got None"),
+            (((0.0, 1j, 1.0),), "must be a real number, got 0j"),
+            (((0.0, 10**400, 1.0),), "must lie within the double range, got a number past it"),
+            (((0.0, 1.0),), r"must be a \(k, 3\) array, got shape \(1, 2\)"),
+            (5, r"must be a \(k, 3\) array, got shape \(\)"),
+            ((), "must be non-empty"),
+        ],
+        ids=["str", "bool", "none", "complex", "1e400", "pair", "int", "empty"],
+    )
+    def test_piecewise_segments_refused_by_name(self, segments, message):
+        # the first two were once read as numbers; the others raised TypeError, OverflowError or
+        # an unnamed unpacking ValueError
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=f"^segments {message}$"):
+                PiecewiseLinearHazard(segments)
+
+    def test_times_refused_by_least_bad_value(self):
+        # the first bad value was quoted once; a NaN is quoted only where every bad value is NaN
+        spec = ConstantHazard(1.0, support_end=2.0)
+        for times, got in (([3.0, math.nan, -1.0], "-1.0"), ([math.nan, 5.0], "5.0"),
+                           ([math.nan, math.nan], "nan")):
+            with pytest.raises(ValueError, match=rf"^t must lie in \[0, 2.0\), got {got}$"):
+                spec.rate(times)
+
+    def test_piecewise_segments_read_as_floats(self):
+        # any (k, 3) array of reals: ints, numpy scalars or one array, kept as tuples of floats
+        for segments in (np.array([[0, 1, 1], [2, 0, 5]]), [(0, np.float32(1.0), 1), (2, 0, 5.0)]):
+            spec = PiecewiseLinearHazard(segments)
+            assert spec.segments == ((0.0, 1.0, 1.0), (2.0, 0.0, 5.0))
+            assert {type(v) for seg in spec.segments for v in seg} == {float}
+            assert spec.turning_points == (2.0,) and spec.rate(1.0) == 2.0
 
     @pytest.mark.parametrize(
         "segments, t",
@@ -619,8 +695,8 @@ _NUMBER = _mostly(st.floats(0.01, 10.0))
 _REFUSALS = {
     "constant": r"(rate0|support_end) must ",
     "polynomial": r"(alpha|beta|c_ref|support_end) must ",
-    "piecewise": r"((segment parameters|segment starts|first segment|last segment|support_end)"
-                 r" must |bad segment |rate is not positive at t = )",
+    "piecewise": r"((segments|segment parameters|segment starts|first segment|last segment"
+                 r"|support_end) must |bad segment |rate is not positive at t = )",
     "custom": r"((rate_fn|cumulative_fn|support_end|turning_points) must "
               r"|(rate|cumulative hazard) is NaN at t = )",
     "noise": r"(c|lam) must ",
@@ -645,23 +721,27 @@ def _constructions(draw):
         return kind, {"rate_fn": draw(fns), "cumulative_fn": draw(fns), **optional, **extra}
     segments = [(draw(_mostly(st.just(0.0))), draw(_NUMBER), draw(_NUMBER))]
     segments += draw(st.lists(st.tuples(_NUMBER, _NUMBER, _NUMBER), max_size=2))
-    return kind, {"segments": segments, **optional}
+    if draw(st.booleans()):  # the drawn values themselves, or one drawn value for them all
+        return kind, {"segments": draw(_mostly(st.just(tuple(segments)))), **optional}
+    # from config text, as the CLI reads it
+    text = "; ".join(":".join(map(str, segment)) for segment in segments)
+    lines = ["kind = piecewise", f"segments = {text}"]
+    lines += [f"support_end = {end}" for end in optional.values()]
+    return kind, {"text": "\n".join(lines)}
 
 
 def _build(kind: str, args: dict):
-    if kind == "piecewise":  # from config text, as the CLI reads it
-        segments = "; ".join(":".join(map(str, segment)) for segment in args["segments"])
-        lines = ["kind = piecewise", f"segments = {segments}"]
-        if "support_end" in args:
-            lines.append(f"support_end = {args['support_end']}")
-        return parse_hazard_config("\n".join(lines))
-    family = {"constant": ConstantHazard, "polynomial": PolynomialHazard, "custom": CustomHazard,
+    if "text" in args:
+        return parse_hazard_config(args["text"])
+    family = {"constant": ConstantHazard, "polynomial": PolynomialHazard,
+              "piecewise": PiecewiseLinearHazard, "custom": CustomHazard,
               "noise": TelegraphParams}[kind]
     return family(**args)
 
 
-def _evaluate_all(spec, c):
-    """Each evaluator of ``spec`` at a few times in its support, and its slack over all of it."""
+def _evaluate_all(spec, c, any_c):
+    """Each evaluator of ``spec`` at a few times in its support, and its slack over all of it,
+    at ``c`` and at ``any_c``, any Python value: a slack, or ``c`` refused by name."""
     end = spec.support_end
     ts = np.array([0.0, 0.5, 1e3, 1e300])
     if end < math.inf:
@@ -672,18 +752,38 @@ def _evaluate_all(spec, c):
         assert out.shape == ts.shape and not np.isnan(out).any(), evaluate.__name__
         assert type(evaluate(float(ts[-1]))) is float, evaluate.__name__
     assert not math.isnan(spec.min_slack(c, 0.0, end).value)
+    try:
+        slack = spec.min_slack(any_c, 0.0, end)
+    except ValueError as exc:
+        assert str(exc).startswith("c must be a finite real number, got "), str(exc)
+    else:
+        assert not math.isnan(slack.value)
 
 
-@given(_constructions(), st.floats(1e-3, 10.0))
+@given(_constructions(), st.floats(1e-3, 10.0), _VALUES)
 # the first two once raised Python's OverflowError, the third numpy's IndexError, the fourth
 # numpy's ValueError for a ragged sequence
-@example(("constant", {"rate0": 10**400}), 1.0)
-@example(("noise", {"c": 10**400, "lam": 1.0}), 1.0)
-@example(("custom", {"rate_fn": _CALLABLES["scalar"], "cumulative_fn": _CALLABLES["line"]}), 1.0)
+@example(("constant", {"rate0": 10**400}), 1.0, 1.0)
+@example(("noise", {"c": 10**400, "lam": 1.0}), 1.0, 1.0)
+@example(("custom", {"rate_fn": _CALLABLES["scalar"], "cumulative_fn": _CALLABLES["line"]}), 1.0,
+         1.0)
 @example(("custom", {"rate_fn": _CALLABLES["exp"], "cumulative_fn": _CALLABLES["exp"],
-                     "turning_points": (0.0, np.array([]))}), 1.0)
+                     "turning_points": (0.0, np.array([]))}), 1.0, 1.0)
+# segments once read as numbers (the first two), or leaking TypeError, OverflowError or an
+# unnamed unpacking ValueError; then a c that gave a NaN slack, OverflowError or ComplexWarning
+@example(("piecewise", {"segments": (("0", "1", "1"),)}), 1.0, 1.0)
+@example(("piecewise", {"segments": ((0.0, True, 1.0),)}), 1.0, 1.0)
+@example(("piecewise", {"segments": ((0.0, None, 1.0),)}), 1.0, 1.0)
+@example(("piecewise", {"segments": ((0.0, 1j, 1.0),)}), 1.0, 1.0)
+@example(("piecewise", {"segments": ((0.0, 10**400, 1.0),)}), 1.0, 1.0)
+@example(("piecewise", {"segments": ((0.0, 1.0),)}), 1.0, 1.0)
+@example(("piecewise", {"segments": 5}), 1.0, 1.0)
+@example(("piecewise", {"segments": ()}), 1.0, 1.0)
+@example(("constant", {"rate0": 2.0}), 1.0, math.nan)
+@example(("constant", {"rate0": 2.0}), 1.0, 10**400)
+@example(("constant", {"rate0": 2.0}), 1.0, 1j)
 @settings(max_examples=200, deadline=None)
-def test_construction_builds_or_refuses_by_name(construction, c):
+def test_construction_builds_or_refuses_by_name(construction, c, any_c):
     # a family built from any Python values evaluates to floats, never NaN, or a ValueError
     # names the argument (or the t) at fault; no numpy warning either way
     kind, args = construction
@@ -694,7 +794,7 @@ def test_construction_builds_or_refuses_by_name(construction, c):
             if kind == "noise":
                 assert all(type(v) is float and 0.0 < v < math.inf for v in (built.c, built.lam))
             else:
-                _evaluate_all(built, c)
+                _evaluate_all(built, c, any_c)
         except ValueError as exc:
             assert re.match(_REFUSALS[kind], str(exc)), (kind, str(exc))
     assert [str(w.message) for w in caught] == []

@@ -687,9 +687,11 @@ class TestMgf:
         with pytest.raises(ValueError):
             mgf(p, math.inf, 1.0)
 
-    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, True, "1"])
+    @pytest.mark.parametrize("s", [math.nan, math.inf, -math.inf, True, "1",
+                                   pytest.param(10**400, id="1e400")])
     def test_s_rule(self, s):
-        # s is a finite real number of either sign, not a bool, in both functions
+        # s is a finite real number of either sign, not a bool, in both functions; an int past
+        # the double range once escaped as OverflowError
         p = TelegraphParams(c=1.0, lam=1.0)
         with pytest.raises(ValueError, match=r"^s must be a finite real number, got "):
             scaled_mgf(p, s, 1.0, 0.0)
