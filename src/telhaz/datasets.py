@@ -43,11 +43,11 @@ class NamedDataset(NamedTuple):
 _BUILTIN = {
     "melanoma_46": NamedDataset(
         name="melanoma_46",
-        sample=Sample.from_values(_MELANOMA_46),
+        sample=Sample(_MELANOMA_46),
     ),
     "service_86": NamedDataset(
         name="service_86",
-        sample=Sample.from_values(_SERVICE_86),
+        sample=Sample(_SERVICE_86),
     ),
 }
 
@@ -76,9 +76,9 @@ def load(path) -> NamedDataset:
     sample, is read again line by line, which finds and names the first offender.
     """
     try:
-        sample = Sample.from_values(_read_chunks(path))
+        sample = Sample(_read_chunks(path))
     except ValueError:  # a non-numeric token, a UnicodeDecodeError or a refused sample
-        sample = Sample.from_values(_read_lines(path))
+        sample = Sample(_read_lines(path))
     return NamedDataset(name=Path(path).stem, sample=sample)
 
 

@@ -67,42 +67,30 @@ class Kernel:
 EPANECHNIKOV = Kernel()
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Sample:
-    """Sorted positive lifetimes, real numbers but not bools or strings; at least three."""
+    """Positive lifetimes in any order, real numbers but not bools or strings; at least three.
+
+    ``values`` is a private copy, sorted and read-only. The checks build only
+    boolean temporaries and the sort runs in place, so the copy is the one
+    full-size array. Samples compare and hash by identity.
+    """
 
     values: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "values", _frozen(_reals("sample values", self.values).copy()))
-
-    @classmethod
-    def from_values(cls, values) -> "Sample":
-        arr = np.array(_reals("sample values", values), ndmin=1)  # the one private copy, sorted
+        arr = np.array(_reals("sample values", self.values), ndmin=1)
+        if arr.ndim != 1 or arr.size < 3:
+            raise ValueError(f"sample needs at least 3 values, got {arr.size}")
+        if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
+            raise ValueError("sample values must be finite and > 0")
         arr.sort()
-        sample = object.__new__(cls)
-        object.__setattr__(sample, "values", _frozen(arr))
-        return sample
+        arr.setflags(write=False)
+        object.__setattr__(self, "values", arr)
 
     @property
     def n(self) -> int:
         return int(self.values.size)
-
-
-def _frozen(arr: np.ndarray) -> np.ndarray:
-    """``arr``, a private copy, checked as a sample and made read-only.
-
-    The checks build only boolean temporaries, so the copy is the one
-    full-size array.
-    """
-    if arr.ndim != 1 or arr.size < 3:
-        raise ValueError(f"sample needs at least 3 values, got {arr.size}")
-    if not np.all(np.isfinite(arr)) or np.any(arr <= 0.0):
-        raise ValueError("sample values must be finite and > 0")
-    if np.any(arr[1:] < arr[:-1]):
-        raise ValueError("sample values must be sorted nondecreasing")
-    arr.setflags(write=False)
-    return arr
 
 
 def kde(sample: Sample, h: float, t):

@@ -97,7 +97,7 @@ class HazardSpec:
         # then their midpoints (one step past the start of an infinite one) where the two ends
         # read alike, r read at every end and midpoint in one call; a set, as np.unique would
         # import numpy.ma
-        ends = sorted({lo, *(float(p) for p in self.turning_points if lo < p < hi), hi})
+        ends = sorted({lo, *(p for p in self.turning_points if lo < p < hi), hi})
         n = len(ends) - 1
         mids = [_past(a) if b == math.inf else a + 0.5 * (b - a) for a, b in zip(ends, ends[1:])]
         pts = np.array(ends + mids)
@@ -363,6 +363,7 @@ class CustomHazard(HazardSpec):
             raise ValueError(f"turning_points must be a sequence of times, got {got!r}")
         if 0.0 in points:
             raise ValueError(f"turning_points must lie in (0, {self.support_end}), got 0.0")
+        object.__setattr__(self, "turning_points", tuple(points.tolist()))
 
     def _rate(self, arr):
         return _shaped("rate_fn", self.rate_fn(arr), arr)

@@ -1,5 +1,6 @@
 """Per-layer benchmark of estimation and datasets: ``kde`` on 1e5 lifetimes and the
-512-point band grid, and ``datasets.load`` of a 1e5-line file.
+512-point band grid, ``Sample`` from 1e5 unsorted lifetimes, and ``datasets.load`` of
+a 1e5-line file.
 
 Run it with ``pytest tests/bench_kde.py --benchmark-only``; add
 ``--benchmark-autosave`` to keep the timings in ``.benchmarks/`` and
@@ -19,7 +20,7 @@ from telhaz.estimation import BandConfig, Sample, kde
 
 @pytest.fixture(scope="module")
 def sample():
-    return Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
+    return Sample(np.random.default_rng(8).exponential(size=100_000))
 
 
 @pytest.mark.parametrize("h", [0.02, 0.2, 2.0])
@@ -34,6 +35,12 @@ def test_kde_melanoma_band_grid(benchmark):
     grid = BandConfig(h=6.0, alpha=0.025).resolve_grid(sample)
     f, F = benchmark.pedantic(kde, args=(sample, 6.0, grid), rounds=50, warmup_rounds=5)
     assert grid.size == 512 and np.all(np.isfinite(f)) and np.all((F >= 0.0) & (F <= 1.0))
+
+
+def test_sample_1e5_unsorted(benchmark):
+    values = np.random.default_rng(8).exponential(size=100_000)
+    sample = benchmark.pedantic(Sample, args=(values,), rounds=20, warmup_rounds=2)
+    assert sample.n == values.size and np.all(sample.values[1:] >= sample.values[:-1])
 
 
 def test_load_1e5_lines(benchmark, sample, tmp_path):

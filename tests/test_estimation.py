@@ -126,36 +126,39 @@ class TestSample:
     def test_validation(self):
         with pytest.raises(ValueError):
             Sample(np.array([1.0, 2.0]))
-        with pytest.raises(ValueError):
-            Sample(np.array([3.0, 2.0, 1.0]))
+        assert Sample(np.array([3.0, 2.0, 1.0])).values.tolist() == [1.0, 2.0, 3.0]
         with pytest.raises(ValueError):
             Sample(np.array([0.0, 1.0, 2.0]))
         with pytest.raises(ValueError):
             Sample(np.array([1.0, 2.0, math.inf]))
 
-    def test_from_values_sorts(self):
-        sample = Sample.from_values([3.0, 1.0, 2.0])
+    def test_sorts(self):
+        sample = Sample([3.0, 1.0, 2.0])
         assert sample.values.tolist() == [1.0, 2.0, 3.0]
         assert sample.n == 3
         with pytest.raises(ValueError):
             sample.values[0] = 5.0  # frozen storage
 
-    @pytest.mark.parametrize("build", [Sample, Sample.from_values], ids=["init", "from_values"])
-    def test_callers_array_is_copied(self, build):
-        values = np.array([1.0, 2.0, 3.0, 4.0])
-        sample = build(values)
+    @pytest.mark.parametrize("order", [[0, 1, 2, 3], [2, 0, 3, 1]], ids=["sorted", "unsorted"])
+    def test_callers_array_is_copied(self, order):
+        values = np.array([1.0, 2.0, 3.0, 4.0])[order]
+        given = values.copy()
+        sample = Sample(values)
+        np.testing.assert_array_equal(values, given)  # the sort ran on the copy
         values[:] = [-1.0, math.nan, 0.0, 9.0]
         assert sample.values.tolist() == [1.0, 2.0, 3.0, 4.0]
         with pytest.raises(ValueError):
             sample.values[0] = 5.0
 
-    @pytest.mark.parametrize("build", [Sample, Sample.from_values], ids=["init", "from_values"])
-    def test_memory_one_copy(self, build):
-        # one private copy of the values, and boolean temporaries for the checks
-        values = np.sort(np.random.default_rng(3).exponential(size=100_000))
+    @pytest.mark.parametrize("ordered", [True, False], ids=["sorted", "unsorted"])
+    def test_memory_one_copy(self, ordered):
+        # one private copy of the values, sorted in place, and boolean temporaries for the checks
+        values = np.random.default_rng(3).exponential(size=100_000)
+        if ordered:
+            values.sort()
         tracemalloc.start()
         try:
-            build(values)
+            Sample(values)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -169,12 +172,12 @@ class TestSample:
             ([3.0, 0.0, 1.0], "finite and > 0"),
         ]:
             with pytest.raises(ValueError, match=re.escape(message)):
-                Sample.from_values(raw)
+                Sample(raw)
 
 
 class TestKde:
     def test_single_location_spike(self):
-        sample = Sample.from_values([5.0, 5.0, 5.0])
+        sample = Sample([5.0, 5.0, 5.0])
         assert kde(sample, 1.0, 5.0)[0] == pytest.approx(3.0 / (4.0 * SQRT5), rel=1e-14)
         assert kde(sample, 1.0, 5.0)[1] == pytest.approx(0.5, rel=1e-14)
         assert hazard_estimate(sample, 1.0, 5.0) == pytest.approx(3.0 / (2.0 * SQRT5), rel=1e-13)
@@ -235,7 +238,7 @@ class TestKde:
     @pytest.mark.parametrize("name, h", [("melanoma_46", 6.0), ("service_86", 75.0), ("exp_1e4", 20.0)])
     def test_matches_direct_sum(self, name, h):
         if name == "exp_1e4":
-            sample = Sample.from_values(np.random.default_rng(5).exponential(80.0, size=10_000))
+            sample = Sample(np.random.default_rng(5).exponential(80.0, size=10_000))
         else:
             sample = builtin(name).sample
         grid = BandConfig(h=h, alpha=0.025, grid_size=32).resolve_grid(sample)
@@ -248,20 +251,20 @@ class TestKde:
     def _bit_case(name, h):
         """The sample and the grids (any shape, sorted or not) of one bit-identity case."""
         if name == "exp_1e4":
-            sample = Sample.from_values(np.random.default_rng(5).exponential(80.0, size=10_000))
+            sample = Sample(np.random.default_rng(5).exponential(80.0, size=10_000))
         elif name in ("exp_127", "exp_128", "exp_129"):
             # rows of 127 and 128 are one node of numpy's pairwise sum, rows of 129 two
             n = int(name.removeprefix("exp_"))
-            sample = Sample.from_values(np.random.default_rng(n).exponential(size=n))
+            sample = Sample(np.random.default_rng(n).exponential(size=n))
             return sample, [np.linspace(-0.5, float(sample.values[-1]) + 0.5, 64)]
         elif name == "exp_1e5":
-            sample = Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
+            sample = Sample(np.random.default_rng(8).exponential(size=100_000))
             return sample, [BandConfig(h=h, alpha=0.025).resolve_grid(sample)]
         elif name == "exp_2e4_unsorted":
             # 13 grid points per block: shuffled blocks with wide windows, blocks left
             # and right of the sample with empty windows, and +-inf alone and mixed in
             rng = np.random.default_rng(9)
-            sample = Sample.from_values(rng.exponential(size=20_000))
+            sample = Sample(rng.exponential(size=20_000))
             inf = math.inf
             flat = np.concatenate([
                 rng.permutation(np.linspace(-1.0, 12.0, 65)),
@@ -282,7 +285,7 @@ class TestKde:
                 for _ in range(7):
                     edges.append(edge)
                     edge = math.nextafter(edge, math.inf)
-            sample = Sample.from_values(edges)
+            sample = Sample(edges)
             near = [math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf)]
             return sample, [t0, np.array(near), np.array([near[0]]), np.array([near[2]])]
         else:
@@ -323,7 +326,7 @@ class TestKde:
 
     def test_kernel_evaluated_only_within_reach(self, monkeypatch):
         # at h = 0.02 under 9% of the sample lies inside any band point's support
-        sample = Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
+        sample = Sample(np.random.default_rng(8).exponential(size=100_000))
         grid = BandConfig(h=0.02, alpha=0.025).resolve_grid(sample)
         evaluate = Kernel.evaluate
         pairs = []
@@ -337,7 +340,7 @@ class TestKde:
         assert 0 < sum(pairs) < sample.n * grid.size / 5
 
     def test_overflowing_density_refused_by_bandwidth(self):
-        sample = Sample.from_values([1.0, 1.5, 2.0, 3.0])
+        sample = Sample([1.0, 1.5, 2.0, 3.0])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             # u = 0.25/1e-320 overflows to +inf: outside the support, on its own side
@@ -355,7 +358,7 @@ class TestKde:
     @given(LIFETIMES, BANDWIDTHS, st.data())
     @settings(max_examples=150, deadline=None)
     def test_finite_and_bit_identical_or_bandwidth_refused(self, raw, h, data):
-        sample = Sample.from_values(raw)
+        sample = Sample(raw)
         near = st.tuples(st.sampled_from(sample.values.tolist()), st.floats(-3.0, 3.0))
         points = st.one_of(
             st.sampled_from([-math.inf, math.inf]),
@@ -382,7 +385,7 @@ class TestKde:
     @given(LIFETIMES, BANDWIDTHS, st.integers(2, 40))
     @settings(max_examples=100, deadline=None)
     def test_band_finite_and_bit_identical_or_bandwidth_refused(self, raw, h, size):
-        sample = Sample.from_values(raw)
+        sample = Sample(raw)
         config = BandConfig(h=h, alpha=0.025, grid_size=size)
         try:
             grid = config.resolve_grid(sample)
@@ -404,7 +407,7 @@ class TestKde:
 
     def test_bit_identical_with_one_row_blocks(self):
         # n above _BLOCK: every block holds a single grid point
-        sample = Sample.from_values(np.random.default_rng(6).exponential(size=_BLOCK + 1000))
+        sample = Sample(np.random.default_rng(6).exponential(size=_BLOCK + 1000))
         ts = np.array([-0.1, 0.01, 0.5, 3.0, 40.0])
         got, want = kde(sample, 0.05, ts), matrix_kde(sample.values, 0.05, ts)
         assert np.array_equal(got[0], want[0]) and np.array_equal(got[1], want[1])
@@ -443,7 +446,7 @@ class TestPlan:
     @pytest.mark.parametrize("h", [0.05, 1e308, 5e-324])
     def test_unsorted_repeated_and_infinite_points(self, h):
         rng = np.random.default_rng(11)
-        sample = Sample.from_values(rng.exponential(size=5_000))
+        sample = Sample(rng.exponential(size=5_000))
         grid = np.concatenate([np.linspace(-1.0, 12.0, 200), [-math.inf, math.inf] * 3])
         grid = np.concatenate([grid, grid[rng.integers(0, grid.size, 100)]])  # repeats
         for t in (grid, rng.permutation(grid), np.sort(grid)[::-1]):
@@ -466,7 +469,7 @@ class TestPlan:
         # observations, so a plan by windows alone would merge them all into one
         # block padded to the root: 16 rows of n doubles per array.
         n = (1 << 17) + (1 << 12)
-        sample = Sample.from_values(np.random.default_rng(12).exponential(size=n))
+        sample = Sample(np.random.default_rng(12).exponential(size=n))
         split = n // 2 - (n // 2) % 8
         t = sample.values[split - 8 : split + 8].copy()
         h = float(np.min(np.diff(t))) / 10.0
@@ -568,7 +571,7 @@ class TestHazardEstimate:
 
     def test_recovers_constant_hazard_on_synthetic_data(self):
         rng = np.random.default_rng(123)
-        sample = Sample.from_values(rng.exponential(1.0 / 0.0125, size=500))
+        sample = Sample(rng.exponential(1.0 / 0.0125, size=500))
         grid = np.linspace(
             float(np.quantile(sample.values, 0.25)),
             float(np.quantile(sample.values, 0.65)),
@@ -581,7 +584,7 @@ class TestHazardEstimate:
     def test_overflowing_ratio_refused(self, t):
         # f_hat(1.5) ~ 1.2e308 stays finite, f_hat / (1 - F_hat) does not: a scalar once
         # returned inf and an array raised numpy's overflow warning
-        sample = Sample.from_values([1.0, 1.5, 2.0, 3.0])
+        sample = Sample([1.0, 1.5, 2.0, 3.0])
         with pytest.raises(ValueError, match=(
             r"^bandwidth 7e-310 is too small: the hazard estimate overflows at t = 1\.5$"
         )):
@@ -610,8 +613,8 @@ class TestConfidenceBand:
         rng = np.random.default_rng(7)
         big = np.sort(rng.exponential(80.0, size=1600))
         # the same 1st and (n-1)-th order statistics, so both default grids agree
-        small = Sample.from_values(np.concatenate([big[:1], big[8:-8:8], big[-2:]]))
-        large = Sample.from_values(big)
+        small = Sample(np.concatenate([big[:1], big[8:-8:8], big[-2:]]))
+        large = Sample(big)
         config = BandConfig(h=25.0, alpha=0.025)
         narrow = confidence_band(large, config)
         wide = confidence_band(small, config)
@@ -620,7 +623,7 @@ class TestConfidenceBand:
 
     def test_memory_does_not_grow_with_grid(self):
         # one (512 x 1e5) matrix of doubles alone would be ~400 MB
-        sample = Sample.from_values(np.random.default_rng(8).exponential(size=100_000))
+        sample = Sample(np.random.default_rng(8).exponential(size=100_000))
         config = BandConfig(h=0.02, alpha=0.025)
         tracemalloc.start()
         try:
@@ -663,7 +666,7 @@ class TestConfidenceBand:
 
     def test_unusable_points_are_masked(self):
         # two clusters far apart leave a dead zone where the density vanishes
-        sample = Sample.from_values([1.0, 1.1, 1.2, 99.0, 99.1, 99.2])
+        sample = Sample([1.0, 1.1, 1.2, 99.0, 99.1, 99.2])
         band = confidence_band(sample, BandConfig(h=0.5, alpha=0.025, grid_size=64))
         assert not np.all(band.usable)
         assert np.all(np.isnan(band.rate[~band.usable]))
@@ -709,7 +712,7 @@ class TestDefensibility:
 
     def test_no_usable_grid_point_refused(self):
         # h = 1e-6 leaves the density estimate 0 at every point of the grid
-        sample = Sample.from_values([1.0, 2.0, 3.0, 1000.0])
+        sample = Sample([1.0, 2.0, 3.0, 1000.0])
         with pytest.raises(ValueError, match="^no usable grid points"):
             defensibility_test(sample, BandConfig(h=1e-6, alpha=0.025), ConstantHazard(1.0), 0.5)
 
@@ -750,7 +753,7 @@ class TestDefensibility:
                 defensibility_test(melanoma, config, ConstantHazard(0.0125), bad)
 
 
-_BAND_SAMPLE = Sample.from_values(np.linspace(0.1, 1.0, 50) ** 2)
+_BAND_SAMPLE = Sample(np.linspace(0.1, 1.0, 50) ** 2)
 
 
 def band_quantile(alpha):

@@ -704,6 +704,21 @@ _REFUSALS = {
 
 
 @st.composite
+def _valid_segments(draw):
+    """One to three [start, slope, intercept] that build: starts from 0 strictly increasing,
+    r > 0 on every piece, and a last slope >= 0."""
+    starts = [0.0]
+    for _ in range(draw(st.integers(0, 2))):
+        starts.append(starts[-1] + draw(st.floats(0.01, 10.0)))
+    segments = []
+    for start, stop in zip(starts, starts[1:] + [None]):
+        slope = draw(st.floats(0.0 if stop is None else -10.0, 10.0))
+        least_at = stop if slope < 0.0 else start  # r is least at one end of its piece
+        segments.append([start, slope, draw(st.floats(0.01, 10.0)) - slope * least_at])
+    return segments
+
+
+@st.composite
 def _constructions(draw):
     """A family's name and the keyword arguments to build it from, each a drawn Python value."""
     kind = draw(st.sampled_from(sorted(_REFUSALS)))
@@ -716,13 +731,16 @@ def _constructions(draw):
         return kind, {"c": draw(_NUMBER), "lam": draw(_NUMBER)}
     if kind == "custom":
         fns = _mostly(st.sampled_from(sorted(_CALLABLES)).map(_CALLABLES.get))
-        points = _mostly(st.lists(_NUMBER, max_size=2).map(tuple))
+        points = _mostly(st.one_of(st.lists(_NUMBER, max_size=2).map(tuple),
+                                   st.lists(st.floats(0.01, 10.0), max_size=2).map(np.array)))
         extra = {} if draw(st.booleans()) else {"turning_points": draw(points)}
         return kind, {"rate_fn": draw(fns), "cumulative_fn": draw(fns), **optional, **extra}
-    segments = [(draw(_mostly(st.just(0.0))), draw(_NUMBER), draw(_NUMBER))]
-    segments += draw(st.lists(st.tuples(_NUMBER, _NUMBER, _NUMBER), max_size=2))
-    if draw(st.booleans()):  # the drawn values themselves, or one drawn value for them all
-        return kind, {"segments": draw(_mostly(st.just(tuple(segments)))), **optional}
+    segments = draw(_valid_segments())
+    if draw(st.booleans()):  # one of the values, half the time, made any value
+        i = draw(st.integers(0, 3 * len(segments) - 1))
+        segments[i // 3][i % 3] = draw(_VALUES)
+    if draw(st.booleans()):
+        return kind, {"segments": tuple(map(tuple, segments)), **optional}
     # from config text, as the CLI reads it
     text = "; ".join(":".join(map(str, segment)) for segment in segments)
     lines = ["kind = piecewise", f"segments = {text}"]
@@ -791,6 +809,7 @@ def test_construction_builds_or_refuses_by_name(construction, c, any_c):
         warnings.simplefilter("always")
         try:
             built = _build(kind, args)
+            hash(built)
             if kind == "noise":
                 assert all(type(v) is float and 0.0 < v < math.inf for v in (built.c, built.lam))
             else:
