@@ -74,13 +74,23 @@ def scaled_bessel(z):
     ~1.2e-17 (series) or ~2.2e-17 (asymptotic) of its total, under 2^-54, so it
     and every smaller one after it round away. A caller may therefore split its
     arguments into blocks.
+
+    Where every argument is on the series side, the series runs on ``z`` itself, with
+    no split by regime, and its total is scaled in place; the pair is then the two
+    rows of one array, 0-d for a 0-d ``z``. Otherwise the arguments are split by
+    regime, and those on the series side take that same path, so each value keeps its
+    bits whichever way its call went.
     """
     arr = np.asarray(z, dtype=float)
     small = arr <= _SERIES_CUTOFF
-    a = arr[small]
+    if small.all():
+        pair = _series(arr)
+        pair *= np.exp(-arr)
+        # 0.5 (exp(-z) S1) is (0.5 exp(-z)) S1 bit for bit: exp(-z) >= exp(-30) is normal
+        pair[1] *= 0.5
+        return pair[0, ...], pair[1, ...]  # pair[0] would be a scalar for a 0-d z
     i0e, i1e_over_z = np.empty_like(arr), np.empty_like(arr)
-    # 0.5 (exp(-a) S1) is (0.5 exp(-a)) S1 bit for bit: exp(-a) >= exp(-30) is normal
-    i0e[small], i1e_over_z[small] = _series(a) * np.exp(-a) * [[1.0], [0.5]]
+    i0e[small], i1e_over_z[small] = scaled_bessel(arr[small])
     a = arr[~small]
     i0e[~small], i1e_over_z[~small] = _asymptotic_scaled(a)
     i1e_over_z[~small] /= a

@@ -217,10 +217,14 @@ def _bessel_density(params: TelegraphParams, t: float, x, spread):
     with z = (lam/c) sqrt(spread2), a negative spread2 from roundoff read as 0. The points ``x``
     (an array, giving a float if 0-d) are walked in blocks of 2^14, and ``spread(block)`` gives
     the block's (spread2, jacobian), so every temporary, the caller's spread included, is O(2^14)
-    whatever the number of points; each block is written into its slice of one output. Each value
-    keeps the bits of a whole-array evaluation: the spread is elementwise, and a value of
-    ``scaled_bessel`` depends only on its own argument (see there). Where z or the density
-    overflows, a ValueError names c, lam and t.
+    whatever the number of points. A block is evaluated in place with the operations of the
+    whole-array expression ``(lam I0e + (lam^2 t) I1e/z) * exp(z - lam t) / (2c jacobian)`` in
+    its order (a product or a sum is the same either way round): the I0e row takes the bracket,
+    z's buffer exp(z - lam t) and then the product, and the quotient is written once, into the
+    block's slice of one output. Each value keeps the bits of a whole-array evaluation: the
+    spread is elementwise, and a value of ``scaled_bessel`` depends only on its own argument, on
+    either of its paths (see there). Where z or the density overflows, a ValueError names c, lam
+    and t.
     """
     c, lam = params.c, params.lam
     overflow = f"the density overflows at c = {c!r}, lam = {lam!r}, t = {t!r}"
@@ -230,12 +234,19 @@ def _bessel_density(params: TelegraphParams, t: float, x, spread):
         for start in range(0, flat.size, _DENSITY_BLOCK):
             block = slice(start, start + _DENSITY_BLOCK)
             spread2, jacobian = spread(points[block])
-            z = (lam / c) * np.sqrt(np.maximum(spread2, 0.0))
+            z = np.maximum(spread2, 0.0)
+            np.sqrt(z, out=z)
+            z *= lam / c
             if not np.all(np.isfinite(z)):
                 raise ValueError(overflow)
-            i0e, i1e_over_z = scaled_bessel(z)
-            bracket = lam * i0e + lam * lam * t * i1e_over_z
-            flat[block] = bracket * np.exp(z - lam * t) / (2.0 * c * jacobian)
+            bracket, i1e_over_z = scaled_bessel(z)
+            i1e_over_z *= lam * lam * t
+            bracket *= lam
+            bracket += i1e_over_z
+            z -= lam * t
+            np.exp(z, out=z)
+            z *= bracket
+            np.divide(z, 2.0 * c * jacobian, out=flat[block])
     if not np.all(np.isfinite(out)):
         raise ValueError(overflow)
     return float(out) if x.ndim == 0 else out

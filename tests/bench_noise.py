@@ -6,7 +6,10 @@ Run it with ``pytest tests/bench_noise.py --benchmark-only``; add
 ``--benchmark-compare`` to set them against the last saved run. The name
 keeps the plain test suite from collecting it. The points are those of the
 ``noise_scale`` workload: sorted, W(t) at c = 1, lam = 10, t = 1, and X(t)
-of the fig3 model at t = 0.5. ``scaled_bessel`` alone runs on the W(t)
+of the fig3 model at t = 0.5; every argument of both is on the series side of
+``scaled_bessel``'s cutoff. The W(t) density at lam = 40 on unsorted points
+puts z on [0, 40], both sides of the cutoff in every block, and so times the
+path that splits a block by regime. ``scaled_bessel`` alone runs on the W(t)
 density's arguments, z = lam sqrt(t^2 - w^2) on [0, 10], and on the three
 401-point blocks of arguments that fig3's ``density.csv`` gives it, one per
 time, where the cost per call outweighs the cost per argument. The scalar
@@ -38,6 +41,13 @@ def w_points():
 
 def test_w_density(benchmark, w_points):
     f = benchmark.pedantic(w_density, args=(PARAMS, 1.0, w_points), rounds=5, warmup_rounds=1)
+    assert np.all(np.isfinite(f)) and np.all(f > 0.0)
+
+
+def test_w_density_mixed_regimes(benchmark):
+    p = TelegraphParams(c=1.0, lam=40.0)
+    w = np.random.default_rng(8).uniform(-1.0, 1.0, POINTS)
+    f = benchmark.pedantic(w_density, args=(p, 1.0, w), rounds=5, warmup_rounds=1)
     assert np.all(np.isfinite(f)) and np.all(f > 0.0)
 
 

@@ -209,6 +209,20 @@ def _hazards(draw):
     return PiecewiseLinearHazard(tuple(segments), support_end=end)
 
 
+def _rounds_to_c_at_oracle_end(spec, c: float, near) -> bool:
+    """Whether the oracle's attained slack ``near`` is r rounding to c at its own shortened end.
+
+    On a finite support the oracle stops at support_end * (1 - 1e-9), where an r that nears c
+    only at the support end can round to c. On a truly flat stretch at c, r also reads c
+    halfway along the stretch that ends there, from the last turning point before it (or 0).
+    """
+    end = spec.support_end * (1.0 - 1e-9)
+    if near.t != end:
+        return False
+    start = max((p for p in spec.turning_points if p < end), default=0.0)
+    return float(spec._rate(np.array(start + 0.5 * (end - start)))) != c
+
+
 _PAIR = np.array([0.5, 1.0])
 
 
@@ -358,13 +372,20 @@ class TestDominance:
     # in the custom family and in a piece to inf
     @example(spec=_line(0.001, 1e-19), c=0.001)
     @example(spec=PiecewiseLinearHazard(((0.0, 1e-19, 0.001),)), c=0.001)
+    # r(t) = t (t - 1)^2 + 1 falls to c = 1 at the support end 1, and r(1 - 1e-9) = 1 + 1e-18
+    # rounds to c at the oracle's own end, where it read an attained 0
+    @example(spec=PolynomialHazard(1.0, 1.0, 0.0, support_end=1.0), c=1.0)
+    # r = c on the whole support: a flat stretch that the oracle also reads at its own end
+    @example(spec=ConstantHazard(1.0, support_end=1.0), c=1.0)
     @settings(max_examples=200, deadline=None)
     def test_whole_support_matches_checked_horizon_drawn(self, spec, c):
         whole, near = spec.min_slack(c, 0.0, spec.support_end), horizon_min_slack(spec, c)
-        if near.value == 0.0 and near.attained:  # r = c on a flat stretch: each check
-            assert not whole.holds  # refuses it at a probe of its own
-        else:
+        if not (near.value == 0.0 and near.attained):
             assert whole == near
+        elif _rounds_to_c_at_oracle_end(spec, c, near):  # r > c inside: 0 only as a limit
+            assert (whole.value, whole.attained) == (0.0, False)
+        else:  # r = c on a flat stretch: each check refuses it at a probe of its own
+            assert not whole.holds
 
     def test_minimum_at_continuous_breakpoint_attained(self):
         # r = 3 - t, then 1 + t past t = 1: r(1) = 2 is reached, at the breakpoint itself

@@ -31,6 +31,24 @@ SERIES_INPUTS = {**oracle_inputs(0.0, 30.0, 30.0), "smallest_subnormal": np.arra
 ASYMPTOTIC_INPUTS = oracle_inputs(30.0, 600.0, 30.0)
 
 
+def both_sides(name):
+    """The series and asymptotic inputs of one name, shuffled together."""
+    z = np.concatenate((SERIES_INPUTS[name], ASYMPTOTIC_INPUTS[name]))
+    np.random.default_rng(3).shuffle(z)
+    return z
+
+
+# both sides of the cutoff in one call, then each side alone: all on the series side, 0-d too,
+# the arguments skip the split by regime (ASYMPTOTIC_INPUTS' slowest, 30, is on the series side)
+_PAST_CUTOFF = np.nextafter(30.0, math.inf)
+PAIR_INPUTS = {
+    **{name: both_sides(name) for name in ["unsorted", "slowest_first", "all_lowest", "empty"]},
+    **{f"series-{name}": z for name, z in SERIES_INPUTS.items()},
+    **{f"asymptotic-{name}": z
+       for name, z in oracle_inputs(_PAST_CUTOFF, 600.0, _PAST_CUTOFF).items()},
+}
+
+
 # dense grids of each side of the cutoff, on which to measure the stop margin
 DENSE_INPUTS = {
     "series": np.linspace(0.0, 30.0, 300_001),
@@ -159,12 +177,12 @@ class TestBessel:
     def test_huge_argument_stays_finite(self):
         assert all(np.isfinite(scaled_bessel(800.0)))
 
-    @pytest.mark.parametrize("name", ["unsorted", "slowest_first", "all_lowest", "empty"])
+    @pytest.mark.parametrize("name", sorted(PAIR_INPUTS))
     def test_pair_matches_oracle_bits(self, name):
         # the series and asymptotic oracles on the same two sides of the cutoff
-        z = np.concatenate((SERIES_INPUTS[name], ASYMPTOTIC_INPUTS[name]))
-        np.random.default_rng(3).shuffle(z)
+        z = PAIR_INPUTS[name]
         for got, want in zip(scaled_bessel(z), oracle_pair(z)):
+            assert got.shape == want.shape == z.shape
             assert got.tobytes() == want.tobytes()
 
 
