@@ -8,9 +8,11 @@ observations and are preserved.
 from __future__ import annotations
 
 import math
-from array import array
+import warnings
 from pathlib import Path
 from typing import NamedTuple
+
+import numpy as np
 
 from .estimation import Sample
 
@@ -67,28 +69,24 @@ def builtin_names() -> tuple[str, ...]:
 
 
 def load(path) -> NamedDataset:
-    """Parse a whitespace/newline separated (or single-column CSV) numeric file.
+    """Parse a numeric file, its values separated by whitespace, newlines or commas.
 
     ``Sample`` validates the values (finite, positive, at least three) and sorts
     them. Errors start with ``path`` as given; parse errors name the offending
-    line and token. The file is read in chunks of about 64 KiB of lines into
-    one array of doubles; only a file that fails there, in parsing or as a
-    sample, is read again line by line, which finds and names the first offender.
+    line and token. numpy's reader takes a file whose lines all hold equally many
+    whitespace-separated values; any other file, or one whose values fail as a
+    sample, is read again line by line, which names the first offender. Both
+    parse each token with ``PyOS_string_to_double``, so the values are the same
+    either way. numpy gets an open file: given a path, it would unzip or fetch.
     """
     try:
-        sample = Sample(_read_chunks(path))
-    except ValueError:  # a non-numeric token, a UnicodeDecodeError or a refused sample
+        with open(path, encoding="utf-8") as fh, warnings.catch_warnings():
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")  # refused below
+            values = np.loadtxt(fh, comments=None, ndmin=1)
+        sample = Sample(values.ravel())
+    except ValueError:  # a token numpy does not read, a UnicodeDecodeError or a refused sample
         sample = Sample(_read_lines(path))
     return NamedDataset(name=Path(path).stem, sample=sample)
-
-
-def _read_chunks(path) -> array:
-    """Every value of the file, parsed a chunk of whole lines at a time."""
-    values = array("d")
-    with open(path, "r", encoding="utf-8") as fh:
-        while lines := fh.readlines(1 << 16):
-            values.extend(map(float, "".join(lines).replace(",", " ").split()))
-    return values
 
 
 def _read_lines(path) -> list[float]:

@@ -1,6 +1,6 @@
 """Per-layer benchmark of estimation and datasets: ``kde`` on 1e5 lifetimes and the
 512-point band grid, ``Sample`` from 1e5 unsorted lifetimes, and ``datasets.load`` of
-a 1e5-line file.
+a 1e5-line file, one value a line (numpy's reader) and comma-separated (the line reader).
 
 Run it with ``pytest tests/bench_kde.py --benchmark-only``; add
 ``--benchmark-autosave`` to keep the timings in ``.benchmarks/`` and
@@ -46,5 +46,13 @@ def test_sample_1e5_unsorted(benchmark):
 def test_load_1e5_lines(benchmark, sample, tmp_path):
     path = tmp_path / "lifetimes.txt"
     path.write_text("".join(f"{value!r}\n" for value in sample.values.tolist()))
+    data = benchmark.pedantic(load, args=(path,), rounds=5, warmup_rounds=1)
+    assert data.sample.values.tolist() == sample.values.tolist()
+
+
+def test_load_1e5_lines_csv(benchmark, sample, tmp_path):
+    path = tmp_path / "lifetimes.csv"
+    values = sample.values.tolist()
+    path.write_text("".join(f"{a!r},{b!r}\n" for a, b in zip(values[::2], values[1::2])))
     data = benchmark.pedantic(load, args=(path,), rounds=5, warmup_rounds=1)
     assert data.sample.values.tolist() == sample.values.tolist()

@@ -1,4 +1,6 @@
+import gzip
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -88,21 +90,55 @@ class TestLoad:
             ("1\t2  3\n\n 4\x0c5\x0b6 \n", [1.0, 2.0, 3.0, 4.0, 5.0, 6.0]),
             ("1_000 2_5.5\n3e-2\n", [0.03, 25.5, 1000.0]),
             ("1\r\n2\r\n3.25\r\n", [1.0, 2.0, 3.25]),
+            ("1.5 2.25 3e-2\n4 5 6\n", [0.03, 1.5, 2.25, 4.0, 5.0, 6.0]),
+            ("0.1\u20030.2\u20030.3\n0.7\u20031e-300\u20032.5\n", [1e-300, 0.1, 0.2, 0.3, 0.7, 2.5]),
         ],
-        ids=["csv", "whitespace", "underscores", "crlf"],
+        ids=["csv", "whitespace", "underscores", "crlf", "three_columns", "em_space"],
     )
     def test_chunked_read_equals_line_by_line(self, tmp_path, text, want):
+        # numpy's reader refuses csv's commas and underscores' `1_000`, so the line reader
+        # reads those two; it takes the others, each line with as many values as the first
         path = tmp_path / "d.txt"
         path.write_bytes(text.encode())
         assert load(path).sample.values.tolist() == sorted(_read_lines(path)) == want
 
     def test_chunked_read_spanning_chunks(self, tmp_path):
-        # ~1.9 MB: about thirty chunks, each cut at a line end
+        # ~1.9 MB with a comma on two lines in three: numpy refuses it, the line reader reads it
         values = np.random.default_rng(3).exponential(size=100_000)
         path = tmp_path / "big.txt"
         path.write_text("".join(f"{v!r}{',' if i % 3 else ' '}\n" for i, v in enumerate(values.tolist())))
         got = load(path).sample.values
         assert got.tolist() == sorted(_read_lines(path)) == np.sort(values).tolist()
+
+    def test_missing_file(self, tmp_path):
+        with pytest.raises(FileNotFoundError, match="No such file or directory"):
+            load(tmp_path / "absent.txt")
+
+    def test_gzip_file_not_decompressed(self, tmp_path):
+        path = tmp_path / "d.txt.gz"
+        path.write_bytes(gzip.compress(b"1\n2\n3\n"))
+        with pytest.raises(UnicodeDecodeError):
+            load(path)
+
+    def test_url_is_a_missing_local_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        with pytest.raises(FileNotFoundError, match="No such file or directory: 'http://127.0.0.1:9/x.txt'"):
+            load("http://127.0.0.1:9/x.txt")
+        assert list(tmp_path.iterdir()) == []
+
+    def test_comment_line_refused(self, tmp_path):
+        path = tmp_path / "d.txt"
+        path.write_text("# note\n1\n2\n3\n")
+        with pytest.raises(ValueError, match=r"d\.txt:1: non-numeric token '#'$"):
+            load(path)
+
+    def test_empty_file_refused_without_warning(self, tmp_path):
+        path = tmp_path / "empty.txt"
+        path.write_text("")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"empty\.txt: need at least 3 values, found 0$"):
+                load(path)
 
     def test_first_offender_named(self, tmp_path):
         path = tmp_path / "bad.txt"
