@@ -180,6 +180,10 @@ class PerturbedModel:
 
         which stays accurate (and provably nonnegative) as x approaches either endpoint, where
         the naive c^2 t^2 - log^2(...) cancels. ``x`` is a real number or an array of them.
+        Past 2^14 points, on more than one CPU, the caller and one helper thread share the
+        blocks, each with its own numpy error state, and the helper is joined before the call
+        returns; the values keep their bits, and on 1e6 points the traced peak is ~1.22 times
+        the output's bytes (see ``telegraph._bessel_density``).
         """
         band = self.band(t)  # also validates t
         _positive("t", band.t)  # t = 0 leaves the band no interior

@@ -16,6 +16,9 @@ import numpy as np
 # scaled asymptotic expansion reaches machine precision in < 20 terms.
 _SERIES_CUTOFF = 30.0
 _REL_STOP = 1e-16
+# Values of the series' terms tested for convergence at once: the test's temporaries stay
+# small while a block's test stays a few calls.
+_TEST_SLICE = 1 << 13
 
 
 def _series(x: np.ndarray) -> np.ndarray:
@@ -23,19 +26,25 @@ def _series(x: np.ndarray) -> np.ndarray:
     # term-ratio stopping. The whole array is tested only once the probe passes its
     # own test: the largest argument in row 0, which converges last (row 1's terms are
     # row 0's over k+1, its total's over at most k+1). The whole-array test implies
-    # the probe's, so the loop stops at the same k either way
+    # the probe's, so the loop stops at the same k either way. It runs a slice of the
+    # flattened terms at a time, which gives the same answer
     flat = x.reshape(-1)
     total = np.ones((2, flat.size))
     if flat.size:
         probe = (0, int(np.argmax(flat)))
-        q = 0.25 * flat * flat
+        q = np.multiply(0.25, flat)
+        q *= flat
         term = np.ones_like(total)
+        terms, totals = term.reshape(-1), total.reshape(-1)
         k = np.arange(1.0, 400.0)[:, None, None]
         for divisor in k * (k + [[0.0], [1.0]]):
             term *= q
             term /= divisor
             total += term
-            if term[probe] <= _REL_STOP * total[probe] and np.all(term <= _REL_STOP * total):
+            if term[probe] <= _REL_STOP * total[probe] and all(
+                (terms[i:i + _TEST_SLICE] <= _REL_STOP * totals[i:i + _TEST_SLICE]).all()
+                for i in range(0, terms.size, _TEST_SLICE)
+            ):
                 break
     return total.reshape((2,) + x.shape)
 

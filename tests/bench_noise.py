@@ -9,7 +9,10 @@ keeps the plain test suite from collecting it. The points are those of the
 of the fig3 model at t = 0.5; every argument of both is on the series side of
 ``scaled_bessel``'s cutoff. The W(t) density at lam = 40 on unsorted points
 puts z on [0, 40], both sides of the cutoff in every block, and so times the
-path that splits a block by regime. ``scaled_bessel`` alone runs on the W(t)
+path that splits a block by regime. The W(t) density on 2^14 - 1 and 2 * 2^14
+sorted points, one block walked by the caller alone and two blocks walked by
+the caller and one helper thread, shows what a call costs beyond its points,
+the helper's start and join included. ``scaled_bessel`` alone runs on the W(t)
 density's arguments, z = lam sqrt(t^2 - w^2) on [0, 10], and on the three
 401-point blocks of arguments that fig3's ``density.csv`` gives it, one per
 time, where the cost per call outweighs the cost per argument. The scalar
@@ -44,6 +47,13 @@ def test_w_density(benchmark, w_points):
     assert np.all(np.isfinite(f)) and np.all(f > 0.0)
 
 
+@pytest.mark.parametrize("n", [telegraph._DENSITY_BLOCK - 1, 2 * telegraph._DENSITY_BLOCK])
+def test_w_density_few_blocks(benchmark, n):
+    w = np.sort(np.random.default_rng(8).uniform(-1.0, 1.0, n))
+    f = benchmark(w_density, PARAMS, 1.0, w)
+    assert np.all(np.isfinite(f)) and np.all(f > 0.0)
+
+
 def test_w_density_mixed_regimes(benchmark):
     p = TelegraphParams(c=1.0, lam=40.0)
     w = np.random.default_rng(8).uniform(-1.0, 1.0, POINTS)
@@ -67,10 +77,14 @@ def test_scaled_bessel(benchmark, w_points):
 
 @pytest.fixture(scope="module")
 def fig3_blocks():
-    """The arguments of each ``scaled_bessel`` call behind fig3's ``density.csv``."""
+    """The arguments of each ``scaled_bessel`` call behind fig3's ``density.csv``.
+
+    Each is copied: the density goes on to overwrite its z in place.
+    """
     model, blocks = model_fig3(), []
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(telegraph, "scaled_bessel", lambda z: blocks.append(z) or scaled_bessel(z))
+        patch.setattr(telegraph, "scaled_bessel",
+                      lambda z: blocks.append(z.copy()) or scaled_bessel(z))
         for t in FIG3_TIMES:
             _x_density(model, t, 401)
     assert [z.size for z in blocks] == [401] * len(FIG3_TIMES)

@@ -22,7 +22,8 @@ generator written through ``csv.writer``, the reference for the CLI's table
 writer, and the band keeps its one-time-point formulas, the reference for the
 band over an array of times. The dominance check keeps the horizon a model
 was once checked up to, the reference for ``min_slack`` over the whole
-support.
+support. ``set_cpus`` fixes what the Bessel density's CPU query reads, so a
+test chooses whether the density walks its blocks on one thread or two.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ import csv
 import io
 import itertools
 import math
+import os
 
 import numpy as np
 from scipy.special import betainc
@@ -40,6 +42,16 @@ from telhaz.hazard import Slack, _past
 from telhaz.special import scaled_bessel
 
 _REL_STOP = 1e-16
+
+
+def set_cpus(monkeypatch, affinity, count=None) -> None:
+    """Make ``os.sched_getaffinity(0)`` give ``affinity``, or not exist if None, and
+    ``os.cpu_count()`` give ``count``."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(affinity), raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: count)
 
 
 def brute_force_w(c: float, lam: float, t: float, n_paths: int, seed: int) -> np.ndarray:

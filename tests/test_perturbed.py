@@ -1,6 +1,7 @@
 import functools
 import math
 import re
+import threading
 import tracemalloc
 import warnings
 
@@ -28,7 +29,7 @@ from telhaz.presets import (
     model_fig2,
     model_fig3,
 )
-from conftest import bessel_density_oracle, math_band, oracle_path
+from conftest import bessel_density_oracle, math_band, oracle_path, set_cpus
 from test_hazard import _hazards
 from telhaz import telegraph
 from telhaz.telegraph import (
@@ -515,6 +516,19 @@ class TestDensityBlocks:
         want = bessel_density_oracle(fig_model.noise, band.t, u, one_minus)
         assert got.shape == want.shape == shape
         assert got.tobytes() == want.tobytes()
+
+    def test_two_walkers_keep_their_bytes(self, fig_model, monkeypatch):
+        # five blocks over the caller and one helper, 20 times, against the oracle
+        set_cpus(monkeypatch, {0, 1})
+        band = fig_model.band(2.0)
+        x = np.random.default_rng(5).uniform(band.a, band.b, 5 * self.BLOCK)
+        one_minus = 1.0 - x
+        u = np.log((1.0 - band.a) / one_minus) * np.log(one_minus / (1.0 - band.b))
+        want = bessel_density_oracle(fig_model.noise, band.t, u, one_minus).tobytes()
+        before = threading.active_count()
+        for _ in range(20):
+            assert fig_model.density(x, 2.0).tobytes() == want
+        assert threading.active_count() == before
 
     def test_memory_bounded(self, fig_model):
         # the whole-array evaluation peaked at ~10.1x the output's 8 MB, blocks split by regime

@@ -1,5 +1,7 @@
 import math
 import re
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -11,7 +13,7 @@ from scipy import integrate, special, stats
 
 from conftest import (
     bessel_density_oracle, brute_force_w, ks_distance, ks_critical, loop_w_cdf, mp_w_cdf,
-    mp_w_variance, oracle_path, walk_integral, walk_paths,
+    mp_w_variance, oracle_path, set_cpus, walk_integral, walk_paths,
 )
 from telhaz import telegraph
 from telhaz.telegraph import (
@@ -508,6 +510,130 @@ class TestDensityBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.25 * out.nbytes
+
+
+class TestDensityThreads:
+    """The Bessel density's two walkers: bytes, errors and threads."""
+
+    BLOCK = telegraph._DENSITY_BLOCK
+    P = TelegraphParams(c=1.0, lam=10.0)
+    OVERFLOW = "the density overflows at c = 1.0, lam = 10.0, t = 1.0"
+
+    @pytest.fixture
+    def started(self, monkeypatch):
+        # every Thread.start in the test, and no thread may die with an unhandled error
+        threads, unhandled = [], []
+        start = threading.Thread.start
+
+        def counting(thread):
+            threads.append(thread)
+            start(thread)
+
+        monkeypatch.setattr(threading.Thread, "start", counting)
+        monkeypatch.setattr(threading, "excepthook", unhandled.append)
+        set_cpus(monkeypatch, {0, 1})
+        before = threading.active_count()
+        yield threads
+        assert threading.active_count() == before
+        assert unhandled == []
+
+    def points(self, blocks, extra=0):
+        return np.random.default_rng(blocks).uniform(-1.0, 1.0, blocks * self.BLOCK + extra)
+
+    @pytest.mark.parametrize("affinity, count, helpers", [
+        ({0, 1}, 2, 1), ({0}, 2, 0), (None, 2, 1), (None, 1, 0), (None, None, 0),
+    ], ids=["affinity-2", "affinity-1", "count-2", "count-1", "count-unknown"])
+    def test_helper_only_with_two_cpus(self, monkeypatch, started, affinity, count, helpers):
+        # the affinity set, where it exists, and not the machine's count decides
+        x = self.points(4, 5)
+        two = w_density(self.P, 1.0, x)
+        assert len(started) == 1
+        set_cpus(monkeypatch, affinity, count)
+        got = w_density(self.P, 1.0, x)
+        assert len(started) == 1 + helpers
+        assert got.tobytes() == two.tobytes()
+
+    @pytest.mark.parametrize("n, helpers", [(BLOCK - 1, 0), (BLOCK, 0), (BLOCK + 1, 1)])
+    def test_one_block_walks_alone(self, started, n, helpers):
+        x = self.points(2)
+        got = w_density(self.P, 1.0, x[:n])
+        assert len(started) == helpers
+        assert got.tobytes() == w_density(self.P, 1.0, x)[:n].tobytes()
+
+    def test_repeated_calls_keep_their_bytes(self, started):
+        x = self.points(5)
+        want = w_density(self.P, 1.0, x).tobytes()
+        for _ in range(20):
+            assert w_density(self.P, 1.0, x).tobytes() == want
+        assert len(started) == 21
+
+    def test_concurrent_callers_keep_their_bytes(self, monkeypatch):
+        # three callers, each with its helper, on more threads than cores and a short switch
+        set_cpus(monkeypatch, {0, 1})
+        x = self.points(5)
+        want = w_density(self.P, 1.0, x).tobytes()
+        got = []
+
+        def call():
+            got.extend(w_density(self.P, 1.0, x).tobytes() for _ in range(5))
+
+        callers = [threading.Thread(target=call) for _ in range(3)]
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for caller in callers:
+                caller.start()
+            for caller in callers:
+                caller.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(caller.is_alive() for caller in callers)
+        assert got == [want] * 15
+
+    def test_helper_error_reaches_caller(self, monkeypatch, started):
+        caller, bessel = threading.current_thread(), telegraph.scaled_bessel
+
+        class Boom(Exception):
+            pass
+
+        def failing(z):
+            if threading.current_thread() is not caller:
+                raise Boom
+            return bessel(z)
+
+        monkeypatch.setattr(telegraph, "scaled_bessel", failing)
+        with pytest.raises(Boom):
+            w_density(self.P, 1.0, self.points(4))
+        assert len(started) == 1
+
+    def test_helper_error_stops_caller_before_next_block(self, monkeypatch, started):
+        # the caller's block 0 waits until the helper has failed on block 1 and ended
+        caller, bessel = threading.current_thread(), telegraph.scaled_bessel
+        failed, calls = threading.Event(), []
+
+        def failing(z):
+            if threading.current_thread() is caller:
+                calls.append(z.size)
+                assert failed.wait(60)
+                started[0].join(60)
+                assert not started[0].is_alive()
+                return bessel(z)
+            failed.set()
+            raise KeyboardInterrupt  # a BaseException reaches the caller too
+
+        monkeypatch.setattr(telegraph, "scaled_bessel", failing)
+        with pytest.raises(KeyboardInterrupt):
+            w_density(self.P, 1.0, self.points(6))
+        assert calls == [self.BLOCK]
+
+    @pytest.mark.parametrize("block", [0, 1], ids=["caller", "helper"])
+    @pytest.mark.parametrize("bad", [math.inf, 1e308], ids=["z", "density"])
+    def test_overflow_in_either_walker_refused(self, started, block, bad):
+        spread2 = np.random.default_rng(5).uniform(0.0, 1.0, 4 * self.BLOCK)
+        spread2[block * self.BLOCK + 7] = bad
+        with pytest.raises(ValueError, match=f"^{re.escape(self.OVERFLOW)}$"):
+            telegraph._bessel_density(self.P, 1.0, spread2, lambda s: (s, 1.0))
+        assert len(started) == 1
 
 
 class TestCdfBlocks:
